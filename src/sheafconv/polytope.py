@@ -2,10 +2,10 @@
 
 A Polytope stores only its extreme points; everything else (affine hull,
 facet halfspaces, face lattice, volume) is derived lazily.  Hulls in
-dimension 3 use brute-force supporting-plane enumeration, which is fine
-at desk scale; Minkowski sums avoid feeding the large candidate cloud
-back into that enumeration by building the sum's halfspaces from facet
-normals and pairwise edge crosses.
+dimension 2 use a monotone chain; in dimension 3 one exact gift-wrapping
+hull (Chand & Kapur 1970) on the point set scaled once to integers gives
+both the facet halfspaces and the extreme points.  A Minkowski sum is the
+hull of the pairwise vertex sums.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
@@ -106,7 +105,7 @@ class Polytope:
                     nu, c = vneg(nu), -c
                 out.append((nu, c))
             return tuple(out)
-        return tuple(_hull3_planes(self.verts))
+        return tuple(_hull3(self.verts)[0])
 
     def contains(self, x, strict: bool = False) -> bool:
         x = tuple(rat(c) for c in x)
@@ -152,9 +151,6 @@ class Polytope:
     def edges(self) -> tuple["Polytope", ...]:
         return tuple(f for f in self.faces if f.adim == 1)
 
-    def edge_dirs(self) -> set:
-        return {primitive(vsub(e.verts[1], e.verts[0])) for e in self.edges}
-
     def translate(self, vec) -> "Polytope":
         vec = tuple(rat(c) for c in vec)
         return Polytope(tuple(vadd(v, vec) for v in self.verts))
@@ -164,10 +160,6 @@ class Polytope:
 
     def support(self, nu) -> Fraction:
         return max(vdot(nu, v) for v in self.verts)
-
-
-def affine_hull_dim(p: Polytope) -> int:
-    return p.adim
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +187,88 @@ def _hull2_ring(pts: list) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _hull3_planes(pts) -> list:
-    """Supporting planes of a rank-3 point set, outward oriented, deduped."""
-    planes = {}
-    for a, b, c in combinations(pts, 3):
-        nu = cross3(vsub(b, a), vsub(c, a))
-        if nu == (0, 0, 0):
-            continue
-        nu = primitive(nu, keep_sign=True)
-        off = vdot(nu, a)
-        above = below = False
-        for p in pts:
-            s = vdot(nu, p) - off
-            above = above or s > 0
-            below = below or s < 0
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            nu, off = vneg(nu), -off
-        planes[(nu, off)] = None
-    return list(planes)
+def _hull3(pts) -> tuple[list, list]:
+    """Facet planes and extreme points of a rank-3 rational point set.
+
+    The planes are (nu, c), nu a primitive outward integer normal and
+    <nu,x> <= c on the hull, in sorted order.  The points are scaled once
+    to integers by the lcm of their denominators.  A first facet through
+    the lexicographic minimum is then wrapped across every edge of every
+    facet found, one pass over the points per edge.  A facet keeps every
+    point of its plane, and its ring is their planar hull; the extreme
+    points are the union of the rings.
+    """
+    den = lcm(*(c.denominator for p in pts for c in p))
+    orig = {tuple(c.numerator * (den // c.denominator) for c in p): p for p in pts}
+    zpts = sorted(orig)
+
+    def on_plane(nu, off):
+        return [p for p in zpts if nu[0] * p[0] + nu[1] * p[1] + nu[2] * p[2] == off]
+
+    def wrap(a, d, inner, nu):
+        # turn the supporting plane with outward normal nu about the line
+        # a + t*d, away from inner (a point of that plane off the line),
+        # as far as the points allow.  A point replaces the best one so
+        # far when it lies strictly beyond the plane through the line and
+        # that best point; every point lies within a half-turn of inner,
+        # so one pass ends on a supporting plane.
+        a0, a1, a2 = a
+        i0, i1, i2 = inner[0] - a0, inner[1] - a1, inner[2] - a2
+        b0, b1, b2 = -nu[0], -nu[1], -nu[2]
+        for p in zpts:
+            w0, w1, w2 = p[0] - a0, p[1] - a1, p[2] - a2
+            if b0 * w0 + b1 * w1 + b2 * w2 > 0:
+                b0, b1, b2 = cross3(d, (w0, w1, w2))
+                if b0 * i0 + b1 * i1 + b2 * i2 > 0:
+                    b0, b1, b2 = -b0, -b1, -b2
+        g = gcd(b0, b1, b2)
+        best = (b0 // g, b1 // g, b2 // g)
+        return best, best[0] * a0 + best[1] * a1 + best[2] * a2
+
+    # the plane x = min x supports the lexicographic minimum a; turn it
+    # about lines through a until it holds three points off a line
+    a = zpts[0]
+    plane = ((-1, 0, 0), -a[0])
+    tight = on_plane(*plane)
+    while _collinear(tight):
+        d = vsub(tight[-1], a) if len(tight) > 1 else (0, 0, 1)
+        nu = plane[0]
+        plane = wrap(a, d, vadd(a, cross3(nu, d)), nu)
+        tight = on_plane(*plane)
+
+    rings: dict = {}
+    todo: list = []
+
+    def add_facet(plane, on):
+        drop = next(i for i in range(3) if plane[0][i])  # an injective chart
+        back = {p[:drop] + p[drop + 1:]: p for p in on}
+        rings[plane] = [back[q] for q in _hull2_ring(sorted(back))]
+        todo.append(plane)
+
+    add_facet(plane, tight)
+    done = set()
+    while todo:
+        plane = todo.pop()
+        ring = rings[plane]
+        k = len(ring)
+        for i in range(k):
+            u, v = ring[i], ring[(i + 1) % k]
+            edge = (u, v) if u < v else (v, u)
+            if edge in done:
+                continue
+            done.add(edge)
+            nxt = wrap(u, vsub(v, u), ring[(i + 2) % k], plane[0])
+            if nxt not in rings:
+                add_facet(nxt, on_plane(*nxt))
+
+    planes = sorted((nu, Fraction(off, den)) for nu, off in rings)
+    ext = sorted({orig[p] for ring in rings.values() for p in ring})
+    return planes, ext
+
+
+def _collinear(pts) -> bool:
+    a, d = pts[0], vsub(pts[-1], pts[0])
+    return all(cross3(d, vsub(p, a)) == (0, 0, 0) for p in pts)
 
 
 def convex_hull(points) -> Polytope:
@@ -241,12 +293,7 @@ def convex_hull(points) -> Polytope:
     elif adim == 2:
         ext = [back[q] for q in _hull2_ring(cpts)]
     else:
-        planes = _hull3_planes(pts)
-        ext = []
-        for p in pts:
-            act = [nu for nu, off in planes if vdot(nu, p) == off]
-            if rank(act) == 3:
-                ext.append(p)
+        ext = _hull3(pts)[1]
     return Polytope(tuple(ext))
 
 
@@ -257,54 +304,7 @@ def convex_hull(points) -> Polytope:
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.n != q.n:
         raise InputError("Minkowski sum needs a common ambient dimension")
-    sums = sorted({vadd(a, b) for a in p.verts for b in q.verts})
-    if p.n < 3 or len(sums) <= 16:
-        return convex_hull(sums)
-    diffs = [vsub(s, sums[0]) for s in sums[1:]]
-    if rank(diffs) < 3:
-        return convex_hull(sums)
-    # full-dimensional sum: every facet normal comes from a facet of p,
-    # a facet of q, or a cross of an edge of p with an edge of q
-    normals = set()
-    for r in (p, q):
-        if r.adim == 3:
-            normals.update(nu for nu, _ in r.inequalities)
-        elif r.adim == 2:
-            nrm = r.plane_normal
-            normals.add(nrm)
-            normals.add(vneg(nrm))
-    for dp in p.edge_dirs():
-        for dq in q.edge_dirs():
-            nu = cross3(dp, dq)
-            if nu != (0, 0, 0):
-                nu = primitive(nu, keep_sign=True)
-                normals.add(nu)
-                normals.add(vneg(nu))
-    # integer-scale the candidate cloud once; the hot loops then run on
-    # machine ints instead of Fractions
-    den = 1
-    for s in sums:
-        for c in s:
-            den = lcm(den, c.denominator)
-    sums_z = [tuple(int(c * den) for c in s) for s in sums]
-    idot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    off_z = {nu: max(idot(nu, s) for s in sums_z) for nu in normals}
-    ext = []
-    for s, sz in zip(sums, sums_z):
-        act = [nu for nu in normals if idot(nu, sz) == off_z[nu]]
-        if len(act) >= 3 and rank(act) == 3:
-            ext.append(s)
-    out = Polytope(tuple(ext))
-    # we already hold a complete supporting-halfspace set; seed the facet
-    # cache with the two-dimensional ones instead of rebuilding by brute force
-    verts_z = {v: tuple(int(c * den) for c in v) for v in out.verts}
-    facets = []
-    for nu in normals:
-        tight = [v for v in out.verts if idot(nu, verts_z[v]) == off_z[nu]]
-        if len(tight) >= 3 and rank([vsub(t, tight[0]) for t in tight[1:]]) == 2:
-            facets.append((nu, Fraction(off_z[nu], den)))
-    out.__dict__["inequalities"] = tuple(facets)
-    return out
+    return convex_hull([vadd(a, b) for a in p.verts for b in q.verts])
 
 
 def _edge_plane_crossings(edges, planes):

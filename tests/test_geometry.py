@@ -1,18 +1,20 @@
 """Exact polytope kernel and polyhedral regions.
 
-Random Minkowski sums are compared against the brute pairwise-sum hull
-and against support-function certificates, which together pin both the
-vertex set and the facet description.
+3D hulls and Minkowski sums are compared against a brute-force oracle
+that enumerates the supporting plane of every point triple, and against
+support-function certificates; together they pin both the vertex set and
+the facet description.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 
 from sheafconv.errors import InputError, InvariantViolation
-from sheafconv.linalg import primitive, vadd, vdot, vsub
+from sheafconv.linalg import cross3, primitive, rank, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
     chart_volume,
@@ -49,6 +51,88 @@ def box2(x0, x1, y0, y1):
 
 def cube(a=0, b=1):
     return Polytope(tuple(product((a, b), repeat=3)))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for 3D hulls
+
+
+def brute_hull3_planes(pts) -> list:
+    """Supporting planes of a rank-3 point set, outward oriented, deduped:
+    every point triple spanning a plane is tested against every point."""
+    planes = {}
+    for a, b, c in combinations(pts, 3):
+        nu = cross3(vsub(b, a), vsub(c, a))
+        if nu == (0, 0, 0):
+            continue
+        nu = primitive(nu, keep_sign=True)
+        off = vdot(nu, a)
+        above = below = False
+        for p in pts:
+            s = vdot(nu, p) - off
+            above = above or s > 0
+            below = below or s < 0
+            if above and below:
+                break
+        if above and below:
+            continue
+        if above:
+            nu, off = vneg(nu), -off
+        planes[(nu, off)] = None
+    return list(planes)
+
+
+def brute_hull3(points):
+    """(sorted facet planes, sorted extreme points) of a rank-3 cloud.
+
+    The enumeration runs on the cloud scaled to integers, which only
+    speeds up its arithmetic; offsets are scaled back.  A point is
+    extreme when the normals of the planes through it have rank 3.
+    """
+    pts = sorted({tuple(F(c) for c in p) for p in points})
+    den = lcm(*(c.denominator for p in pts for c in p))
+    ipts = [tuple(int(c * den) for c in p) for p in pts]
+    planes = sorted((nu, F(off, den)) for nu, off in brute_hull3_planes(ipts))
+    ext = [p for p in pts if rank([nu for nu, off in planes if vdot(nu, p) == off]) == 3]
+    return planes, ext
+
+
+def hull_corpus(rng, size):
+    """Seeded rank-3 clouds of 4..16 points from four families."""
+    out = []
+    while len(out) < size:
+        family = len(out) % 4
+        if family == 0:  # random rationals with mixed denominators
+            pts = [tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(3))
+                   for _ in range(rng.randint(4, 16))]
+        elif family == 1:  # a box with some face and edge midpoints
+            lo = [rng.randint(-3, 0) for _ in range(3)]
+            hi = [c + rng.randint(1, 3) for c in lo]
+            corners = list(product(*zip(lo, hi)))
+            mids = {tuple(F(lo[j] + hi[j], 2) if j in axes else c[j] for j in range(3))
+                    for c in corners for axes in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+            pts = corners + rng.sample(sorted(mids), rng.randint(0, 8))
+        elif family == 2:  # a subset of the {0,1,2}^3 grid
+            pts = rng.sample(list(product(range(3), repeat=3)), rng.randint(4, 16))
+        else:  # a 4x4 Minkowski cloud
+            p, q = (rand_polytope(rng, 3, npts=8).verts[:4] for _ in range(2))
+            pts = [vadd(u, v) for u in p for v in q]
+        pts = sorted({tuple(F(c) for c in p) for p in pts})
+        if rank([vsub(p, pts[0]) for p in pts[1:]]) == 3:
+            out.append(pts)
+    return out
+
+
+def test_hull3_matches_brute_force_oracle():
+    rng = random.Random(17)
+    corpus = hull_corpus(rng, 300)
+    assert min(map(len, corpus)) >= 4 and max(map(len, corpus)) <= 16
+    for i, pts in enumerate(corpus):
+        planes, ext = brute_hull3(pts)
+        hull = convex_hull(pts)
+        assert list(hull.verts) == ext, i
+        assert sorted(hull.inequalities) == planes, i
+        assert sorted(Polytope(pts).inequalities) == planes, i
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +203,15 @@ def test_minkowski_anchors():
     assert minkowski_sum(cube(), Polytope(((1, 1, 1),))) == cube(1, 2)
 
 
-def test_minkowski_structured_matches_brute():
-    # small clouds: the brute reference hull is cubic in the sum cloud
+def test_minkowski_matches_brute_force_oracle():
     rng = random.Random(13)
     for i in range(8):
         p = rand_polytope(rng, 3, npts=rng.randint(4, 7))
         q = rand_polytope(rng, 3, npts=rng.randint(4, 7))
         s = minkowski_sum(p, q)
-        assert s == brute_minkowski(p, q), i
+        planes, ext = brute_hull3([vadd(u, v) for u in p.verts for v in q.verts])
+        assert list(s.verts) == ext, i
+        assert sorted(s.inequalities) == planes, i
 
 
 def test_minkowski_support_certificates():
