@@ -202,8 +202,14 @@ def _hull3(pts) -> tuple[list, list]:
     orig = {tuple(c.numerator * (den // c.denominator) for c in p): p for p in pts}
     zpts = sorted(orig)
 
-    def on_plane(nu, off):
-        return [p for p in zpts if nu[0] * p[0] + nu[1] * p[1] + nu[2] * p[2] == off]
+    def ring_on(plane):
+        # the planar hull of the points on a supporting plane, through an
+        # injective chart: drop a coordinate the normal does not vanish on
+        (n0, n1, n2), off = plane
+        drop = 0 if n0 else 1 if n1 else 2
+        back = {p[:drop] + p[drop + 1:]: p for p in zpts
+                if n0 * p[0] + n1 * p[1] + n2 * p[2] == off}
+        return [back[q] for q in _hull2_ring(sorted(back))]
 
     def wrap(a, d, inner, nu):
         # turn the supporting plane with outward normal nu about the line
@@ -225,27 +231,18 @@ def _hull3(pts) -> tuple[list, list]:
         best = (b0 // g, b1 // g, b2 // g)
         return best, best[0] * a0 + best[1] * a1 + best[2] * a2
 
-    # the plane x = min x supports the lexicographic minimum a; turn it
-    # about lines through a until it holds three points off a line
-    a = zpts[0]
-    plane = ((-1, 0, 0), -a[0])
-    tight = on_plane(*plane)
-    while _collinear(tight):
-        d = vsub(tight[-1], a) if len(tight) > 1 else (0, 0, 1)
-        nu = plane[0]
-        plane = wrap(a, d, vadd(a, cross3(nu, d)), nu)
-        tight = on_plane(*plane)
+    # the plane x = min x supports the lexicographic minimum; turn it
+    # about lines in it until it holds three points off a line
+    plane = ((-1, 0, 0), -zpts[0][0])
+    ring = ring_on(plane)
+    while len(ring) < 3:
+        a = ring[0]
+        d = vsub(ring[1], a) if len(ring) == 2 else (0, 0, 1)
+        plane = wrap(a, d, vadd(a, cross3(plane[0], d)), plane[0])
+        ring = ring_on(plane)
 
-    rings: dict = {}
-    todo: list = []
-
-    def add_facet(plane, on):
-        drop = next(i for i in range(3) if plane[0][i])  # an injective chart
-        back = {p[:drop] + p[drop + 1:]: p for p in on}
-        rings[plane] = [back[q] for q in _hull2_ring(sorted(back))]
-        todo.append(plane)
-
-    add_facet(plane, tight)
+    rings = {plane: ring}
+    todo = [plane]
     done = set()
     while todo:
         plane = todo.pop()
@@ -259,16 +256,12 @@ def _hull3(pts) -> tuple[list, list]:
             done.add(edge)
             nxt = wrap(u, vsub(v, u), ring[(i + 2) % k], plane[0])
             if nxt not in rings:
-                add_facet(nxt, on_plane(*nxt))
+                rings[nxt] = ring_on(nxt)
+                todo.append(nxt)
 
     planes = sorted((nu, Fraction(off, den)) for nu, off in rings)
     ext = sorted({orig[p] for ring in rings.values() for p in ring})
     return planes, ext
-
-
-def _collinear(pts) -> bool:
-    a, d = pts[0], vsub(pts[-1], pts[0])
-    return all(cross3(d, vsub(p, a)) == (0, 0, 0) for p in pts)
 
 
 def convex_hull(points) -> Polytope:
