@@ -18,10 +18,6 @@ _TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))")
 
 RAT, INT, EXPR = "rat", "int", "expr"
 
-# deepest nesting of calls an expression may have; parsing and evaluation
-# recurse once per level, so deeper input is refused as a ParseError
-MAX_DEPTH = 100
-
 # name -> (argument kinds, variadic tail allowed)
 _SIGNATURES = {
     "kc": ((RAT, RAT), False),
@@ -68,7 +64,6 @@ class _Parser:
         self.text = text
         self.toks = _tokens(text)
         self.i = 0
-        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -89,10 +84,7 @@ class _Parser:
             return ("zero",)
         if value not in _SIGNATURES:
             raise ParseError(f"unknown name {value!r}", at)
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH}", at)
         kinds, variadic = _SIGNATURES[value]
-        self.depth += 1
         self.take("(")
         args = [self.arg(kinds[0])]
         for k in kinds[1:]:
@@ -102,7 +94,6 @@ class _Parser:
             self.take(",")
             args.append(self.arg(kinds[-1]))
         self.take(")")
-        self.depth -= 1
         return (value, *args)
 
     def arg(self, kind):

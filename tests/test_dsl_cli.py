@@ -16,7 +16,7 @@ import pytest
 import sheafconv
 from sheafconv import cli, microlocal, sheaf1
 from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_to_text
-from sheafconv.dsl import MAX_DEPTH, eval_text, parse
+from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
@@ -212,27 +212,6 @@ def test_cli_parse_error_is_exit_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "at byte 6" in err
-
-
-def nested(depth: int) -> str:
-    """kc(0,1) under depth - 1 duals: depth nested calls in all."""
-    return "dual(" * (depth - 1) + "kc(0,1)" + ")" * (depth - 1)
-
-
-def test_nesting_limit_is_a_parse_error():
-    # dual is an involution up to the shift it adds to an open interval
-    want = kc(0, 1) if MAX_DEPTH % 2 else shift(ko(0, 1), 1)
-    assert eval_text(nested(MAX_DEPTH)) == want
-    with pytest.raises(ParseError) as exc:
-        parse(nested(MAX_DEPTH + 1))
-    assert exc.value.position == len("dual(") * MAX_DEPTH
-
-
-def test_cli_deep_nesting_is_exit_2(capsys):
-    rc = cli.main(["eval", "-e", "dual(" * 3000 + "kc(0,1)" + ")" * 3000])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "nested deeper" in json.loads(err)["error"]
 
 
 def test_python_m_sheafconv_runs_the_cli():

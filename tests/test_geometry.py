@@ -190,10 +190,6 @@ def test_contains_strict():
 # minkowski sums
 
 
-def brute_minkowski(p: Polytope, q: Polytope) -> Polytope:
-    return convex_hull([vadd(u, v) for u in p.verts for v in q.verts])
-
-
 def test_minkowski_anchors():
     sq = box2(0, 1, 0, 1)
     seg = Polytope(((0, 0), (1, 1)))
@@ -230,7 +226,19 @@ def test_minkowski_support_certificates():
 def test_minkowski_fractional_coordinates():
     p = convex_hull([(F(1, 3), F(1, 7)), (F(2, 3), F(5, 7)), (F(-1, 3), F(2, 7))])
     q = convex_hull([(F(1, 2), F(1, 5)), (F(-3, 2), F(4, 5))])
-    assert minkowski_sum(p, q) == brute_minkowski(p, q)
+    # a triangle plus a segment parallel to none of its edges: the first
+    # vertex moves by one end of the segment only, the other two by both
+    assert minkowski_sum(p, q).verts == (
+        (F(-11, 6), F(38, 35)), (F(-5, 6), F(53, 35)), (F(1, 6), F(17, 35)),
+        (F(5, 6), F(12, 35)), (F(7, 6), F(32, 35)),
+    )
+    p3 = convex_hull([(F(1, 3), 0, F(1, 7)), (F(2, 3), F(1, 2), F(5, 7)),
+                      (F(-1, 3), F(3, 5), F(2, 7)), (0, F(-1, 4), F(3, 11))])
+    q3 = convex_hull([(F(1, 2), F(1, 5), 0), (F(-3, 2), F(4, 5), F(1, 9)),
+                      (F(1, 6), F(-2, 5), F(5, 9))])
+    s = minkowski_sum(p3, q3)
+    planes, ext = brute_hull3([vadd(u, v) for u in p3.verts for v in q3.verts])
+    assert list(s.verts) == ext and sorted(s.inequalities) == planes
 
 
 # ---------------------------------------------------------------------------
