@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf1 import Cf1, cf1_from_sheaf
+from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
 from .rational import fmt_rat, rat
 from .sheaf1 import Closure, Sheaf1, antipodal, convolve, dual, euler_c
 
@@ -32,6 +32,11 @@ RayMultiset = dict[Fraction, int]
 
 def _ray_items(rays: RayMultiset) -> tuple[tuple[Fraction, int], ...]:
     return tuple(sorted((x, m) for x, m in rays.items() if m))
+
+
+def _negated(items: tuple[tuple[Fraction, int], ...]) -> tuple[tuple[Fraction, int], ...]:
+    """Ray multiplicities with every base point negated, re-sorted."""
+    return tuple(sorted((-x, m) for x, m in items))
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,7 @@ def cc(f: Sheaf1) -> CC1:
 def cc_antipodal(c: CC1) -> CC1:
     """Characteristic cycle of the antipodal object: positions negate and
     the two ray families swap."""
-    zw = c.zero_weight
-    refl = Cf1(tuple(-b for b in reversed(zw.breaks)),
-               tuple(reversed(zw.point_values)),
-               tuple(reversed(zw.gap_values)))
-    neg = lambda items: tuple(sorted((-x, m) for x, m in items))
-    return CC1(refl, neg(c.minus), neg(c.plus))
+    return CC1(cf1_reflect(c.zero_weight), _negated(c.minus), _negated(c.plus))
 
 
 def b_transform(f: Sheaf1) -> BTransform:
@@ -204,15 +204,13 @@ def bullet(a: BTransform, b: BTransform) -> BTransform:
 
 def b_antipodal(b: BTransform) -> BTransform:
     """B of the antipodal object: positions negate, ray families swap."""
-    neg = lambda items: tuple(sorted((-x, m) for x, m in items))
-    return BTransform(neg(b.minus), neg(b.plus), b.zero)
+    return BTransform(_negated(b.minus), _negated(b.plus), b.zero)
 
 
 def b_reflect(b: BTransform) -> BTransform:
     """Positions negated with ray families kept; equals B of the dual of
     the antipodal object."""
-    neg = lambda items: tuple(sorted((-x, m) for x, m in items))
-    return BTransform(neg(b.plus), neg(b.minus), b.zero)
+    return BTransform(_negated(b.plus), _negated(b.minus), b.zero)
 
 
 def b_dual(b: BTransform) -> BTransform:

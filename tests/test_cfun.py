@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from sheafconv.cf1 import cf1_convolve, cf1_from_sheaf, invertible_shadow
+from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf, invertible_shadow
 from sheafconv.cfun import (
     ConstructibleFunction,
     cf_inverse_convex,
@@ -25,11 +25,20 @@ from sheafconv.cfun import (
     pushforward_linear,
 )
 from sheafconv.errors import InputError
-from sheafconv.linalg import primitive, vadd
+from sheafconv.linalg import cross3, primitive, vadd, vdot, vsub
 from sheafconv.polytope import Polytope, convex_hull, minkowski_sum
-from sheafconv.randgen import rand_box, rand_point, rand_polytope, rand_union_region
+from sheafconv.randgen import (
+    rand_box,
+    rand_point,
+    rand_polytope,
+    rand_rat,
+    rand_sheaf,
+    rand_union_region,
+)
 from sheafconv.region import CLOSED, RELINT, evaluate_region, is_convex_region, make_region
 from sheafconv.sheaf1 import convolve, kc, kco, ko
+
+from shadow_oracles import brute_cf1_convolve, build_cf1, sliced_pushforward, stalk_shadow
 
 F = Fraction
 
@@ -187,13 +196,156 @@ def _sheaf_region(f):
 
 
 def test_shadow_patterns():
-    from sheafconv.cf1 import build_cf1
-
     two_bumps = build_cf1([F(0), F(1), F(2), F(3)],
                           lambda t: 1 if F(0) <= t <= F(1) or F(2) <= t <= F(3) else 0)
     assert not invertible_shadow(two_bumps)
     tall = build_cf1([F(0), F(1)], lambda t: 2 if F(0) <= t <= F(1) else 0)
     assert not invertible_shadow(tall)
+
+
+# ---------------------------------------------------------------------------
+# the fast 1D paths against the pointwise paths they replaced
+
+
+def _rand_xi(rng, n):
+    while True:
+        xi = tuple(rng.randint(-3, 3) if rng.random() < 0.8 else rand_rat(rng, -2, 2, 3)
+                   for _ in range(n))
+        if any(xi):
+            return xi
+
+
+def _flat_poly(rng, n):
+    """A point, a segment or (for n >= 2) a triangle."""
+    k = rng.randint(1, min(n, 2) + 1)
+    return Polytope(tuple(rand_point(rng, n, span=2) for _ in range(k)))
+
+
+def _rand_term(rng, n):
+    roll = rng.random()
+    if roll < 0.35:
+        poly = _flat_poly(rng, n)
+    elif roll < 0.65:
+        poly = rand_box(rng, n, span=2)
+    else:
+        poly = rand_polytope(rng, n, npts=rng.randint(1, n + 2), span=2)
+    return poly, rng.choice([CLOSED, RELINT]), rng.choice([1, -1, 2, -2])
+
+
+def _constant_direction(rng, poly):
+    """A covector constant on poly, or None when poly is full-dimensional."""
+    n, d = poly.n, poly.adim
+    if d == n:
+        return None
+    if d == 0:
+        return _rand_xi(rng, n)
+    e = vsub(poly.verts[-1], poly.verts[0])
+    if n == 2:
+        return (-e[1], e[0])
+    if d == 2:
+        return poly.plane_normal
+    nu = cross3(e, _rand_xi(rng, 3))
+    return nu if any(nu) else None
+
+
+def _pushforward_cases():
+    """Seeded (f, xi) pairs covering every term kind the closed form
+    distinguishes."""
+    rng = random.Random(3401)
+    cases = []
+    for i in range(330):
+        n = 1 + i % 3
+        kind = (i // 3) % 5
+        xi = _rand_xi(rng, n)
+        if kind == 0:  # mixed closed and relint terms
+            items = [_rand_term(rng, n) for _ in range(rng.randint(1, 3))]
+        elif kind == 1:  # lower-dimensional terms, xi constant on one
+            items = [(_flat_poly(rng, n), rng.choice([CLOSED, RELINT]), rng.choice([1, -1, 2, -2]))
+                     for _ in range(rng.randint(1, 2))]
+            xi = _constant_direction(rng, items[0][0]) or xi
+        elif kind == 2:  # a box flat along one axis, projected on that axis
+            box = rand_box(rng, n, span=2)
+            axis = rng.randrange(n)
+            c = box.verts[0][axis]
+            poly = Polytope(tuple(v[:axis] + (c,) + v[axis + 1:] for v in box.verts))
+            items = [(poly, rng.choice([CLOSED, RELINT]), rng.choice([1, -1, 2, -2]))]
+            xi = tuple(1 if j == axis else 0 for j in range(n))
+        elif kind == 3:  # cancelling weights: closed minus relint, or a face
+            poly = rand_polytope(rng, n, span=2)
+            w = rng.choice([1, -1, 2, -2])
+            face = rng.choice(poly.faces)
+            items = [(poly, CLOSED, w), (poly, RELINT, -w), (face, CLOSED, -w)]
+            items = rng.sample(items, rng.randint(2, 3))
+        else:  # outputs of euler_convolve
+            a, b = _rand_term(rng, n), _rand_term(rng, n)
+            f = euler_convolve(ConstructibleFunction(make_region(n, [a])),
+                               ConstructibleFunction(make_region(n, [b])))
+            cases.append((f, xi))
+            continue
+        cases.append((ConstructibleFunction(make_region(n, items)), xi))
+    return cases
+
+
+def test_pushforward_matches_sliced_oracle():
+    cases = _pushforward_cases()
+    assert len(cases) >= 300
+    constant = 0
+    for f, xi in cases:
+        got = pushforward_linear(f, xi)
+        assert got == sliced_pushforward(f, xi), (f, xi)
+        constant += any(t.poly.adim > 0 and len({vdot(xi, v) for v in t.poly.verts}) == 1
+                        for t in f.region.terms)
+    assert constant >= 60  # xi constant on a segment, polygon or polytope
+
+
+def _rand_cf1(rng):
+    if rng.random() < 0.1:
+        return Cf1((), (), ())
+    k = rng.randint(1, 5)
+    breaks = sorted({rand_rat(rng, -4, 4, 3) for _ in range(k)})
+    raw = Cf1(tuple(breaks),
+              tuple(rng.randint(-2, 2) for _ in breaks),
+              tuple(rng.randint(-2, 2) for _ in breaks[1:]))
+    return build_cf1(breaks, raw)
+
+
+def test_cf1_convolve_matches_brute_force_oracle():
+    rng = random.Random(3402)
+    zero = Cf1((), (), ())
+    pairs = [(zero, zero), (zero, _rand_cf1(rng)), (_rand_cf1(rng), zero)]
+    pairs += [(_rand_cf1(rng), _rand_cf1(rng)) for _ in range(420)]
+    for f, g in pairs:
+        assert cf1_convolve(f, g) == brute_cf1_convolve(f, g), (f, g)
+
+
+def test_cf1_from_sheaf_matches_stalk_oracle():
+    rng = random.Random(3403)
+    for _ in range(400):
+        f = rand_sheaf(rng, max_gens=6)
+        assert cf1_from_sheaf(f) == stalk_shadow(f), f
+
+
+def test_cf1_from_atoms_matches_pointwise_build():
+    """Atoms with shared, touching and cancelling endpoints."""
+    rng = random.Random(3404)
+    for _ in range(400):
+        ends = [F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(4)]
+        points = {rng.choice(ends): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
+        opens = []
+        for _ in range(rng.randint(0, 4)):
+            u, v = rng.sample(ends, 2)
+            if u == v:
+                continue
+            opens.append((min(u, v), max(u, v), rng.choice([1, -1, 2, -2])))
+        if opens and rng.random() < 0.3:
+            u, v, c = opens[0]
+            opens.append((u, v, -c))
+
+        def value(t):
+            return points.get(t, 0) + sum(c for u, v, c in opens if u < t < v)
+
+        want = build_cf1(list(points) + [e for u, v, _ in opens for e in (u, v)], value)
+        assert cf1_from_atoms(dict(points), list(opens)) == want, (points, opens)
 
 
 # ---------------------------------------------------------------------------
