@@ -27,7 +27,6 @@ from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
 from .polytope import Polytope, convex_hull, minkowski_sum
-from .polytope import intersect_polytopes
 from .region import (
     CLOSED,
     RELINT,
@@ -35,6 +34,7 @@ from .region import (
     closed_expansion,
     euler_char_c,
     evaluate_region,
+    indicator_normal_form,
     indicator_polys,
     is_convex_region,
     make_region,
@@ -57,10 +57,6 @@ class ConstructibleFunction:
 
 def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> ConstructibleFunction:
     return ConstructibleFunction(make_region(poly.n, [(poly, mode, weight)]))
-
-
-def evaluate(f: ConstructibleFunction, x) -> int:
-    return f.evaluate(x)
 
 
 @lru_cache(maxsize=256)
@@ -101,27 +97,6 @@ def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:
     (-1)^d on the relative interior of the reflection, d the affine
     dimension.  For a point this is the reflected point mass."""
     return indicator(p.reflect(), RELINT, -1 if p.adim % 2 else 1)
-
-
-# ---------------------------------------------------------------------------
-# indicators of unions
-
-
-def indicator_normal_form(r: Region) -> Region:
-    """The honest indicator function of the union of an indicator
-    region's terms, via inclusion-exclusion (overlaps counted once)."""
-    polys = indicator_polys(r)
-    live: list[tuple[int, Polytope]] = []
-    for p in polys:
-        fresh = [(1, p)]
-        for size, q in live:
-            cap = intersect_polytopes(q, p)
-            if cap is not None:
-                fresh.append((size + 1, cap))
-        live.extend(fresh)
-    return make_region(
-        r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +221,9 @@ def invertibility_check_cf(r: Region) -> dict:
     """Exact invertibility verdict for the indicator of a union of
     closed polytopes, with the convex hull's Euler inverse on success
     and a witness (point pair, exit point, separating direction with a
-    slice of Euler characteristic >= 2) on failure."""
-    ok, wit = is_convex_region(r)
+    slice of Euler characteristic >= 2) on failure.  The certificate
+    slices the union's normal form that the decision already built."""
+    ok, wit, nf = is_convex_region(r)
     if ok:
         hull = convex_hull([v for t in r.terms for v in t.poly.verts])
         return {
@@ -258,7 +234,6 @@ def invertibility_check_cf(r: Region) -> dict:
         }
     out = {"invertible": False, "witness": wit, "direction": None,
            "slice_at": None, "slice_chi": None}
-    nf = indicator_normal_form(r)
     if r.dim == 1:
         # hyperplane slices of a line are points; the certificate is the
         # gap itself, already part of the witness

@@ -25,8 +25,9 @@ from .oracle import validate_table
 from .rational import fmt_rat, parse_rat
 from .region import region_from_json, region_to_json
 
-_MAKERS = {"cc": sheaf1.kc, "co": sheaf1.kco, "oc": sheaf1.koc, "oo": sheaf1.ko}
-_ATOMS = {"cc": "kc", "co": "kco", "oc": "koc", "oo": "ko"}
+# JSON closure name -> Closure, and Closure -> expression-language atom
+_CLOSURES = {c.name.lower(): c for c in sheaf1.ATOM_CLOSURES.values()}
+_ATOMS = {c: name for name, c in sheaf1.ATOM_CLOSURES.items()}
 
 
 def sheaf_to_json(f: sheaf1.Sheaf1) -> dict:
@@ -56,15 +57,14 @@ def sheaf_from_json(obj) -> sheaf1.Sheaf1:
             raise InputError("generator needs exactly lo, hi, closure, shift, mult")
         if not isinstance(item["lo"], str) or not isinstance(item["hi"], str):
             raise InputError("endpoints must be rational strings")
-        if item["closure"] not in _MAKERS:
+        if not isinstance(item["closure"], str) or item["closure"] not in _CLOSURES:
             raise InputError(f"unknown closure {item['closure']!r}")
         for key in ("shift", "mult"):
             if not isinstance(item[key], int) or isinstance(item[key], bool):
                 raise InputError(f"{key} must be an integer")
-        maker = _MAKERS[item["closure"]]
         parts.append(
-            maker(parse_rat(item["lo"]), parse_rat(item["hi"]),
-                  shift=item["shift"], mult=item["mult"])
+            sheaf1.interval_sheaf(_CLOSURES[item["closure"]], parse_rat(item["lo"]),
+                                  parse_rat(item["hi"]), item["shift"], item["mult"])
         )
     return sheaf1.direct_sum(*parts)
 
@@ -77,7 +77,7 @@ def sheaf_to_expr(f: sheaf1.Sheaf1) -> str:
         if iv.is_point:
             core = f"dirac({fmt_rat(iv.lo)})"
         else:
-            name = _ATOMS[iv.closure.name.lower()]
+            name = _ATOMS[iv.closure]
             core = f"{name}({fmt_rat(iv.lo)},{fmt_rat(iv.hi)})"
         if g.shift:
             core = f"shift({core},{g.shift})"

@@ -20,10 +20,7 @@ RAT, INT, EXPR = "rat", "int", "expr"
 
 # name -> (argument kinds, variadic tail allowed)
 _SIGNATURES = {
-    "kc": ((RAT, RAT), False),
-    "ko": ((RAT, RAT), False),
-    "kco": ((RAT, RAT), False),
-    "koc": ((RAT, RAT), False),
+    **dict.fromkeys(sheaf1.ATOM_CLOSURES, ((RAT, RAT), False)),
     "dirac": ((RAT,), False),
     "conv": ((EXPR, EXPR), True),
     "sum": ((EXPR, EXPR), True),
@@ -121,21 +118,14 @@ def parse(text: str):
     return tree
 
 
-_LEAVES = {
-    "kc": sheaf1.kc,
-    "ko": sheaf1.ko,
-    "kco": sheaf1.kco,
-    "koc": sheaf1.koc,
-    "dirac": sheaf1.dirac,
-}
-
-
 def eval_expr(tree) -> sheaf1.Sheaf1:
     head, args = tree[0], tree[1:]
     if head == "zero":
         return sheaf1.zero()
-    if head in _LEAVES:
-        return _LEAVES[head](*args)
+    if head in sheaf1.ATOM_CLOSURES:
+        return sheaf1.interval_sheaf(sheaf1.ATOM_CLOSURES[head], *args)
+    if head == "dirac":
+        return sheaf1.dirac(*args)
     vals = [eval_expr(a) if isinstance(a, tuple) else a for a in args]
     if head == "conv":
         out = vals[0]

@@ -60,12 +60,6 @@ def rref(rows: list) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: list) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: list, ncols: int) -> list[Vec]:
     """Basis of {x : row . x = 0 for every row}."""
     if not rows:

@@ -22,7 +22,6 @@ from .linalg import (
     cross3,
     nullspace,
     primitive,
-    rank,
     rref,
     vadd,
     vdot,
@@ -54,8 +53,7 @@ class Polytope:
 
     @cached_property
     def adim(self) -> int:
-        diffs = [vsub(v, self.verts[0]) for v in self.verts[1:]]
-        return rank(diffs)
+        return len(self.chart)
 
     @cached_property
     def chart(self) -> tuple[int, ...]:
@@ -150,10 +148,6 @@ class Polytope:
     @cached_property
     def edges(self) -> tuple["Polytope", ...]:
         return tuple(f for f in self.faces if f.adim == 1)
-
-    def translate(self, vec) -> "Polytope":
-        vec = tuple(rat(c) for c in vec)
-        return Polytope(tuple(vadd(v, vec) for v in self.verts))
 
     def reflect(self) -> "Polytope":
         return Polytope(tuple(vneg(v) for v in self.verts))

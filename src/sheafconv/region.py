@@ -1,12 +1,15 @@
 """Weighted regions: integer combinations of closed or relatively open
 polytope terms in a fixed ambient dimension.
 
-The convexity decision compares exact volumes: the support of an
-indicator region equals its convex hull iff the hull volume matches the
-inclusion-exclusion volume of the union, both measured through the
-hull's coordinate chart.  A nonempty difference is open in the hull and
-therefore has positive volume, so the comparison is a real decision
-procedure, not a heuristic.
+The union of an indicator region's terms has one normal form, its
+honest indicator written by inclusion-exclusion over the terms'
+intersections; this is the package's one inclusion-exclusion.  The
+convexity decision compares exact volumes: the support of an indicator
+region equals its convex hull iff the hull volume matches the union's
+volume, read off the normal form term by term (volume is additive), both
+measured through the hull's coordinate chart.  A nonempty difference is
+open in the hull and therefore has positive volume, so the comparison is
+a real decision procedure, not a heuristic.
 """
 
 from __future__ import annotations
@@ -219,21 +222,21 @@ def indicator_polys(r: Region) -> list[Polytope]:
     return [t.poly for t in r.terms]
 
 
-def _union_volume(polys, chart, dim) -> Fraction:
-    """Inclusion-exclusion volume of a union, measured in the given chart."""
-    total = Fraction(0)
-    live: list[tuple[tuple[int, ...], Polytope]] = []
-    for i, p in enumerate(polys):
-        new_live = [((i,), p)]
-        for idxs, q in live:
+def indicator_normal_form(r: Region) -> Region:
+    """The honest indicator function of the union of an indicator
+    region's terms, via inclusion-exclusion (overlaps counted once)."""
+    polys = indicator_polys(r)
+    live: list[tuple[int, Polytope]] = []
+    for p in polys:
+        fresh = [(1, p)]
+        for size, q in live:
             cap = intersect_polytopes(q, p)
             if cap is not None:
-                new_live.append((idxs + (i,), cap))
-        live.extend(new_live)
-    for idxs, q in live:
-        vol = chart_volume(q, chart, dim)
-        total += vol if len(idxs) % 2 else -vol
-    return total
+                fresh.append((size + 1, cap))
+        live.extend(fresh)
+    return make_region(
+        r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live]
+    )
 
 
 def _segment_exit(polys, x, y):
@@ -267,21 +270,25 @@ def _barycenter(poly: Polytope):
 def is_convex_region(r: Region):
     """Decide whether the support of an indicator region is convex.
 
-    Returns (True, None) or (False, witness) where the witness carries
-    two support points whose open segment leaves the support, plus the
-    exit point itself.  The decision is the exact volume comparison; the
-    witness search scans term vertices first and face barycenters after
-    (vertex pairs alone cannot certify shapes like a triangle boundary).
+    Returns (True, None, nf) or (False, witness, nf), where nf is the
+    union's indicator_normal_form and the witness carries two support
+    points whose open segment leaves the support, plus the exit point
+    itself.  The decision is the exact volume comparison; the witness
+    search scans term vertices first and face barycenters after (vertex
+    pairs alone cannot certify shapes like a triangle boundary).
     """
-    polys = indicator_polys(r)
+    nf = indicator_normal_form(r)
+    polys = [t.poly for t in r.terms]
     hull = convex_hull([v for p in polys for v in p.verts])
     if hull.adim == 0:
-        return True, None
+        return True, None, nf
     chart = hull.chart
-    vol_union = _union_volume(polys, chart, hull.adim)
+    vol_union = sum(
+        t.weight * chart_volume(t.poly, chart, hull.adim) for t in nf.terms
+    )
     vol_hull = chart_volume(hull, chart, hull.adim)
     if vol_union == vol_hull:
-        return True, None
+        return True, None, nf
     tiers = [sorted({v for p in polys for v in p.verts})]
     tiers.append(sorted({_barycenter(f) for p in polys for f in p.faces}))
     seen: list = []
@@ -293,6 +300,6 @@ def is_convex_region(r: Region):
                 continue
             z = _segment_exit(polys, x, y)
             if z is not None:
-                return False, {"x": x, "y": y, "outside": z}
+                return False, {"x": x, "y": y, "outside": z}, nf
         seen = pool
     raise InvariantViolation("volume defect found but no segment witness")

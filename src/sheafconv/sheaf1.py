@@ -63,13 +63,14 @@ _REVERSED = {
     Closure.OC: Closure.CO,
 }
 
-CLOSURE_NAMES = {
-    Closure.CC: "cc",
-    Closure.CO: "co",
-    Closure.OC: "oc",
-    Closure.OO: "oo",
+# the expression language's interval atoms; the JSON wire format names
+# each closure by its lower-case enum name instead
+ATOM_CLOSURES = {
+    "kc": Closure.CC,
+    "kco": Closure.CO,
+    "koc": Closure.OC,
+    "ko": Closure.OO,
 }
-CLOSURE_BY_NAME = {v: k for k, v in CLOSURE_NAMES.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -171,24 +172,30 @@ def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
 
 # -- convenience constructors ------------------------------------------------
 
+def interval_sheaf(closure: Closure, a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
+    """mult copies of k_I[shift], I the interval from a to b with the
+    given endpoint closure."""
+    return normalize([Generator(Interval(rat(a), rat(b), closure), shift, mult)])
+
+
 def kc(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
-    return normalize([Generator(Interval(rat(a), rat(b), Closure.CC), shift, mult)])
+    return interval_sheaf(Closure.CC, a, b, shift, mult)
 
 
 def ko(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
-    return normalize([Generator(Interval(rat(a), rat(b), Closure.OO), shift, mult)])
+    return interval_sheaf(Closure.OO, a, b, shift, mult)
 
 
 def kco(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
-    return normalize([Generator(Interval(rat(a), rat(b), Closure.CO), shift, mult)])
+    return interval_sheaf(Closure.CO, a, b, shift, mult)
 
 
 def koc(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
-    return normalize([Generator(Interval(rat(a), rat(b), Closure.OC), shift, mult)])
+    return interval_sheaf(Closure.OC, a, b, shift, mult)
 
 
 def dirac(x, shift: int = 0, mult: int = 1) -> Sheaf1:
-    return kc(x, x, shift, mult)
+    return interval_sheaf(Closure.CC, x, x, shift, mult)
 
 
 def zero() -> Sheaf1:

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from sheafconv import cfun, polytope, region
 from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf, invertible_shadow
 from sheafconv.cfun import (
     ConstructibleFunction,
@@ -384,6 +385,23 @@ def test_sweep_failure_implies_nonconvex():
         rep = direction_sweep(r, max_coeff=2)
         if not rep["all_pass"]:
             assert not is_convex_region(r)[0]
+
+
+def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
+    calls = []
+    real = polytope.intersect_polytopes
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    for mod in (polytope, region, cfun):
+        if getattr(mod, "intersect_polytopes", None) is real:
+            monkeypatch.setattr(mod, "intersect_polytopes", counting)
+    res = invertibility_check_cf(L_shape())
+    assert not res["invertible"] and res["slice_chi"] >= 2
+    # one inclusion-exclusion over two terms intersects them once
+    assert len(calls) == 1
 
 
 def test_invertibility_check_convex():

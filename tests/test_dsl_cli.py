@@ -5,6 +5,7 @@ point of the invariant), so the tests induce it by sabotaging internals
 through monkeypatching rather than by a production backdoor.
 """
 
+import doctest
 import json
 import os
 import subprocess
@@ -128,6 +129,9 @@ def test_sheaf_from_json_rejects_malformed():
         {"generators": 3},
         {"generators": [{}]},
         {"generators": [dict(good["generators"][0], closure="c")]},
+        {"generators": [dict(good["generators"][0], closure="CC")]},
+        {"generators": [dict(good["generators"][0], closure="kc")]},
+        {"generators": [dict(good["generators"][0], closure=["cc"])]},
         {"generators": [dict(good["generators"][0], lo=0)]},
         {"generators": [dict(good["generators"][0], shift="1")]},
         {"generators": [dict(good["generators"][0], mult=True)]},
@@ -224,6 +228,13 @@ def test_python_m_sheafconv_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "sheafconv", "eval", "-e", "kc(0,1"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and "at byte 6" in json.loads(proc.stderr)["error"]
+
+
+def test_readme_example_runs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    result = doctest.testfile(readme, module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_cli_bad_rational_is_exit_2(capsys):

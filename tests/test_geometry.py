@@ -14,7 +14,7 @@ from math import lcm
 import pytest
 
 from sheafconv.errors import InputError, InvariantViolation
-from sheafconv.linalg import cross3, primitive, rank, vadd, vdot, vneg, vsub
+from sheafconv.linalg import cross3, primitive, rref, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
     chart_volume,
@@ -27,6 +27,8 @@ from sheafconv.polytope import (
     slice_polytope,
 )
 from sheafconv.randgen import rand_box, rand_point, rand_polytope, rand_union_region
+
+from test_acceptance import region_corpus
 from sheafconv.region import (
     CLOSED,
     RELINT,
@@ -35,6 +37,7 @@ from sheafconv.region import (
     closed_expansion,
     euler_char_c,
     evaluate_region,
+    indicator_normal_form,
     is_convex_region,
     make_region,
     region_from_json,
@@ -93,7 +96,7 @@ def brute_hull3(points):
     den = lcm(*(c.denominator for p in pts for c in p))
     ipts = [tuple(int(c * den) for c in p) for p in pts]
     planes = sorted((nu, F(off, den)) for nu, off in brute_hull3_planes(ipts))
-    ext = [p for p in pts if rank([nu for nu, off in planes if vdot(nu, p) == off]) == 3]
+    ext = [p for p in pts if len(rref([nu for nu, off in planes if vdot(nu, p) == off])[1]) == 3]
     return planes, ext
 
 
@@ -118,7 +121,7 @@ def hull_corpus(rng, size):
             p, q = (rand_polytope(rng, 3, npts=8).verts[:4] for _ in range(2))
             pts = [vadd(u, v) for u in p for v in q]
         pts = sorted({tuple(F(c) for c in p) for p in pts})
-        if rank([vsub(p, pts[0]) for p in pts[1:]]) == 3:
+        if len(rref([vsub(p, pts[0]) for p in pts[1:]])[1]) == 3:
             out.append(pts)
     return out
 
@@ -407,7 +410,7 @@ def test_region_json_rejects_garbage():
 
 def test_convex_verdicts():
     sq = make_region(2, [(box2(0, 1, 0, 1), CLOSED, 1)])
-    assert is_convex_region(sq) == (True, None)
+    assert is_convex_region(sq)[:2] == (True, None)
     seg3 = make_region(3, [(Polytope(((0, 0, 0), (1, 2, 3))), CLOSED, 1)])
     assert is_convex_region(seg3)[0]
     # overlapping convex pieces whose union happens to be convex
@@ -417,7 +420,7 @@ def test_convex_verdicts():
 
 def test_nonconvex_witnesses_are_genuine():
     L = make_region(2, [(box2(0, 2, 0, 1), CLOSED, 1), (box2(0, 1, 0, 3), CLOSED, 1)])
-    ok, wit = is_convex_region(L)
+    ok, wit, _ = is_convex_region(L)
     assert not ok
     assert evaluate_region(L, wit["x"]) == 1 and evaluate_region(L, wit["y"]) == 1
     assert evaluate_region(L, wit["outside"]) == 0
@@ -434,7 +437,7 @@ def test_nonconvex_needs_barycenter_tier():
         (convex_hull([(0, 0), (F(1, 2), 0), (2, 4), (F(3, 2), 4)]), CLOSED, 1),
         (convex_hull([(4, 0), (F(7, 2), 0), (2, 4), (F(5, 2), 4)]), CLOSED, 1),
     ])
-    ok, wit = is_convex_region(bars)
+    ok, wit, _ = is_convex_region(bars)
     assert not ok and evaluate_region(bars, wit["outside"]) == 0
 
 
@@ -443,7 +446,7 @@ def test_convexity_random_unions_agree_with_sampling():
     for _ in range(30):
         n = rng.choice([1, 2, 2, 3])
         r = rand_union_region(rng, n, max_terms=2, span=3)
-        ok, wit = is_convex_region(r)
+        ok, wit, _ = is_convex_region(r)
         if not ok:
             assert evaluate_region(r, wit["outside"]) == 0
             assert evaluate_region(r, wit["x"]) >= 1 and evaluate_region(r, wit["y"]) >= 1
@@ -457,3 +460,61 @@ def test_convexity_random_unions_agree_with_sampling():
                     continue
                 x = tuple(sum(F(w, s) * v[i] for w, v in zip(ws, verts)) for i in range(n))
                 assert evaluate_region(r, x) >= 1
+
+
+def ie_union_volume(polys, chart, dim) -> Fraction:
+    """Inclusion-exclusion volume of a union, measured in the given
+    chart: every nonempty intersection of terms is kept apart, with no
+    merging or cancelling of equal pieces."""
+    total = Fraction(0)
+    live: list[tuple[tuple[int, ...], Polytope]] = []
+    for i, p in enumerate(polys):
+        new_live = [((i,), p)]
+        for idxs, q in live:
+            cap = intersect_polytopes(q, p)
+            if cap is not None:
+                new_live.append((idxs + (i,), cap))
+        live.extend(new_live)
+    for idxs, q in live:
+        vol = chart_volume(q, chart, dim)
+        total += vol if len(idxs) % 2 else -vol
+    return total
+
+
+def nested_union_regions(rng, size):
+    """Seeded unions of closed terms in 1D to 3D, up to 4 terms (3 in 3D,
+    where intersections are slow).  Every other one gains a term spanned
+    by some vertices of another, so an intersection equals a term and
+    the normal form cancels weights."""
+    out = []
+    for i in range(size):
+        n = 1 + i % 3
+        r = rand_union_region(rng, n, max_terms=4 if n < 3 else 2, span=2)
+        polys = {t.poly.verts: t.poly for t in r.terms}
+        if i % 2 and len(polys) < 4:
+            host = rng.choice(list(polys.values()))
+            sub = convex_hull(rng.sample(host.verts, rng.randint(1, len(host.verts))))
+            polys.setdefault(sub.verts, sub)
+        out.append(make_region(n, [(p, CLOSED, 1) for p in polys.values()]))
+    return out
+
+
+def test_normal_form_volume_matches_inclusion_exclusion_oracle():
+    a9 = [r for _, r, _ in region_corpus()]
+    for r in a9:
+        assert is_convex_region(r)[2] == indicator_normal_form(r)
+    cancelled = 0
+    for i, r in enumerate(a9 + nested_union_regions(random.Random(44), 210)):
+        polys = [t.poly for t in r.terms]
+        ok, _, nf = is_convex_region(r)
+        kept = {t.poly.verts for t in nf.terms}
+        cancelled += any(p.verts not in kept for p in polys)
+        hull = convex_hull([v for p in polys for v in p.verts])
+        if hull.adim == 0:
+            assert ok, i
+            continue
+        chart, d = hull.chart, hull.adim
+        expect = ie_union_volume(polys, chart, d)
+        assert sum(t.weight * chart_volume(t.poly, chart, d) for t in nf.terms) == expect, i
+        assert ok == (expect == chart_volume(hull, chart, d)), i
+    assert cancelled >= 50
