@@ -26,7 +26,7 @@ from itertools import combinations, product
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
-from .polytope import Polytope, convex_hull, minkowski_sum
+from .polytope import Polytope, convex_hull, lattice_point, minkowski_sum
 from .region import (
     CLOSED,
     RELINT,
@@ -89,7 +89,8 @@ def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> 
     t = tuple(rat(c) for c in t)
     if len(t) != f.n:
         raise InputError("point dimension mismatch")
-    return sum(w for p, w in _conv_terms(f.region, g.region) if p.contains(t))
+    P, L = lattice_point(t)
+    return sum(w for p, w in _conv_terms(f.region, g.region) if p.contains_scaled(P, L))
 
 
 def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:
@@ -137,14 +138,17 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
 
 
 def default_directions(r: Region, max_coeff: int = 5) -> list[tuple[int, ...]]:
-    """Primitive covectors with small coefficients, facet normals, and
-    pairwise vertex differences, one representative per line."""
+    """Primitive covectors on the grid [-max_coeff, max_coeff]^n (so
+    max_coeff is at most 8), facet normals, and pairwise vertex
+    differences, one representative per line."""
+    if not 0 <= max_coeff <= 8:
+        raise InputError(f"max_coeff {max_coeff} out of range 0..8")
     dirs = set()
     for combo in product(range(-max_coeff, max_coeff + 1), repeat=r.dim):
         if any(combo):
             dirs.add(primitive(combo))
     for term in r.terms:
-        for nu, _ in term.poly.inequalities:
+        for nu, _ in term.poly.lattice.planes:
             dirs.add(primitive(nu))
     verts = sorted({v for t in r.terms for v in t.poly.verts})
     for u, v in combinations(verts, 2):
@@ -223,9 +227,9 @@ def invertibility_check_cf(r: Region) -> dict:
     and a witness (point pair, exit point, separating direction with a
     slice of Euler characteristic >= 2) on failure.  The certificate
     slices the union's normal form that the decision already built."""
-    ok, wit, nf = is_convex_region(r)
+    hull = convex_hull([v for t in r.terms for v in t.poly.verts])
+    ok, wit, nf = is_convex_region(r, hull)
     if ok:
-        hull = convex_hull([v for t in r.terms for v in t.poly.verts])
         return {
             "invertible": True,
             "d": hull.adim,

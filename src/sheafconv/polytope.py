@@ -1,35 +1,47 @@
 """Compact convex polytopes with exact rational vertices, ambient dim 1..3.
 
-A Polytope stores only its extreme points; everything else (affine hull,
-facet halfspaces, face lattice, volume) is derived lazily.  Hulls in
-dimension 2 use a monotone chain; in dimension 3 one exact gift-wrapping
-hull (Chand & Kapur 1970) on the point set scaled once to integers gives
-both the facet halfspaces and the extreme points.  A Minkowski sum is the
-hull of the pairwise vertex sums.
+A Polytope stores its extreme points as sorted Fraction tuples; its
+predicates run on one integer lattice form.  With the vertices scaled
+once by the lcm of their denominators, X = den*x, it holds the affine
+chart (fraction-free elimination, Bareiss 1968), the affine-hull
+equalities <w, X> = C and the outward facets <nu, X> <= C, nu primitive
+integer; rings, edges and volumes are read off the same integers.  A
+probe scaled the same way, P = L*x, is inside when den*<nu, P> <= C*L;
+Fractions are made only for results.  2D hulls use a monotone chain;
+one exact 3D gift-wrapping hull (Chand & Kapur 1970) gives the extreme
+points and the facet planes of the hull's lattice form.  A Minkowski
+sum hulls the vertex sums.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
-from .linalg import (
-    Vec,
-    cross3,
-    nullspace,
-    primitive,
-    rref,
-    vadd,
-    vdot,
-    vneg,
-    vscale,
-    vsub,
-)
+from .linalg import cross3, vadd, vdot, vneg, vsub
 from .rational import rat
+
+
+# a polytope's integer form: with X = den*x for x in it, <w, X> = c for
+# (w, c) in eqs and <nu, X> <= c for (nu, c) in planes; chart holds the
+# pivot coordinates
+Lattice = namedtuple("Lattice", "den chart eqs planes")
+
+
+def lattice_point(x) -> tuple[tuple[int, ...], int]:
+    """(L*x, L) for a rational point x, L the lcm of its denominators."""
+    L = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (L // c.denominator) for c in x), L
+
+
+def _scaled(pts, den: int) -> list:
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
 
 
 @dataclass(frozen=True)
@@ -52,83 +64,69 @@ class Polytope:
         return len(self.verts[0])
 
     @cached_property
-    def adim(self) -> int:
-        return len(self.chart)
+    def lattice(self) -> Lattice:
+        den = lcm(*(c.denominator for v in self.verts for c in v))
+        return _lattice(den, _scaled(self.verts, den))[0]
 
-    @cached_property
+    @property
+    def adim(self) -> int:
+        return len(self.lattice.chart)
+
+    @property
     def chart(self) -> tuple[int, ...]:
         # pivot coordinates: projection onto them is injective on the hull
-        diffs = [vsub(v, self.verts[0]) for v in self.verts[1:]]
-        if not diffs:
-            return ()
-        return tuple(rref(diffs)[1])
+        return self.lattice.chart
 
-    @cached_property
+    @property
     def equalities(self) -> tuple:
-        """Affine-hull equations (w, c) with <w,x> = c on the polytope."""
-        diffs = [vsub(v, self.verts[0]) for v in self.verts[1:]]
-        return tuple((w, vdot(w, self.verts[0])) for w in nullspace(diffs, self.n))
-
-    @cached_property
-    def plane_normal(self) -> tuple[int, ...]:
-        if not (self.adim == 2 and self.n == 3):
-            raise InputError("plane normal only defined for a 2-polytope in R^3")
-        return primitive(self.equalities[0][0], keep_sign=True)
-
-    @cached_property
-    def ring(self) -> tuple:
-        """Vertices in counterclockwise chart order (adim 2 only)."""
-        if self.adim != 2:
-            raise InputError("ring order needs affine dimension 2")
-        back = {tuple(v[i] for i in self.chart): v for v in self.verts}
-        return tuple(back[q] for q in _hull2_ring(sorted(back)))
+        """Affine-hull equations (w, c): <w,x> = c on the polytope."""
+        den = self.lattice.den
+        return tuple((w, Fraction(c, den)) for w, c in self.lattice.eqs)
 
     @cached_property
     def inequalities(self) -> tuple:
-        """Outward facet halfspaces (nu, c): inside means <nu,x> <= c."""
-        if self.adim == 0:
-            return ()
-        if self.adim == 1:
-            u, v = self.verts[0], self.verts[-1]
-            d = vsub(v, u)
-            return ((vneg(d), -vdot(d, u)), (d, vdot(d, v)))
-        if self.adim == 2:
-            out = []
-            ring = self.ring
-            for u, v in zip(ring, ring[1:] + ring[:1]):
-                d = vsub(v, u)
-                nu = (d[1], -d[0]) if self.n == 2 else cross3(self.plane_normal, d)
-                c = vdot(nu, u)
-                if any(vdot(nu, w) > c for w in self.verts):
-                    nu, c = vneg(nu), -c
-                out.append((nu, c))
-            return tuple(out)
-        return tuple(_hull3(self.verts)[0])
+        """Outward facet halfspaces (nu, c): inside means <nu,x> <= c, nu a
+        primitive integer normal."""
+        den = self.lattice.den
+        return tuple((nu, Fraction(c, den)) for nu, c in self.lattice.planes)
 
     def contains(self, x, strict: bool = False) -> bool:
         x = tuple(rat(c) for c in x)
         if len(x) != self.n:
             raise InputError("point dimension mismatch")
-        if any(vdot(w, x) != c for w, c in self.equalities):
+        return self.contains_scaled(*lattice_point(x), strict)
+
+    def contains_scaled(self, P, L: int, strict: bool = False) -> bool:
+        """Whether the point P/L lies in the polytope (its relative
+        interior when strict), for an integer point P and L > 0."""
+        den, _, eqs, planes = self.lattice
+        if any(den * vdot(w, P) != c * L for w, c in eqs):
             return False
         if strict:
-            return all(vdot(nu, x) < c for nu, c in self.inequalities)
-        return all(vdot(nu, x) <= c for nu, c in self.inequalities)
+            return all(den * vdot(nu, P) < c * L for nu, c in planes)
+        return all(den * vdot(nu, P) <= c * L for nu, c in planes)
+
+    def crossings(self, U, D, L: int):
+        """(r, s) with s > 0 for each affine-hull or facet plane that the
+        line (U + t*D)/L crosses, at t = r/s; U and D are integer."""
+        den, _, eqs, planes = self.lattice
+        for w, c in eqs + planes:
+            s = den * vdot(w, D)
+            if s:
+                r = c * L - den * vdot(w, U)
+                yield (r, s) if s > 0 else (-r, -s)
+
+    @property
+    def _ints(self) -> list:
+        return _scaled(self.verts, self.lattice.den)
 
     @cached_property
     def facets(self) -> tuple["Polytope", ...]:
-        if self.adim == 0:
-            return ()
-        if self.adim == 1:
-            return (Polytope((self.verts[0],)), Polytope((self.verts[-1],)))
-        if self.adim == 2:
-            ring = self.ring
-            return tuple(Polytope((u, v)) for u, v in zip(ring, ring[1:] + ring[:1]))
-        out = []
-        for nu, c in self.inequalities:
-            tight = tuple(v for v in self.verts if vdot(nu, v) == c)
-            out.append(Polytope(tight))
-        return tuple(out)
+        ints = self._ints
+        return tuple(
+            Polytope(tuple(v for v, p in zip(self.verts, ints) if vdot(nu, p) == c))
+            for nu, c in self.lattice.planes
+        )
 
     @cached_property
     def faces(self) -> tuple["Polytope", ...]:
@@ -146,8 +144,14 @@ class Polytope:
         return tuple(sorted(seen.values(), key=lambda f: (f.adim, f.verts)))
 
     @cached_property
-    def edges(self) -> tuple["Polytope", ...]:
-        return tuple(f for f in self.faces if f.adim == 1)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs of the edges' endpoints: the vertex pairs on
+        adim - 1 common facet planes."""
+        planes = self.lattice.planes
+        masks = [sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
+                 for p in self._ints]
+        return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
+                     if (masks[i] & masks[j]).bit_count() >= self.adim - 1)
 
     def reflect(self) -> "Polytope":
         return Polytope(tuple(vneg(v) for v in self.verts))
@@ -157,10 +161,97 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
+# the lattice form
+
+
+def _primitive(v) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _echelon(rows: list, n: int) -> tuple[list[int], list]:
+    """Pivot columns and echelon rows of an integer matrix with n
+    columns, by fraction-free elimination (Bareiss 1968): each entry
+    stays an integer minor, so every division is exact.  The pivots are
+    those of the reduced row echelon form."""
+    pivots, basis, prev = [], [], 1
+    for c in range(n):
+        top = next((r for r in rows if r[c]), None)
+        if top is not None:
+            rows.remove(top)
+            p = top[c]
+            rows = [e for e in ([(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                                for r in rows) if any(e)]
+            pivots.append(c)
+            basis.append(top)
+            prev = p
+    return pivots, basis
+
+
+def _kernel(basis: list, pivots: list[int], n: int) -> list:
+    """The nullspace basis of the reduced echelon form, one vector per
+    free coordinate with 1 there, scaled to primitive integers: back
+    substitution through the echelon rows, scaling instead of dividing."""
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        w = [int(j == f) for j in range(n)]
+        for row, p in zip(reversed(basis), reversed(pivots)):
+            s = vdot(row, w)
+            w = [x * row[p] for x in w]
+            w[p] = -s
+        out.append(_primitive(w if w[f] > 0 else vneg(w)))
+    return out
+
+
+def _ring2(X: list, chart) -> list:
+    """The extreme points of a rank-2 point list in counterclockwise
+    chart order."""
+    i, j = chart
+    back = {(p[i], p[j]): p for p in X}
+    return [back[q] for q in _hull2_ring(sorted(back))]
+
+
+def _ring_on(X: list, plane) -> list:
+    """The ring of the points of a 3D point list on a supporting plane,
+    through an injective chart: drop a coordinate the normal does not
+    vanish on."""
+    nu, c = plane
+    drop = 0 if nu[0] else 1 if nu[1] else 2
+    on = [p for p in X if vdot(nu, p) == c]
+    return _ring2(on, [i for i in range(3) if i != drop])
+
+
+def _lattice(den: int, X: list) -> tuple[Lattice, list]:
+    """The lattice form of the hull of the sorted distinct integer
+    points X over den, and the hull's extreme points, sorted."""
+    x0 = X[0]
+    n = len(x0)
+    chart, basis = _echelon([vsub(p, x0) for p in X[1:]], n)
+    eqs = tuple((w, vdot(w, x0)) for w in _kernel(basis, chart, n))
+    ext, planes = [x0], []
+    if len(chart) == 1:
+        d = _primitive(vsub(X[-1], x0))
+        ext, planes = [x0, X[-1]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
+    elif len(chart) == 2:
+        loop = _ring2(X, chart)
+        for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
+            d = vsub(v, u)
+            nu = _primitive((d[1], -d[0]) if n == 2 else cross3(eqs[0][0], d))
+            c = vdot(nu, u)
+            if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
+                nu, c = vneg(nu), -c
+            planes.append((nu, c))
+        ext = sorted(loop)
+    elif chart:
+        planes, ext = _hull3(X)
+    return Lattice(den, tuple(chart), eqs, tuple(planes)), ext
+
+
+# ---------------------------------------------------------------------------
 # hull construction
 
 
-def _cross2(o, a, b) -> Fraction:
+def _cross2(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -181,29 +272,17 @@ def _hull2_ring(pts: list) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _hull3(pts) -> tuple[list, list]:
-    """Facet planes and extreme points of a rank-3 rational point set.
+def _hull3(zpts: list) -> tuple[list, list]:
+    """Facet planes and extreme points of a sorted rank-3 integer point
+    list, both sorted.
 
     The planes are (nu, c), nu a primitive outward integer normal and
-    <nu,x> <= c on the hull, in sorted order.  The points are scaled once
-    to integers by the lcm of their denominators.  A first facet through
-    the lexicographic minimum is then wrapped across every edge of every
-    facet found, one pass over the points per edge.  A facet keeps every
-    point of its plane, and its ring is their planar hull; the extreme
-    points are the union of the rings.
+    <nu,x> <= c on the hull.  A first facet through the lexicographic
+    minimum is wrapped across every edge of every facet found, one pass
+    over the points per edge.  A facet keeps every point of its plane,
+    and its ring is their planar hull; the extreme points are the union
+    of the rings.
     """
-    den = lcm(*(c.denominator for p in pts for c in p))
-    orig = {tuple(c.numerator * (den // c.denominator) for c in p): p for p in pts}
-    zpts = sorted(orig)
-
-    def ring_on(plane):
-        # the planar hull of the points on a supporting plane, through an
-        # injective chart: drop a coordinate the normal does not vanish on
-        (n0, n1, n2), off = plane
-        drop = 0 if n0 else 1 if n1 else 2
-        back = {p[:drop] + p[drop + 1:]: p for p in zpts
-                if n0 * p[0] + n1 * p[1] + n2 * p[2] == off}
-        return [back[q] for q in _hull2_ring(sorted(back))]
 
     def wrap(a, d, inner, nu):
         # turn the supporting plane with outward normal nu about the line
@@ -228,12 +307,12 @@ def _hull3(pts) -> tuple[list, list]:
     # the plane x = min x supports the lexicographic minimum; turn it
     # about lines in it until it holds three points off a line
     plane = ((-1, 0, 0), -zpts[0][0])
-    ring = ring_on(plane)
+    ring = _ring_on(zpts, plane)
     while len(ring) < 3:
         a = ring[0]
         d = vsub(ring[1], a) if len(ring) == 2 else (0, 0, 1)
         plane = wrap(a, d, vadd(a, cross3(plane[0], d)), plane[0])
-        ring = ring_on(plane)
+        ring = _ring_on(zpts, plane)
 
     rings = {plane: ring}
     todo = [plane]
@@ -250,12 +329,10 @@ def _hull3(pts) -> tuple[list, list]:
             done.add(edge)
             nxt = wrap(u, vsub(v, u), ring[(i + 2) % k], plane[0])
             if nxt not in rings:
-                rings[nxt] = ring_on(nxt)
+                rings[nxt] = _ring_on(zpts, nxt)
                 todo.append(nxt)
 
-    planes = sorted((nu, Fraction(off, den)) for nu, off in rings)
-    ext = sorted({orig[p] for ring in rings.values() for p in ring})
-    return planes, ext
+    return sorted(rings), sorted({p for ring in rings.values() for p in ring})
 
 
 def convex_hull(points) -> Polytope:
@@ -267,21 +344,14 @@ def convex_hull(points) -> Polytope:
         raise InputError("mixed coordinate dimensions")
     if not 1 <= n <= 3:
         raise InputError(f"ambient dimension {n} out of range 1..3")
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
-    red, pivots = rref(diffs) if diffs else ([], [])
-    adim = len(pivots)
-    if adim == 0:
-        return Polytope((p0,))
-    back = {tuple(p[i] for i in pivots): p for p in pts}
-    cpts = sorted(back)
-    if adim == 1:
-        ext = [back[cpts[0]], back[cpts[-1]]]
-    elif adim == 2:
-        ext = [back[q] for q in _hull2_ring(cpts)]
-    else:
-        ext = _hull3(pts)[1]
-    return Polytope(tuple(ext))
+    den = lcm(*(c.denominator for p in pts for c in p))
+    X = _scaled(pts, den)
+    lattice, ext = _lattice(den, X)
+    orig = dict(zip(X, pts))
+    hull = Polytope(tuple(orig[p] for p in ext))
+    # the cloud's lattice form is the hull's, 3D planes included
+    hull.__dict__["lattice"] = lattice
+    return hull
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +364,24 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     return convex_hull([vadd(a, b) for a in p.verts for b in q.verts])
 
 
-def _edge_plane_crossings(edges, planes):
-    for e in edges:
-        u, v = e.verts[0], e.verts[-1]
-        d = vsub(v, u)
-        for w, c in planes:
-            den = vdot(w, d)
-            if den == 0:
-                continue
-            t = (c - vdot(w, u)) / den
-            if 0 <= t <= 1:
-                yield vadd(u, vscale(d, t))
-
-
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
-    """Closed intersection, or None when empty."""
+    """Closed intersection, or None when empty: the hull of the vertices
+    of each polytope inside the other and of the points where an edge of
+    one crosses a plane of the other inside the other."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
-    cands = {v for v in p.verts if q.contains(v)}
-    cands.update(v for v in q.verts if p.contains(v))
-    planes_q = tuple(q.equalities) + tuple(q.inequalities)
-    planes_p = tuple(p.equalities) + tuple(p.inequalities)
-    for pt in _edge_plane_crossings(p.edges, planes_q):
-        if p.contains(pt) and q.contains(pt):
-            cands.add(pt)
-    for pt in _edge_plane_crossings(q.edges, planes_p):
-        if p.contains(pt) and q.contains(pt):
-            cands.add(pt)
+    cands = set()
+    for a, b in ((p, q), (q, p)):
+        den, X = a.lattice.den, a._ints
+        cands.update(v for v, V in zip(a.verts, X) if b.contains_scaled(V, den))
+        for i, j in a.edges:
+            U = X[i]
+            D = vsub(X[j], U)
+            for r, s in b.crossings(U, D, den):
+                if 0 <= r <= s:
+                    P = tuple(u * s + r * d for u, d in zip(U, D))
+                    if b.contains_scaled(P, den * s):
+                        cands.add(tuple(Fraction(c, den * s) for c in P))
     if not cands:
         return None
     return convex_hull(cands)
@@ -328,15 +389,16 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
-    xi = tuple(rat(c) for c in xi)
-    t = rat(t)
-    vals = {v: vdot(xi, v) for v in p.verts}
-    cands = {v for v, s in vals.items() if s == t}
-    for e in p.edges:
-        u, v = e.verts[0], e.verts[-1]
-        su, sv = vals[u], vals[v]
-        if (su - t) * (sv - t) < 0:
-            cands.add(vadd(u, vscale(vsub(v, u), (t - su) / (sv - su))))
+    coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
+    a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
+    den, X = p.lattice.den, p._ints
+    side = [vdot(a, V) - b * den for V in X]
+    cands = {v for v, s in zip(p.verts, side) if s == 0}
+    for i, j in p.edges:
+        su, sw = side[i], side[j]
+        if su * sw < 0:
+            L = den * (sw - su)
+            cands.add(tuple(Fraction(u * sw - w * su, L) for u, w in zip(X[i], X[j])))
     if not cands:
         return None
     return convex_hull(cands)
@@ -347,28 +409,27 @@ def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
 
 
 def polytope_volume(p: Polytope) -> Fraction:
-    """Volume of p in its own affine hull (counting measure for points)."""
-    d = p.adim
+    """Volume of p in its own affine hull (counting measure for points),
+    measured in its chart."""
+    d, chart, X, den = p.adim, p.chart, p._ints, p.lattice.den
     if d == 0:
         return Fraction(1)
     if d == 1:
-        (i,) = p.chart
-        return p.verts[-1][i] - p.verts[0][i]
+        return Fraction(X[-1][chart[0]] - X[0][chart[0]], den)
     if d == 2:
-        ring = [tuple(v[i] for i in p.chart) for v in p.ring]
+        ring = [(q[chart[0]], q[chart[1]]) for q in _ring2(X, chart)]
         twice = sum(
             a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])
         )
-        return abs(twice) / 2
-    v0 = p.verts[0]
-    total = Fraction(0)
-    for f in p.facets:
-        ring = f.ring
+        return Fraction(abs(twice), 2 * den**2)
+    v0 = X[0]
+    total = 0
+    for plane in p.lattice.planes:
+        ring = _ring_on(X, plane)
         a = vsub(ring[0], v0)
         for b, c in zip(ring[1:], ring[2:]):
-            det = vdot(cross3(vsub(b, v0), vsub(c, v0)), a)
-            total += abs(det)
-    return total / 6
+            total += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))
+    return Fraction(total, 6 * den**3)
 
 
 def chart_volume(p: Polytope, idxs: tuple[int, ...], dim: int) -> Fraction:

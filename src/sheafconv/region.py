@@ -25,6 +25,7 @@ from .polytope import (
     chart_volume,
     convex_hull,
     intersect_polytopes,
+    lattice_point,
     open_indicator_expansion,
     slice_polytope,
 )
@@ -141,8 +142,9 @@ def evaluate_region(r: Region, x) -> int:
     x = tuple(rat(c) for c in x)
     if len(x) != r.dim:
         raise InputError("point dimension mismatch")
+    P, L = lattice_point(x)
     return sum(
-        t.weight for t in r.terms if t.poly.contains(x, strict=t.mode == RELINT)
+        t.weight for t in r.terms if t.poly.contains_scaled(P, L, t.mode == RELINT)
     )
 
 
@@ -240,22 +242,21 @@ def indicator_normal_form(r: Region) -> Region:
 
 
 def _segment_exit(polys, x, y):
-    """A point of the open segment ]x, y[ outside every polytope, or None."""
-    d = vsub(y, x)
+    """A point of the open segment ]x, y[ outside every polytope, or None;
+    the segment is (X + s*D)/L, X and D integer, 0 < s < 1."""
+    P, L = lattice_point(x + y)
+    X = P[:len(x)]
+    D = vsub(P[len(x):], X)
     cuts = {Fraction(0), Fraction(1)}
     for p in polys:
-        for w, c in tuple(p.equalities) + tuple(p.inequalities):
-            den = vdot(w, d)
-            if den == 0:
-                continue
-            s = (c - vdot(w, x)) / den
-            if 0 < s < 1:
-                cuts.add(s)
+        cuts.update(Fraction(r, s) for r, s in p.crossings(X, D, L) if 0 < r < s)
     grid = sorted(cuts)
     for a, b in zip(grid, grid[1:]):
-        mid = vadd(x, vscale(d, (a + b) / 2))
-        if not any(p.contains(mid) for p in polys):
-            return mid
+        m = (a + b) / 2
+        M = L * m.denominator
+        Q = tuple(u * m.denominator + m.numerator * d for u, d in zip(X, D))
+        if not any(p.contains_scaled(Q, M) for p in polys):
+            return tuple(Fraction(c, M) for c in Q)
     return None
 
 
@@ -267,7 +268,7 @@ def _barycenter(poly: Polytope):
     return vscale(acc, Fraction(1, k))
 
 
-def is_convex_region(r: Region):
+def is_convex_region(r: Region, hull: Polytope | None = None):
     """Decide whether the support of an indicator region is convex.
 
     Returns (True, None, nf) or (False, witness, nf), where nf is the
@@ -275,11 +276,13 @@ def is_convex_region(r: Region):
     points whose open segment leaves the support, plus the exit point
     itself.  The decision is the exact volume comparison; the witness
     search scans term vertices first and face barycenters after (vertex
-    pairs alone cannot certify shapes like a triangle boundary).
+    pairs alone cannot certify shapes like a triangle boundary).  hull
+    is the terms' convex hull, when the caller has already built it.
     """
     nf = indicator_normal_form(r)
     polys = [t.poly for t in r.terms]
-    hull = convex_hull([v for p in polys for v in p.verts])
+    if hull is None:
+        hull = convex_hull([v for p in polys for v in p.verts])
     if hull.adim == 0:
         return True, None, nf
     chart = hull.chart

@@ -244,7 +244,7 @@ def _constant_direction(rng, poly):
     if n == 2:
         return (-e[1], e[0])
     if d == 2:
-        return poly.plane_normal
+        return poly.equalities[0][0]
     nu = cross3(e, _rand_xi(rng, 3))
     return nu if any(nu) else None
 
@@ -404,6 +404,25 @@ def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
     assert len(calls) == 1
 
 
+def test_invertibility_check_hulls_the_terms_once(monkeypatch):
+    sizes = []
+    real = polytope.convex_hull
+
+    def counting(points):
+        points = list(points)
+        sizes.append(len(points))
+        return real(points)
+
+    for mod in (polytope, region, cfun):
+        if getattr(mod, "convex_hull", None) is real:
+            monkeypatch.setattr(mod, "convex_hull", counting)
+    overlapping = make_region(2, [(box2(0, 2, 0, 2), CLOSED, 1), (box2(1, 3, 0, 2), CLOSED, 1)])
+    res = invertibility_check_cf(overlapping)
+    assert res["invertible"] and res["hull"] == box2(0, 3, 0, 2)
+    # the decision's hull of the eight term vertices is the certificate's
+    assert sizes.count(8) == 1
+
+
 def test_invertibility_check_convex():
     res = invertibility_check_cf(make_region(2, [(box2(0, 1, 0, 1), CLOSED, 1)]))
     assert res["invertible"] and res["d"] == 2
@@ -433,3 +452,12 @@ def test_default_directions_are_primitive_and_cover_axes():
     dirs = default_directions(r, 2)
     assert all(d == primitive(d) for d in dirs)
     assert (1, 0) in dirs and (0, 1) in dirs and (1, 1) in dirs
+
+
+def test_default_directions_bound_the_grid():
+    r = L_shape()
+    grid = {primitive(c) for c in product(range(-8, 9), repeat=2) if any(c)}
+    assert default_directions(r, 8) == sorted(grid)
+    for bad in (-1, 9, 40):
+        with pytest.raises(InputError):
+            default_directions(r, bad)

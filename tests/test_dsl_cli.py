@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -302,6 +303,20 @@ def test_cli_region_nonconvex_and_sweep(tmp_path, capsys):
     sq = write(tmp_path, "sq.json", SQ)
     assert cli.main(["region", "sweep", sq, "--max-coeff", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("coeff, code", [("-1", 2), ("9", 2), ("8", 0)])
+def test_cli_sweep_bounds_max_coeff(tmp_path, capsys, coeff, code):
+    sq = write(tmp_path, "sq.json", SQ)
+    assert cli.main(["region", "sweep", sq, "--max-coeff", coeff]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "max_coeff" in json.loads(err)["error"]
+    else:
+        # one covector per line through the origin and a point of the
+        # 17 x 17 grid: half the grid's primitive vectors
+        lines = sum(gcd(a, b) == 1 for a in range(-8, 9) for b in range(-8, 9)) // 2
+        assert json.loads(out)["all_pass"] and len(json.loads(out)["entries"]) == lines
 
 
 def test_cli_region_errors(tmp_path, capsys):

@@ -13,8 +13,9 @@ from math import lcm
 
 import pytest
 
+from sheafconv import polytope
 from sheafconv.errors import InputError, InvariantViolation
-from sheafconv.linalg import cross3, primitive, rref, vadd, vdot, vneg, vsub
+from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
     chart_volume,
@@ -28,6 +29,7 @@ from sheafconv.polytope import (
 )
 from sheafconv.randgen import rand_box, rand_point, rand_polytope, rand_union_region
 
+from linalg_oracles import rref
 from test_acceptance import region_corpus
 from sheafconv.region import (
     CLOSED,
@@ -140,6 +142,28 @@ def test_hull3_matches_brute_force_oracle():
 
 # ---------------------------------------------------------------------------
 # hulls, faces, volumes
+
+
+def test_hull3_runs_once_per_hull(monkeypatch):
+    calls = []
+    real = polytope._hull3
+
+    def counting(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(polytope, "_hull3", counting)
+    rng = random.Random(18)
+    for pts in hull_corpus(rng, 8):
+        calls.clear()
+        hull = convex_hull(pts)
+        hull.inequalities, hull.facets
+        assert hull.contains(pts[0]) and calls == [len(pts)]
+    p, q = (rand_polytope(rng, 3, npts=6) for _ in range(2))
+    calls.clear()
+    s = minkowski_sum(p, q)
+    assert s.contains(vadd(p.verts[0], q.verts[0])) and len(s.faces) > 1
+    assert calls == [len({vadd(u, v) for u in p.verts for v in q.verts})]
 
 
 def test_hull_drops_interior_and_collinear_points():
