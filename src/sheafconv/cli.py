@@ -9,6 +9,7 @@ an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,8 +97,8 @@ def sheaf_to_text(f: sheaf1.Sheaf1) -> str:
         if iv.is_point:
             core = f"k{{{fmt_rat(iv.lo)}}}"
         else:
-            lb = "[" if iv.closure.name[0] == "C" else "]"
-            rb = "]" if iv.closure.name[1] == "C" else "["
+            lb = "[" if iv.closure.left_closed else "]"
+            rb = "]" if iv.closure.right_closed else "["
             core = f"k{lb}{fmt_rat(iv.lo)},{fmt_rat(iv.hi)}{rb}"
         if g.shift:
             core += f"[{g.shift}]"
@@ -159,18 +160,14 @@ def _cmd_check(args) -> int:
     return 0 if invertible else 1
 
 
-def _cmd_btrans(args) -> int:
-    _emit(microlocal.b_transform(eval_text(args.expr)).to_json())
-    return 0
+# microlocal function behind each transform command
+_TRANSFORMS = {"btrans": "b_transform", "cc": "cc", "ss": "ss"}
 
 
-def _cmd_cc(args) -> int:
-    _emit(microlocal.cc(eval_text(args.expr)).to_json())
-    return 0
-
-
-def _cmd_ss(args) -> int:
-    _emit(microlocal.ss(eval_text(args.expr)).to_json())
+def _cmd_transform(args) -> int:
+    # looked up on the module at call time, so a rebound function is honoured
+    transform = getattr(microlocal, _TRANSFORMS[args.command])
+    _emit(transform(eval_text(args.expr)).to_json())
     return 0
 
 
@@ -216,7 +213,7 @@ def _load_region(path: str):
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
     return region_from_json(data)
 
@@ -266,11 +263,23 @@ def _cmd_region_sweep(args) -> int:
 # wiring
 
 
+# the commands that take nothing but an expression: name, handler, help
+_EXPR_COMMANDS = (
+    ("invert", _cmd_invert, "convolution inverse, or reason it fails"),
+    ("check", _cmd_check, "invertibility verdict plus the necessary condition"),
+    ("btrans", _cmd_transform, "microlocal transform"),
+    ("cc", _cmd_transform, "characteristic cycle"),
+    ("ss", _cmd_transform, "singular support"),
+)
+
+
 def _add_expr(p: argparse.ArgumentParser) -> None:
     p.add_argument("-e", "--expr", required=True, help="expression to evaluate")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="sheafconv",
         description="exact convolution calculus for interval sheaves and "
@@ -285,25 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--text", dest="text", action="store_true")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("invert", help="convolution inverse, or reason it fails")
-    _add_expr(p)
-    p.set_defaults(fn=_cmd_invert)
-
-    p = sub.add_parser("check", help="invertibility verdict plus the necessary condition")
-    _add_expr(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("btrans", help="microlocal transform")
-    _add_expr(p)
-    p.set_defaults(fn=_cmd_btrans)
-
-    p = sub.add_parser("cc", help="characteristic cycle")
-    _add_expr(p)
-    p.set_defaults(fn=_cmd_cc)
-
-    p = sub.add_parser("ss", help="singular support")
-    _add_expr(p)
-    p.set_defaults(fn=_cmd_ss)
+    for name, fn, help_text in _EXPR_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_expr(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("stalk", help="stalk dimensions at a point")
     _add_expr(p)
@@ -337,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except NotInvertible as e:

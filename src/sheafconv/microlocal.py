@@ -13,6 +13,15 @@ levels are tracked:
          sum map; convolution turns into the positionwise product
          (bullet), which is the computable necessary condition for
          invertibility.
+
+All three read one end rule, the local index formula for the
+characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
+Manifolds, ch. IX): a closed end carries +1 on its outward conormal ray,
+an open end -1 on its inward one, and a point is closed at both ends.
+An invertible f has inverse D(a f), the dual of its antipodal object,
+whose transform is B(f) with every position negated (b_reflect); so the
+necessary check multiplies B(f) by its reflection and never builds a
+second sheaf.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from fractions import Fraction
 
 from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
 from .rational import fmt_rat, rat
-from .sheaf1 import Closure, Sheaf1, antipodal, convolve, dual, euler_c
+from .sheaf1 import Interval, Sheaf1, convolve, euler_c
 
 PLUS = 1
 MINUS = -1
@@ -61,12 +70,6 @@ class CC1:
     plus: tuple[tuple[Fraction, int], ...]
     minus: tuple[tuple[Fraction, int], ...]
 
-    def plus_dict(self) -> RayMultiset:
-        return dict(self.plus)
-
-    def minus_dict(self) -> RayMultiset:
-        return dict(self.minus)
-
     def to_json(self) -> dict:
         return {
             "zero_weight": self.zero_weight.to_json(),
@@ -83,12 +86,6 @@ class BTransform:
     minus: tuple[tuple[Fraction, int], ...]
     zero: int
 
-    def plus_dict(self) -> RayMultiset:
-        return dict(self.plus)
-
-    def minus_dict(self) -> RayMultiset:
-        return dict(self.minus)
-
     def to_json(self) -> dict:
         return {
             "plus": [[fmt_rat(x), str(m)] for x, m in self.plus],
@@ -97,43 +94,18 @@ class BTransform:
         }
 
 
-# ray sign pattern of a generator: (left endpoint sign(s), right endpoint sign(s))
-# CC gets inward-pointing conormals (-, +), OO outward (+, -), the semi-open
-# types repeat the sign of their open end, and a skyscraper carries both rays.
-
-def _gen_rays(closure: Closure, is_point: bool) -> tuple[tuple[int, int], ...]:
-    """(endpoint index, sign) pairs; endpoint 0 = lo, 1 = hi."""
-    if is_point:
-        return ((0, PLUS), (0, MINUS))
-    return {
-        Closure.CC: ((0, MINUS), (1, PLUS)),
-        Closure.OO: ((0, PLUS), (1, MINUS)),
-        Closure.CO: ((0, MINUS), (1, MINUS)),
-        Closure.OC: ((0, PLUS), (1, PLUS)),
-    }[closure]
-
-
-# signed multiplicities for the characteristic cycle, before the
-# mult * (-1)^shift factor; same indexing as _gen_rays.
-
-def _gen_cc_signs(closure: Closure, is_point: bool) -> tuple[tuple[int, int, int], ...]:
-    if is_point:
-        return ((0, PLUS, 1), (0, MINUS, 1))
-    return {
-        Closure.CC: ((0, MINUS, 1), (1, PLUS, 1)),
-        Closure.OO: ((0, PLUS, -1), (1, MINUS, -1)),
-        Closure.CO: ((0, MINUS, 1), (1, MINUS, -1)),
-        Closure.OC: ((0, PLUS, -1), (1, PLUS, 1)),
-    }[closure]
+def _end_rays(iv: Interval) -> tuple[tuple[Fraction, int, int], ...]:
+    """(base point, ray sign, weight) of each end of an interval: +1 on
+    the outward ray of a closed end, -1 on the inward ray of an open one."""
+    lw = 1 if iv.closure.left_closed else -1
+    rw = 1 if iv.closure.right_closed else -1
+    return ((iv.lo, -lw, lw), (iv.hi, rw, rw))
 
 
 def _merge_closed_intervals(ivs: list[tuple[Fraction, Fraction]]) -> tuple:
-    if not ivs:
-        return ()
-    ivs.sort()
-    merged = [list(ivs[0])]
-    for lo, hi in ivs[1:]:
-        if lo <= merged[-1][1]:
+    merged: list[list[Fraction]] = []
+    for lo, hi in sorted(ivs):
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -144,27 +116,26 @@ def ss(f: Sheaf1) -> SS1:
     rays = set()
     support = []
     for g in f:
-        iv = g.interval
-        support.append((iv.lo, iv.hi))
-        ends = (iv.lo, iv.hi)
-        for end_idx, sign in _gen_rays(iv.closure, iv.is_point):
-            rays.add((ends[end_idx], sign))
+        support.append((g.interval.lo, g.interval.hi))
+        rays.update((x, sign) for x, sign, _ in _end_rays(g.interval))
     return SS1(_merge_closed_intervals(support),
                tuple(sorted(rays, key=lambda r: (r[0], -r[1]))))
 
 
-def cc(f: Sheaf1) -> CC1:
-    plus: RayMultiset = {}
-    minus: RayMultiset = {}
+def _ray_families(f: Sheaf1) -> tuple[tuple, tuple]:
+    """Signed (plus, minus) ray multiplicities: the end rule times
+    mult * (-1)^shift, summed over the generators."""
+    families: dict[int, RayMultiset] = {PLUS: {}, MINUS: {}}
     for g in f:
-        iv = g.interval
         factor = g.mult * (-1 if g.shift % 2 else 1)
-        ends = (iv.lo, iv.hi)
-        for end_idx, sign, weight in _gen_cc_signs(iv.closure, iv.is_point):
-            target = plus if sign == PLUS else minus
-            x = ends[end_idx]
+        for x, sign, weight in _end_rays(g.interval):
+            target = families[sign]
             target[x] = target.get(x, 0) + weight * factor
-    return CC1(cf1_from_sheaf(f), _ray_items(plus), _ray_items(minus))
+    return _ray_items(families[PLUS]), _ray_items(families[MINUS])
+
+
+def cc(f: Sheaf1) -> CC1:
+    return CC1(cf1_from_sheaf(f), *_ray_families(f))
 
 
 def cc_antipodal(c: CC1) -> CC1:
@@ -174,8 +145,7 @@ def cc_antipodal(c: CC1) -> CC1:
 
 
 def b_transform(f: Sheaf1) -> BTransform:
-    c = cc(f)
-    return BTransform(c.plus, c.minus, euler_c(f))
+    return BTransform(*_ray_families(f), euler_c(f))
 
 
 def b_one() -> BTransform:
@@ -184,20 +154,20 @@ def b_one() -> BTransform:
     return BTransform(((z, 1),), ((z, 1),), 1)
 
 
-def _ray_convolve(a: RayMultiset, b: RayMultiset) -> RayMultiset:
+def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     out: RayMultiset = {}
-    for x, m in a.items():
-        for y, n in b.items():
+    for x, m in a:
+        for y, n in b:
             out[x + y] = out.get(x + y, 0) + m * n
-    return {k: v for k, v in out.items() if v}
+    return _ray_items(out)
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:
     """Product matching convolution: positionwise additive convolution on
     each ray family, ordinary product on the zero component."""
     return BTransform(
-        _ray_items(_ray_convolve(a.plus_dict(), b.plus_dict())),
-        _ray_items(_ray_convolve(a.minus_dict(), b.minus_dict())),
+        _ray_convolve(a.plus, b.plus),
+        _ray_convolve(a.minus, b.minus),
         a.zero * b.zero,
     )
 
@@ -225,14 +195,14 @@ def b_dual(b: BTransform) -> BTransform:
 def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
     """Necessary condition for invertibility at the B level.
 
-    Checks that (a) the product of B(f) with B(dual(antipodal(f))) is the
+    Checks that (a) the product of B(f) with its reflection, which is
+    B(dual(antipodal(f))), the transform an inverse must have, is the
     unit transform, and (b) the scalar Euler square is 1.  Invertible
     objects always pass; the converse fails in general, so a pass is not
     a certificate.
     """
     bf = b_transform(f)
-    bi = b_transform(dual(antipodal(f)))
-    product = bullet(bf, bi)
+    product = bullet(bf, b_reflect(bf))
     refined_ok = product == b_one()
     scalar_ok = bf.zero * bf.zero == 1
     detail = {

@@ -125,11 +125,15 @@ def region_from_json(data) -> Region:
             raise InputError(f"region term missing field: {exc}") from None
         if not verts:
             raise InputError("region term needs at least one vertex")
+        if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
+            raise InputError("vertices must be a list of coordinate lists")
         pts = [tuple(rat(c) for c in v) for v in verts]
         if any(len(p) != dim for p in pts):
             raise InputError("vertex length disagrees with dimension")
         if not isinstance(weight, int) or isinstance(weight, bool):
             raise InputError("term weight must be an integer")
+        if mode not in (CLOSED, RELINT):
+            raise InputError(f"unknown face-selection mode {mode!r}")
         items.append((convex_hull(pts), mode, weight))
     return make_region(dim, items)
 

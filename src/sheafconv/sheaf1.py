@@ -44,24 +44,13 @@ class Closure(enum.IntEnum):
     @property
     def reversed(self) -> "Closure":
         # mirror image under x -> -x
-        return _REVERSED[self]
+        return Closure.of(self.right_closed, self.left_closed)
 
     @staticmethod
     def of(left_closed: bool, right_closed: bool) -> "Closure":
-        return {
-            (True, True): Closure.CC,
-            (True, False): Closure.CO,
-            (False, True): Closure.OC,
-            (False, False): Closure.OO,
-        }[(left_closed, right_closed)]
+        # the value's two bits say which ends are open: left 2, right 1
+        return Closure(2 * (not left_closed) + (not right_closed))
 
-
-_REVERSED = {
-    Closure.CC: Closure.CC,
-    Closure.OO: Closure.OO,
-    Closure.CO: Closure.OC,
-    Closure.OC: Closure.CO,
-}
 
 # the expression language's interval atoms; the JSON wire format names
 # each closure by its lower-case enum name instead

@@ -1,0 +1,54 @@
+"""Per-closure tables for the microlocal layer.
+
+The library reads one closed-form end rule for what an interval end
+contributes to the singular support and the characteristic cycle.  The
+tables here spell the same data out closure by closure, with points as
+their own case, the way the library first encoded it.  They share no
+code with the end rule, so a test that compares the two checks both.
+"""
+
+from fractions import Fraction
+
+from sheafconv import sheaf1
+from sheafconv.sheaf1 import Closure
+
+PLUS = 1
+MINUS = -1
+
+# (endpoint index, sign, weight); endpoint 0 = lo, 1 = hi.  CC gets the
+# inward-pointing conormals (-, +), OO outward (+, -), the semi-open
+# types repeat the sign of their open end, and a skyscraper carries
+# both rays.
+_POINT_RAYS = ((0, PLUS, 1), (0, MINUS, 1))
+_INTERVAL_RAYS = {
+    Closure.CC: ((0, MINUS, 1), (1, PLUS, 1)),
+    Closure.OO: ((0, PLUS, -1), (1, MINUS, -1)),
+    Closure.CO: ((0, MINUS, 1), (1, MINUS, -1)),
+    Closure.OC: ((0, PLUS, -1), (1, PLUS, 1)),
+}
+
+
+def table_rays(iv: sheaf1.Interval):
+    """(base point, sign, weight) per ray of one interval, from the tables."""
+    ends = (iv.lo, iv.hi)
+    rows = _POINT_RAYS if iv.is_point else _INTERVAL_RAYS[iv.closure]
+    return [(ends[i], sign, weight) for i, sign, weight in rows]
+
+
+def table_ss_rays(f: sheaf1.Sheaf1):
+    """The singular support's rays, sorted by base point, plus before minus."""
+    rays = {(x, s) for g in f for x, s, _ in table_rays(g.interval)}
+    return tuple(sorted(rays, key=lambda r: (r[0], -r[1])))
+
+
+def table_cc_families(f: sheaf1.Sheaf1):
+    """(plus, minus) signed ray multiplicities, zero entries dropped."""
+    acc: dict[tuple[Fraction, int], int] = {}
+    for g in f:
+        factor = g.mult * (-1) ** (g.shift % 2)
+        for x, s, w in table_rays(g.interval):
+            acc[(x, s)] = acc.get((x, s), 0) + w * factor
+    return tuple(
+        tuple(sorted((x, m) for (x, s), m in acc.items() if s == sign and m))
+        for sign in (PLUS, MINUS)
+    )

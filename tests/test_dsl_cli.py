@@ -329,6 +329,40 @@ def test_cli_region_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _region_doc(**term):
+    return json.dumps({"dimension": 2, "terms": [dict(SQ["terms"][0], **term)]}).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"dimension": 2, "terms": [\xff]}',  # not UTF-8
+    b"[" * 100_000,  # deeper than the JSON decoder recurses
+    _region_doc(mode=["closed"]),
+    _region_doc(mode={"closed": 1}),
+    _region_doc(vertices=[5]),
+], ids=["not-utf8", "deep-nesting", "mode-list", "mode-object", "vertex-not-list"])
+def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main(["region", "check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]
+
+
+def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["eval", "-e", "kc(0,1)", "--text"]) == 0
+    assert capsys.readouterr().out == "k[0,1]\n"
+    # --text from the previous call must not stick
+    assert cli.main(["eval", "-e", "kc(0,1)"]) == 0
+    assert out_json(capsys)["generators"][0]["closure"] == "cc"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check"])  # missing -e
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["check", "-e", "kc(0,1)"]) == 0
+    assert out_json(capsys)["invertible"] is True
+
+
 def test_cli_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval"])  # missing -e

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from sheafconv.microlocal import (
+    BTransform,
     b_antipodal,
     b_dual,
     b_necessary_check,
@@ -40,6 +41,7 @@ from sheafconv.sheaf1 import (
     shift,
 )
 
+from microlocal_oracles import table_cc_families, table_ss_rays
 from test_sheaf1 import invertibles, rats, sheaves, small_sheaves
 
 
@@ -89,6 +91,17 @@ def test_cc_zero_weight_is_the_stalkwise_euler_function():
         "point_values": [0, 0],
         "gap_values": [1],
     }
+
+
+@given(sheaves)
+@settings(max_examples=300)
+def test_end_rule_matches_per_closure_tables(f):
+    # the sheaves mix points, all four closures, shifts and multiplicities
+    plus, minus = table_cc_families(f)
+    assert ss(f).rays == table_ss_rays(f)
+    c = cc(f)
+    assert (c.plus, c.minus) == (plus, minus)
+    assert b_transform(f) == BTransform(plus, minus, euler_c(f))
 
 
 # ---------------------------------------------------------------------------
