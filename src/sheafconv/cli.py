@@ -213,7 +213,9 @@ def _load_region(path: str):
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # past Python's int/str digit limit
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
     return region_from_json(data)
 

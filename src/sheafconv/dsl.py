@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
+from .rational import MAX_LITERAL_DIGITS, too_many_digits
 from . import sheaf1
 
 _TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))")
@@ -100,11 +101,14 @@ class _Parser:
         if tok_kind != "num":
             raise ParseError(f"expected a number, found {value!r}", at)
         self.i += 1
+        if too_many_digits(value):
+            raise ParseError(f"literal longer than {MAX_LITERAL_DIGITS} digits", at)
         if kind == INT:
             if "/" in value:
                 raise ParseError("expected an integer", at)
             return int(value)
-        if value.endswith("/0"):
+        _, slash, den = value.partition("/")
+        if slash and not den.strip("0"):
             raise ParseError("zero denominator", at)
         return Fraction(value)
 

@@ -12,7 +12,9 @@ levels are tracked:
   b_transform -- the projection of cc to the cotangent fiber over the
          sum map; convolution turns into the positionwise product
          (bullet), which is the computable necessary condition for
-         invertibility.
+         invertibility.  The product runs on integer positions: both
+         ray families are scaled over one common denominator, and each
+         output position becomes a Fraction once.
 
 All three read one end rule, the local index formula for the
 characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
 from .rational import fmt_rat, rat
@@ -155,11 +158,23 @@ def b_one() -> BTransform:
 
 
 def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
-    out: RayMultiset = {}
+    """Additive convolution of two ray families on integer positions.
+
+    Both families are scaled once by the lcm of their position
+    denominators and multiplied with int keys; each surviving position
+    becomes a Fraction once, at the end.  Scaling by den > 0 keeps the
+    order, so the sorted tuple is the one Fraction keys would give.
+    """
+    den = lcm(*(x.denominator for x, _ in a), *(y.denominator for y, _ in b))
+    scaled_b = [(y.numerator * (den // y.denominator), n) for y, n in b]
+    out: dict[int, int] = {}
+    get = out.get
     for x, m in a:
-        for y, n in b:
-            out[x + y] = out.get(x + y, 0) + m * n
-    return _ray_items(out)
+        s = x.numerator * (den // x.denominator)
+        for t, n in scaled_b:
+            k = s + t
+            out[k] = get(k, 0) + m * n
+    return tuple((Fraction(p, den), m) for p, m in sorted(out.items()) if m)
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:

@@ -18,6 +18,18 @@ Rat = Fraction
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+# The most decimal digits a literal may spell in its numerator and in its
+# denominator, leading zeros included; a longer one is bad input, rejected
+# before any conversion.  Python refuses int/str conversions past 4300
+# digits by default, and this bound leaves room for results built from a
+# few literals, whose denominators multiply.
+MAX_LITERAL_DIGITS = 1000
+
+
+def too_many_digits(literal: str) -> bool:
+    """True when a 'p', '-p' or 'p/q' literal exceeds MAX_LITERAL_DIGITS."""
+    return any(len(part) > MAX_LITERAL_DIGITS for part in literal.lstrip("-").split("/"))
+
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to Fraction; reject floats."""
@@ -35,6 +47,8 @@ def rat(value) -> Fraction:
 def parse_rat(text: str) -> Fraction:
     if not _RAT_RE.match(text):
         raise InputError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
+    if too_many_digits(text):
+        raise InputError(f"rational literal longer than {MAX_LITERAL_DIGITS} digits")
     return Fraction(text)
 
 

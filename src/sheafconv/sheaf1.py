@@ -311,12 +311,13 @@ def convolve_generators(g: Generator, h: Generator) -> Sheaf1:
 
 
 def convolve(f: Sheaf1, g: Sheaf1) -> Sheaf1:
-    """Bilinear extension of the generator table."""
-    out = []
-    for gf in f:
-        for gg in g:
-            out.extend(convolve_generators(gf, gg).gens)
-    return normalize(out)
+    """Bilinear extension of the generator table, normalized once."""
+    return normalize(
+        Generator(iv, gf.shift + gg.shift + extra, gf.mult * gg.mult)
+        for gf in f
+        for gg in g
+        for iv, extra in _convolve_intervals(gf.interval, gg.interval)
+    )
 
 
 # -- local and global invariants ---------------------------------------------

@@ -1,10 +1,14 @@
-"""Per-closure tables for the microlocal layer.
+"""Oracles for the microlocal layer.
 
 The library reads one closed-form end rule for what an interval end
 contributes to the singular support and the characteristic cycle.  The
 tables here spell the same data out closure by closure, with points as
 their own case, the way the library first encoded it.  They share no
 code with the end rule, so a test that compares the two checks both.
+
+The library multiplies ray families on integer positions over one
+common denominator; ``fraction_ray_convolve`` is the same product keyed
+by the Fraction positions themselves, as it was first written.
 """
 
 from fractions import Fraction
@@ -52,3 +56,13 @@ def table_cc_families(f: sheaf1.Sheaf1):
         tuple(sorted((x, m) for (x, s), m in acc.items() if s == sign and m))
         for sign in (PLUS, MINUS)
     )
+
+
+def fraction_ray_convolve(a, b):
+    """Additive convolution of two ray families with Fraction keys,
+    zero multiplicities dropped, sorted by position."""
+    out: dict[Fraction, int] = {}
+    for x, m in a:
+        for y, n in b:
+            out[x + y] = out.get(x + y, 0) + m * n
+    return tuple(sorted((x, m) for x, m in out.items() if m))

@@ -20,6 +20,7 @@ from sheafconv import cli, microlocal, sheaf1
 from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_to_text
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
+from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
 F = Fraction
@@ -243,6 +244,38 @@ def test_cli_bad_rational_is_exit_2(capsys):
     capsys.readouterr()
 
 
+LONG = "1" * 5000  # past Python's 4300-digit int/str conversion limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "-e", f"kc(0,{LONG})"],
+    ["eval", "-e", f"kc(0,1/{LONG})"],
+    ["eval", "-e", f"shift(kc(0,1),{LONG})"],
+    ["stalk", "-e", "kc(0,1)", "--at", LONG],
+    ["stalk", "-e", "kc(0,1)", f"--at=-1/{LONG}"],
+], ids=["dsl-rational", "dsl-denominator", "dsl-shift", "stalk-at", "stalk-at-denominator"])
+def test_cli_literal_past_digit_bound_is_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "1000 digits" in json.loads(err)["error"]
+
+
+def test_literal_digit_bound_is_inclusive(capsys):
+    edge = "9" * MAX_LITERAL_DIGITS
+    assert eval_text(f"kc(0,{edge})") == kc(0, int(edge))
+    assert cli.main(["stalk", "-e", "kc(0,2)", "--at", f"1/{edge}"]) == 0
+    assert out_json(capsys)["stalk"] == {"0": 1}
+    with pytest.raises(ParseError):
+        eval_text(f"kc(0,{edge}9)")
+    with pytest.raises(InputError):
+        parse_rat(f"{edge}9")
+
+
+def test_cli_zero_denominator_with_leading_zeros_is_exit_2(capsys):
+    assert cli.main(["eval", "-e", "kc(0,1/00)"]) == 2
+    assert "zero denominator" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_table(capsys):
     rc = cli.main(["table", "--trials", "40", "--seed", "2"])
     assert rc == 0
@@ -339,7 +372,9 @@ def _region_doc(**term):
     _region_doc(mode=["closed"]),
     _region_doc(mode={"closed": 1}),
     _region_doc(vertices=[5]),
-], ids=["not-utf8", "deep-nesting", "mode-list", "mode-object", "vertex-not-list"])
+    _region_doc(vertices=[[0, 0], [1, 0], [0, "BIG"]]).replace(b'"BIG"', b"1" * 5000),
+], ids=["not-utf8", "deep-nesting", "mode-list", "mode-object", "vertex-not-list",
+        "integer-past-digit-limit"])
 def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

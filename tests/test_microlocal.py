@@ -5,10 +5,11 @@ is a genuine theorem-level filter, not a decision procedure, and we
 pin an explicit object in its blind spot so nobody upgrades it to one.
 """
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sheafconv.microlocal import (
     BTransform,
@@ -25,6 +26,9 @@ from sheafconv.microlocal import (
     ss_convolution_bound_check,
 )
 from sheafconv.sheaf1 import (
+    Closure,
+    Generator,
+    Interval,
     antipodal,
     convolve,
     dirac,
@@ -41,7 +45,7 @@ from sheafconv.sheaf1 import (
     shift,
 )
 
-from microlocal_oracles import table_cc_families, table_ss_rays
+from microlocal_oracles import fraction_ray_convolve, table_cc_families, table_ss_rays
 from test_sheaf1 import invertibles, rats, sheaves, small_sheaves
 
 
@@ -210,3 +214,113 @@ def test_bullet_of_inverse_pair_is_unit(f, g):
     # collapses to the unit
     assert bullet(b_transform(f), b_transform(inverse(f))) == b_one()
     assert bullet(b_transform(f), b_transform(g)) == b_transform(convolve(f, g))
+
+
+# ---------------------------------------------------------------------------
+# the product on integer positions against the Fraction-keyed oracle
+
+
+# a few positions with mixed denominators up to 10**6, negatives included;
+# families drawn from one small pool collide, so products cancel often
+positions = st.lists(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def ray_families(draw, pool):
+    """A sorted family over the pool and its integer translates, with
+    nonzero multiplicities; empty families included."""
+    spots = {x + k for x in pool for k in (-1, 0, 1)}
+    chosen = draw(st.lists(st.sampled_from(sorted(spots)), max_size=6, unique=True))
+    return tuple(sorted((x, draw(st.sampled_from((-2, -1, 1, 2)))) for x in chosen))
+
+
+@st.composite
+def transform_pairs(draw):
+    pool = draw(positions)
+    a, b = (BTransform(draw(ray_families(pool)), draw(ray_families(pool)),
+                       draw(st.integers(-3, 3))) for _ in range(2))
+    return a, b
+
+
+# (1 + t) * (1 - t) = 1 - t^2: the middle position cancels to zero
+_CANCELLING = (BTransform(((Fraction(0), 1), (Fraction(1, 2), 1)), (), 1),
+               BTransform(((Fraction(0), 1), (Fraction(1, 2), -1)), (), 1))
+
+
+@given(transform_pairs())
+@example(_CANCELLING)
+@settings(max_examples=200)
+def test_bullet_matches_fraction_oracle(pair):
+    a, b = pair
+    got = bullet(a, b)
+    assert got.plus == fraction_ray_convolve(a.plus, b.plus)
+    assert got.minus == fraction_ray_convolve(a.minus, b.minus)
+    assert got.zero == a.zero * b.zero
+    assert all(m for _, m in got.plus + got.minus)
+
+
+# ---------------------------------------------------------------------------
+# the refined verdict in closed form
+
+
+def closed_form_refined_ok(b: BTransform) -> bool:
+    """B(f) times its reflection carries the sum of the squared
+    multiplicities at position 0, so it is the unit exactly when each ray
+    family is one ray of multiplicity +-1 and the zero entry is +-1."""
+    single = all(len(fam) == 1 and abs(fam[0][1]) == 1 for fam in (b.plus, b.minus))
+    return single and abs(b.zero) == 1
+
+
+@given(st.one_of(sheaves, invertibles(),
+                 st.builds(convolve, small_sheaves, small_sheaves)))
+@settings(max_examples=300)
+def test_refined_verdict_has_closed_form(f):
+    _, detail = b_necessary_check(f)
+    assert detail["refined_ok"] == closed_form_refined_ok(b_transform(f))
+
+
+_ENDS = sorted({Fraction(n, d) for n in range(-8, 9) for d in (1, 2, 3, 4)})
+
+
+def _random_generator(rng, closure, shift=None):
+    a, b = sorted(rng.sample(_ENDS, 2))
+    return Generator(Interval(a, b, closure), rng.randint(-2, 2) if shift is None else shift)
+
+
+def _three_of_each(rng):
+    """Twelve distinct generators of multiplicity one, three per closure."""
+    gens = set()
+    for closure in list(Closure) * 3:
+        size = len(gens)
+        while len(gens) == size:
+            gens.add(_random_generator(rng, closure))
+    return normalize(gens)
+
+
+def _unit_like(rng):
+    """Twelve generators whose transform is that of one closed interval:
+    kco(a,b) + kc(b,c) has the rays of kc(a,c), and each X + X[1] cancels."""
+    a, b, c = sorted(rng.sample(_ENDS, 3))
+    gens = [Generator(Interval(a, b, Closure.CO)), Generator(Interval(b, c, Closure.CC))]
+    for _ in range(5):
+        g = _random_generator(rng, rng.choice(list(Closure)), shift=0)
+        gens += [g, Generator(g.interval, 1)]
+    return normalize(gens)
+
+
+def test_refined_verdict_closed_form_on_large_checks():
+    # the large `check` of the line workload convolves two operands of
+    # three generators per closure, up to 144 generators; their Euler
+    # characteristic is a sum of six +-1, hence even, so the verdict is
+    # always False there, and operands built to pass give the True side
+    rng = random.Random(0)
+    seen = set()
+    for make in (_three_of_each, _unit_like) * 4:
+        f = convolve(make(rng), make(rng))
+        _, detail = b_necessary_check(f)
+        assert detail["refined_ok"] == closed_form_refined_ok(b_transform(f))
+        seen.add(detail["refined_ok"])
+    assert seen == {False, True}

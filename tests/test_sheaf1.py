@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from sheafconv import sheaf1
 from sheafconv.errors import InputError, NotInvertible
 from sheafconv.sheaf1 import (
     Closure,
@@ -19,6 +20,7 @@ from sheafconv.sheaf1 import (
     Sheaf1,
     antipodal,
     convolve,
+    convolve_generators,
     dirac,
     direct_sum,
     dual,
@@ -159,6 +161,24 @@ def test_conv_with_points():
 def test_conv_shift_and_mult_bookkeeping():
     f = convolve(kc(0, 1, shift=2, mult=3), kc(0, 1, shift=-1, mult=2))
     assert f == kc(0, 2, shift=1, mult=6)
+
+
+def test_convolve_normalizes_once(monkeypatch):
+    # the summands of every generator pair are merged in one pass
+    f = direct_sum(kc(0, 1), ko(0, 2), kco(1, 3), dirac(5))
+    g = direct_sum(kc(0, 1, shift=1), koc(-1, 1), ko(2, 4, mult=2))
+    want = convolve(f, g)
+    calls = []
+    real = sheaf1.normalize
+    monkeypatch.setattr(sheaf1, "normalize", lambda gens: calls.append(gens) or real(gens))
+    assert convolve(f, g) == want
+    assert len(calls) == 1
+
+
+@given(sheaves, sheaves)
+def test_convolve_is_the_sum_of_generator_convolutions(f, g):
+    pairs = [convolve_generators(a, b) for a in f for b in g]
+    assert convolve(f, g) == direct_sum(*pairs)
 
 
 # ---------------------------------------------------------------------------
