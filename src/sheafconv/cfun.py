@@ -26,7 +26,14 @@ from itertools import combinations, product
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
-from .polytope import Polytope, convex_hull, lattice_point, minkowski_sum
+from .polytope import (
+    Polytope,
+    convex_hull,
+    lattice_point,
+    minkowski_sum,
+    sort_by_vertices,
+    vertex_keys,
+)
 from .region import (
     CLOSED,
     RELINT,
@@ -64,13 +71,11 @@ def _conv_terms(fr: Region, gr: Region) -> tuple:
     if fr.dim != gr.dim:
         raise InputError("convolution needs a common ambient dimension")
     acc: dict = {}
-    polys: dict = {}
     for a, wa in closed_expansion(fr):
         for b, wb in closed_expansion(gr):
             m = minkowski_sum(a, b)
-            acc[m.verts] = acc.get(m.verts, 0) + wa * wb
-            polys[m.verts] = m
-    return tuple((polys[k], w) for k, w in sorted(acc.items()) if w)
+            acc[m] = acc.get(m, 0) + wa * wb
+    return tuple(sort_by_vertices([(m, w) for m, w in acc.items() if w]))
 
 
 def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> ConstructibleFunction:
@@ -119,11 +124,11 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
         raise InputError("covector dimension mismatch")
     if all(c == 0 for c in xi):
         raise InputError("projection direction must be nonzero")
+    a, L = lattice_point(xi)
     points: dict = {}
     opens = []
     for term in f.region.terms:
-        vals = [vdot(xi, v) for v in term.poly.verts]
-        lo, hi = min(vals), max(vals)
+        lo, hi = term.poly.extent(a, L)
         w = term.weight
         if term.mode == CLOSED:
             points[lo] = points.get(lo, 0) + w
@@ -135,6 +140,13 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
         else:
             opens.append((lo, hi, w if term.poly.adim % 2 else -w))
     return cf1_from_atoms(points, opens)
+
+
+def _vertices(r: Region) -> list:
+    """The terms' distinct vertices, sorted, scaled by one common
+    denominator: differences of them have the directions of the
+    differences of the rational vertices."""
+    return sorted({v for k in vertex_keys([t.poly for t in r.terms]) for v in k})
 
 
 def default_directions(r: Region, max_coeff: int = 5) -> list[tuple[int, ...]]:
@@ -150,8 +162,7 @@ def default_directions(r: Region, max_coeff: int = 5) -> list[tuple[int, ...]]:
     for term in r.terms:
         for nu, _ in term.poly.lattice.planes:
             dirs.add(primitive(nu))
-    verts = sorted({v for t in r.terms for v in t.poly.verts})
-    for u, v in combinations(verts, 2):
+    for u, v in combinations(_vertices(r), 2):
         dirs.add(primitive(vsub(v, u)))
     return sorted(dirs)
 
@@ -205,8 +216,7 @@ def _perp_directions(d, r: Region):
         return [primitive((-d[1], d[0]))]
     axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     seeds = list(axes)
-    verts = sorted({v for t in r.terms for v in t.poly.verts})
-    for u, v in combinations(verts, 2):
+    for u, v in combinations(_vertices(r), 2):
         seeds.append(vsub(v, u))
     out = []
     seen = set()
@@ -243,7 +253,7 @@ def invertibility_check_cf(r: Region) -> dict:
         # gap itself, already part of the witness
         out["direction"] = (1,)
         return out
-    d = vsub(wit["y"], wit["x"])
+    d = primitive(vsub(wit["y"], wit["x"]), keep_sign=True)
     for xi in _perp_directions(d, r):
         t = vdot(xi, wit["x"])
         chi = euler_char_c(slice_region(nf, xi, t))

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .rational import MAX_LITERAL_DIGITS, too_many_digits
+from .rational import MAX_LITERAL_DIGITS, RAT_LITERAL, too_many_digits
 from . import sheaf1
 
 _TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))")
@@ -107,9 +107,10 @@ class _Parser:
             if "/" in value:
                 raise ParseError("expected an integer", at)
             return int(value)
-        _, slash, den = value.partition("/")
-        if slash and not den.strip("0"):
-            raise ParseError("zero denominator", at)
+        if not RAT_LITERAL.match(value):
+            if not value.partition("/")[2].strip("0"):
+                raise ParseError("zero denominator", at)
+            raise ParseError(f"malformed rational {value!r}; expected 'p' or 'p/q'", at)
         return Fraction(value)
 
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 
 Vec = tuple[Fraction, ...]
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -43,14 +43,15 @@ def primitive(v, keep_sign: bool = False) -> tuple[int, ...]:
     Unless keep_sign is set the result is flipped so its first nonzero
     entry is positive, giving one canonical representative per line.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    den = lcm(*(x.denominator for x in fr)) if len(fr) > 1 else fr[0].denominator
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    if all(type(x) is int for x in v):
+        ints = list(v)
+    else:
+        fr = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in fr))
+        ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
     ints = [x // g for x in ints]
     if not keep_sign:
         lead = next(x for x in ints if x != 0)

@@ -1,22 +1,26 @@
 """Compact convex polytopes with exact rational vertices, ambient dim 1..3.
 
-A Polytope stores its extreme points as sorted Fraction tuples; its
-predicates run on one integer lattice form.  With the vertices scaled
-once by the lcm of their denominators, X = den*x, it holds the affine
-chart (fraction-free elimination, Bareiss 1968), the affine-hull
-equalities <w, X> = C and the outward facets <nu, X> <= C, nu primitive
-integer; rings, edges and volumes are read off the same integers.  A
-probe scaled the same way, P = L*x, is inside when den*<nu, P> <= C*L;
-Fractions are made only for results.  2D hulls use a monotone chain;
-one exact 3D gift-wrapping hull (Chand & Kapur 1970) gives the extreme
-points and the facet planes of the hull's lattice form.  A Minkowski
-sum hulls the vertex sums.
+A Polytope is its canonical integer form (den, X): X holds its sorted
+distinct extreme points scaled by den, the lcm of their coordinates'
+denominators, so gcd(den, X) = 1 and equal polytopes have equal forms.
+Scaling by den > 0 keeps the order, so X is sorted as the Fraction
+vertices are; those, `verts`, are a view built on first use for JSON,
+the public API and witnesses.  The predicates run on one integer lattice
+form of the same points: the affine chart (fraction-free elimination,
+Bareiss 1968), the affine-hull equalities <w, X> = C and the outward
+facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
+read off the same integers.  A probe scaled the same way, P = L*x, is
+inside when den*<nu, P> <= C*L.  Minkowski sums, intersections, slices
+and projections make integer points over one denominator and hand them
+to one hull entry, which divides out the gcd; faces are integer subsets
+of their parent's points, and a reflection negates the lattice form.
+2D hulls use a monotone chain; one exact 3D gift-wrapping hull (Chand &
+Kapur 1970) gives the extreme points and the facet planes.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -40,33 +44,59 @@ def lattice_point(x) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (L // c.denominator) for c in x), L
 
 
-def _scaled(pts, den: int) -> list:
-    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
-
-
-@dataclass(frozen=True)
 class Polytope:
-    verts: tuple
+    """A compact convex polytope, given by its extreme points.
 
-    def __post_init__(self):
-        pts = sorted({tuple(rat(c) for c in v) for v in self.verts})
-        if not pts:
-            raise InputError("a polytope needs at least one vertex")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise InputError("mixed coordinate dimensions")
-        if not 1 <= n <= 3:
-            raise InputError(f"ambient dimension {n} out of range 1..3")
-        object.__setattr__(self, "verts", tuple(pts))
+    Its identity is its canonical integer form (den, ints): ints holds
+    the sorted distinct vertices scaled by den, the lcm of their
+    coordinates' denominators, so gcd(den, every coordinate) = 1.
+    Equality and the hash, computed once, read that form.
+    """
+
+    def __init__(self, verts):
+        den, X = _integer_points(verts, "a polytope needs at least one vertex")
+        self._put(den, tuple(sorted(set(X))))
+
+    @classmethod
+    def from_ints(cls, den: int, points) -> "Polytope":
+        """The polytope whose extreme points are the integer points over
+        den > 0, in any order and with repeats."""
+        X = sorted(set(points))
+        g = gcd(den, *(c for p in X for c in p))
+        if g > 1:
+            den //= g
+            X = [tuple(c // g for c in p) for p in X]
+        self = object.__new__(cls)
+        self._put(den, tuple(X))
+        return self
+
+    def _put(self, den: int, X: tuple) -> None:
+        self.den = den
+        self.ints = X
+        self._hash = hash((den, X))
+
+    def __eq__(self, other):
+        return isinstance(other, Polytope) and self.den == other.den and self.ints == other.ints
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Polytope(verts={self.verts!r})"
+
+    @cached_property
+    def verts(self) -> tuple:
+        """The vertices as sorted Fraction tuples."""
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in p) for p in self.ints)
 
     @property
     def n(self) -> int:
-        return len(self.verts[0])
+        return len(self.ints[0])
 
     @cached_property
     def lattice(self) -> Lattice:
-        den = lcm(*(c.denominator for v in self.verts for c in v))
-        return _lattice(den, _scaled(self.verts, den))[0]
+        return _lattice(self.den, self.ints)[0]
 
     @property
     def adim(self) -> int:
@@ -80,15 +110,13 @@ class Polytope:
     @property
     def equalities(self) -> tuple:
         """Affine-hull equations (w, c): <w,x> = c on the polytope."""
-        den = self.lattice.den
-        return tuple((w, Fraction(c, den)) for w, c in self.lattice.eqs)
+        return tuple((w, Fraction(c, self.den)) for w, c in self.lattice.eqs)
 
     @cached_property
     def inequalities(self) -> tuple:
         """Outward facet halfspaces (nu, c): inside means <nu,x> <= c, nu a
         primitive integer normal."""
-        den = self.lattice.den
-        return tuple((nu, Fraction(c, den)) for nu, c in self.lattice.planes)
+        return tuple((nu, Fraction(c, self.den)) for nu, c in self.lattice.planes)
 
     def contains(self, x, strict: bool = False) -> bool:
         x = tuple(rat(c) for c in x)
@@ -116,32 +144,37 @@ class Polytope:
                 r = c * L - den * vdot(w, U)
                 yield (r, s) if s > 0 else (-r, -s)
 
-    @property
-    def _ints(self) -> list:
-        return _scaled(self.verts, self.lattice.den)
+    def extent(self, a, L: int) -> tuple[Fraction, Fraction]:
+        """The least and the greatest value of <a, x>/L on the polytope,
+        for an integer covector a and L > 0."""
+        vals = [vdot(a, p) for p in self.ints]
+        M = L * self.den
+        return Fraction(min(vals), M), Fraction(max(vals), M)
 
     @cached_property
     def facets(self) -> tuple["Polytope", ...]:
-        ints = self._ints
         return tuple(
-            Polytope(tuple(v for v, p in zip(self.verts, ints) if vdot(nu, p) == c))
+            Polytope.from_ints(self.den, [p for p in self.ints if vdot(nu, p) == c])
             for nu, c in self.lattice.planes
         )
 
     @cached_property
     def faces(self) -> tuple["Polytope", ...]:
-        """Every face, the polytope itself included."""
-        seen = {self.verts: self}
+        """Every face, the polytope itself included, by affine dimension
+        and then vertices."""
+        seen = {self: None}
         frontier = [self]
         while frontier:
             nxt = []
             for f in frontier:
                 for g in f.facets:
-                    if g.verts not in seen:
-                        seen[g.verts] = g
+                    if g not in seen:
+                        seen[g] = None
                         nxt.append(g)
             frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda f: (f.adim, f.verts)))
+        faces = list(seen)
+        keys = [(f.adim, k) for f, k in zip(faces, vertex_keys(faces))]
+        return tuple(faces[i] for i in sorted(range(len(faces)), key=keys.__getitem__))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -149,15 +182,50 @@ class Polytope:
         adim - 1 common facet planes."""
         planes = self.lattice.planes
         masks = [sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
-                 for p in self._ints]
+                 for p in self.ints]
         return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
                      if (masks[i] & masks[j]).bit_count() >= self.adim - 1)
 
     def reflect(self) -> "Polytope":
-        return Polytope(tuple(vneg(v) for v in self.verts))
+        """The polytope -P; its lattice form is the negated one: equalities
+        (w, -c) and facet planes (-nu, c)."""
+        out = Polytope.from_ints(self.den, [vneg(p) for p in self.ints])
+        den, chart, eqs, planes = self.lattice
+        out.__dict__["lattice"] = Lattice(den, chart, tuple((w, -c) for w, c in eqs),
+                                          tuple((vneg(nu), c) for nu, c in planes))
+        return out
 
     def support(self, nu) -> Fraction:
-        return max(vdot(nu, v) for v in self.verts)
+        return Fraction(max(vdot(nu, p) for p in self.ints)) / self.den
+
+
+def vertex_keys(polys) -> list:
+    """Sort keys that order polytopes as their Fraction vertex tuples do:
+    their integer points over one common denominator."""
+    D = lcm(*(p.den for p in polys))
+    return [p.ints if p.den == D else
+            tuple(tuple(c * (D // p.den) for c in v) for v in p.ints) for p in polys]
+
+
+def sort_by_vertices(pairs: list) -> list:
+    """(polytope, x) pairs sorted by the polytopes' vertices, then by x."""
+    keys = [(k, x) for k, (_, x) in zip(vertex_keys([q for q, _ in pairs]), pairs)]
+    return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
+
+
+def _integer_points(points, empty: str) -> tuple[int, list]:
+    """(den, the points scaled by den) for rational points of one ambient
+    dimension 1..3, den the lcm of their coordinates' denominators."""
+    pts = [tuple(rat(c) for c in p) for p in points]
+    if not pts:
+        raise InputError(empty)
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise InputError("mixed coordinate dimensions")
+    if not 1 <= n <= 3:
+        raise InputError(f"ambient dimension {n} out of range 1..3")
+    den = lcm(*(c.denominator for p in pts for c in p))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +404,32 @@ def _hull3(zpts: list) -> tuple[list, list]:
 
 
 def convex_hull(points) -> Polytope:
-    pts = sorted({tuple(rat(c) for c in p) for p in points})
-    if not pts:
-        raise InputError("convex hull of an empty point set")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise InputError("mixed coordinate dimensions")
-    if not 1 <= n <= 3:
-        raise InputError(f"ambient dimension {n} out of range 1..3")
-    den = lcm(*(c.denominator for p in pts for c in p))
-    X = _scaled(pts, den)
-    lattice, ext = _lattice(den, X)
-    orig = dict(zip(X, pts))
-    hull = Polytope(tuple(orig[p] for p in ext))
-    # the cloud's lattice form is the hull's, 3D planes included
+    return _hull(*_integer_points(points, "convex hull of an empty point set"))
+
+
+def _hull(den: int, points) -> Polytope:
+    """The hull of integer points over den > 0, carrying the lattice form
+    that building it gave, divided through with the points by their gcd
+    with den."""
+    lattice, ext = _lattice(den, sorted(set(points)))
+    hull = Polytope.from_ints(den, ext)
+    g = den // hull.den
+    if g > 1:
+        eqs, planes = (tuple((w, c // g) for w, c in part) for part in lattice[2:])
+        lattice = Lattice(hull.den, lattice.chart, eqs, planes)
     hull.__dict__["lattice"] = lattice
     return hull
+
+
+def _hull_of_ratios(points) -> Polytope:
+    """The hull of the points P/L, from (P, L) pairs with P integer and
+    L > 0, over the lcm of their reduced denominators."""
+    reduced = []
+    for P, L in points:
+        g = gcd(L, *P)
+        reduced.append((tuple(c // g for c in P), L // g) if g > 1 else (P, L))
+    den = lcm(*(L for _, L in reduced))
+    return _hull(den, [tuple(c * (den // L) for c in P) for P, L in reduced])
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +437,12 @@ def convex_hull(points) -> Polytope:
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
+    """The hull of the vertex sums, added as integers over lcm(dp, dq)."""
     if p.n != q.n:
         raise InputError("Minkowski sum needs a common ambient dimension")
-    return convex_hull([vadd(a, b) for a in p.verts for b in q.verts])
+    den = lcm(p.den, q.den)
+    P, Q = ([tuple(c * (den // a.den) for c in v) for v in a.ints] for a in (p, q))
+    return _hull(den, [vadd(u, v) for u in P for v in Q])
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
@@ -370,10 +451,10 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
     one crosses a plane of the other inside the other."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
-    cands = set()
+    cands = []
     for a, b in ((p, q), (q, p)):
-        den, X = a.lattice.den, a._ints
-        cands.update(v for v, V in zip(a.verts, X) if b.contains_scaled(V, den))
+        den, X = a.den, a.ints
+        cands.extend((V, den) for V in X if b.contains_scaled(V, den))
         for i, j in a.edges:
             U = X[i]
             D = vsub(X[j], U)
@@ -381,27 +462,28 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
                 if 0 <= r <= s:
                     P = tuple(u * s + r * d for u, d in zip(U, D))
                     if b.contains_scaled(P, den * s):
-                        cands.add(tuple(Fraction(c, den * s) for c in P))
+                        cands.append((P, den * s))
     if not cands:
         return None
-    return convex_hull(cands)
+    return _hull_of_ratios(cands)
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
     coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
     a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
-    den, X = p.lattice.den, p._ints
+    den, X = p.den, p.ints
     side = [vdot(a, V) - b * den for V in X]
-    cands = {v for v, s in zip(p.verts, side) if s == 0}
+    cands = [(V, den) for V, s in zip(X, side) if s == 0]
     for i, j in p.edges:
         su, sw = side[i], side[j]
         if su * sw < 0:
-            L = den * (sw - su)
-            cands.add(tuple(Fraction(u * sw - w * su, L) for u, w in zip(X[i], X[j])))
+            if su > 0:
+                su, sw, i, j = sw, su, j, i
+            cands.append((tuple(u * sw - w * su for u, w in zip(X[i], X[j])), den * (sw - su)))
     if not cands:
         return None
-    return convex_hull(cands)
+    return _hull_of_ratios(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +493,7 @@ def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
 def polytope_volume(p: Polytope) -> Fraction:
     """Volume of p in its own affine hull (counting measure for points),
     measured in its chart."""
-    d, chart, X, den = p.adim, p.chart, p._ints, p.lattice.den
+    d, chart, X, den = p.adim, p.chart, p.ints, p.den
     if d == 0:
         return Fraction(1)
     if d == 1:
@@ -434,7 +516,7 @@ def polytope_volume(p: Polytope) -> Fraction:
 
 def chart_volume(p: Polytope, idxs: tuple[int, ...], dim: int) -> Fraction:
     """dim-volume of the projection of p onto the given coordinates."""
-    proj = convex_hull([tuple(v[i] for i in idxs) for v in p.verts])
+    proj = _hull(p.den, [tuple(V[i] for i in idxs) for V in p.ints])
     if proj.adim < dim:
         return Fraction(0)
     return polytope_volume(proj)

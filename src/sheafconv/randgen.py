@@ -98,5 +98,5 @@ def rand_union_region(rng: random.Random, n: int, max_terms: int = 3, span: int 
     polys: dict = {}
     while len(polys) < k:
         p = rand_box(rng, n, span) if rng.random() < 0.5 else rand_polytope(rng, n, span=span)
-        polys[p.verts] = p
+        polys[p] = p
     return make_region(n, [(p, CLOSED, 1) for p in polys.values()])

@@ -16,7 +16,9 @@ from .errors import InputError
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# The one grammar of a rational literal, for parse_rat and the DSL: 'p',
+# '-p' or 'p/q', the denominator without leading zeros.
+RAT_LITERAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 # The most decimal digits a literal may spell in its numerator and in its
 # denominator, leading zeros included; a longer one is bad input, rejected
@@ -24,11 +26,19 @@ _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # digits by default, and this bound leaves room for results built from a
 # few literals, whose denominators multiply.
 MAX_LITERAL_DIGITS = 1000
+_INT_BOUND = 10**MAX_LITERAL_DIGITS
 
 
 def too_many_digits(literal: str) -> bool:
     """True when a 'p', '-p' or 'p/q' literal exceeds MAX_LITERAL_DIGITS."""
-    return any(len(part) > MAX_LITERAL_DIGITS for part in literal.lstrip("-").split("/"))
+    return len(literal) > MAX_LITERAL_DIGITS and any(
+        len(part) > MAX_LITERAL_DIGITS for part in literal.lstrip("-").split("/"))
+
+
+def int_too_long(value) -> bool:
+    """True when value is an int of more than MAX_LITERAL_DIGITS digits,
+    decided without converting it to a string."""
+    return isinstance(value, int) and abs(value) >= _INT_BOUND
 
 
 def rat(value) -> Fraction:
@@ -45,7 +55,7 @@ def rat(value) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
-    if not _RAT_RE.match(text):
+    if not RAT_LITERAL.match(text):
         raise InputError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
     if too_many_digits(text):
         raise InputError(f"rational literal longer than {MAX_LITERAL_DIGITS} digits")

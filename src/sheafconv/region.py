@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InvariantViolation
-from .linalg import vadd, vdot, vscale, vsub
+from .linalg import vsub
 from .polytope import (
     Polytope,
     chart_volume,
@@ -28,8 +28,10 @@ from .polytope import (
     lattice_point,
     open_indicator_expansion,
     slice_polytope,
+    sort_by_vertices,
+    vertex_keys,
 )
-from .rational import fmt_rat, rat
+from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -49,10 +51,6 @@ class Term:
         if self.weight == 0:
             raise InputError("term weight must be nonzero")
 
-    @property
-    def sort_key(self):
-        return (self.poly.verts, self.mode)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -64,8 +62,9 @@ class Region:
             raise InputError(f"ambient dimension {self.dim} out of range 1..3")
         if any(t.poly.n != self.dim for t in self.terms):
             raise InputError("term dimension mismatch")
-        keys = [t.sort_key for t in self.terms]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        verts = vertex_keys([t.poly for t in self.terms])
+        keys = [(k, t.mode) for k, t in zip(verts, self.terms)]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("region terms not in canonical form")
 
 
@@ -75,18 +74,10 @@ def make_region(dim: int, items) -> Region:
     Equal (polytope, mode) entries merge; zero weights drop out.
     """
     acc: dict = {}
-    polys: dict = {}
     for poly, mode, weight in items:
-        key = (poly.verts, mode)
-        acc[key] = acc.get(key, 0) + weight
-        polys[key] = poly
-    terms = [
-        Term(polys[k], k[1], w)
-        for k, w in acc.items()
-        if w != 0
-    ]
-    terms.sort(key=lambda t: t.sort_key)
-    return Region(dim, tuple(terms))
+        acc[poly, mode] = acc.get((poly, mode), 0) + weight
+    live = sort_by_vertices([key for key, w in acc.items() if w != 0])
+    return Region(dim, tuple(Term(poly, mode, acc[poly, mode]) for poly, mode in live))
 
 
 def region_to_json(r: Region) -> dict:
@@ -127,6 +118,8 @@ def region_from_json(data) -> Region:
             raise InputError("region term needs at least one vertex")
         if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
             raise InputError("vertices must be a list of coordinate lists")
+        if any(map(int_too_long, (c for v in verts for c in v))) or int_too_long(weight):
+            raise InputError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
         pts = [tuple(rat(c) for c in v) for v in verts]
         if any(len(p) != dim for p in pts):
             raise InputError("vertex length disagrees with dimension")
@@ -164,16 +157,14 @@ def euler_char_c(r: Region) -> int:
 def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
     """Rewrite every term over closed polytopes (relint via its face sum)."""
     acc: dict = {}
-    polys: dict = {}
     for t in r.terms:
         if t.mode == CLOSED:
             pieces = [(t.poly, 1)]
         else:
             pieces = open_indicator_expansion(t.poly)
         for poly, sign in pieces:
-            acc[poly.verts] = acc.get(poly.verts, 0) + sign * t.weight
-            polys[poly.verts] = poly
-    return [(polys[k], w) for k, w in sorted(acc.items()) if w != 0]
+            acc[poly] = acc.get(poly, 0) + sign * t.weight
+    return sort_by_vertices([(p, w) for p, w in acc.items() if w != 0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +184,14 @@ def slice_region(r: Region, xi, t) -> Region:
     t = rat(t)
     drop = next(i for i, c in enumerate(xi) if c != 0)
     keep = [i for i in range(r.dim) if i != drop]
+    a, L = lattice_point(xi)
 
     def project(poly: Polytope) -> Polytope:
-        return Polytope(tuple(tuple(v[i] for i in keep) for v in poly.verts))
+        return Polytope.from_ints(poly.den, [tuple(V[i] for i in keep) for V in poly.ints])
 
     items = []
     for term in r.terms:
-        vals = [vdot(xi, v) for v in term.poly.verts]
-        lo, hi = min(vals), max(vals)
+        lo, hi = term.poly.extent(a, L)
         if term.mode == CLOSED:
             sliced = slice_polytope(term.poly, xi, t)
             if sliced is not None:
@@ -265,11 +256,8 @@ def _segment_exit(polys, x, y):
 
 
 def _barycenter(poly: Polytope):
-    k = len(poly.verts)
-    acc = poly.verts[0]
-    for v in poly.verts[1:]:
-        acc = vadd(acc, v)
-    return vscale(acc, Fraction(1, k))
+    M = len(poly.ints) * poly.den
+    return tuple(Fraction(sum(c), M) for c in zip(*poly.ints))
 
 
 def is_convex_region(r: Region, hull: Polytope | None = None):

@@ -276,6 +276,23 @@ def test_cli_zero_denominator_with_leading_zeros_is_exit_2(capsys):
     assert "zero denominator" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "-e", "kc(0,1/010)"],
+    ["stalk", "-e", "kc(0,1)", "--at", "1/010"],
+], ids=["dsl", "stalk-at"])
+def test_cli_denominator_with_leading_zero_is_exit_2(capsys, argv):
+    # the DSL and --at read one literal grammar
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]
+
+
+def test_dsl_literal_error_points_at_the_literal():
+    with pytest.raises(ParseError) as exc:
+        parse("kc(0, 1/010)")
+    assert exc.value.position == 6
+
+
 def test_cli_table(capsys):
     rc = cli.main(["table", "--trials", "40", "--seed", "2"])
     assert rc == 0
@@ -381,6 +398,27 @@ def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
     assert cli.main(["region", "check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("where", ["vertex", "weight"])
+def test_cli_region_integer_digit_bound(tmp_path, capsys, where):
+    # a JSON integer obeys the literal bound that a "p" string does
+    edge = 10**MAX_LITERAL_DIGITS - 1
+    for value, code in ((edge, 0), (edge + 1, 2), (-edge - 1, 2)):
+        term = dict(SQ["terms"][0])
+        if where == "vertex":
+            term["vertices"] = [[0, 0], [1, 0], [0, value]]
+        else:
+            term["weight"] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dimension": 2, "terms": [term]}))
+        sq = write(tmp_path, "sq.json", SQ)
+        assert cli.main(["region", "conv", str(path), sq, "--at", "0,0"]) == code, value
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and "1000 digits" in json.loads(err)["error"]
+        else:
+            assert err == "" and json.loads(out)
 
 
 def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
