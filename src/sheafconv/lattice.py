@@ -1,0 +1,189 @@
+"""The integer lattice form of the hull of an integer point list,
+ambient dimension 1..3.
+
+Integers only, no Fractions and no Polytopes: `polytope` scales rational
+points to integers over one denominator and builds its Polytopes on this.
+The pivot chart and the affine-hull equalities come from fraction-free
+elimination (Bareiss 1968); a planar hull is a monotone chain, and one
+exact 3D gift-wrapping hull (Chand & Kapur 1970) gives the extreme points
+and the facet planes.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from math import gcd
+
+from .linalg import cross3, vadd, vdot, vneg, vsub
+
+# the form of a point set X: <w, x> = c for (w, c) in eqs and
+# <nu, x> <= c for (nu, c) in planes on its hull; chart holds the pivot
+# coordinates.  A polytope's X is its vertices scaled by its den.
+Lattice = namedtuple("Lattice", "chart eqs planes")
+
+
+def lattice_form(X: list) -> tuple[Lattice, list]:
+    """The lattice form of the hull of the sorted distinct integer
+    points X, and the hull's extreme points, sorted."""
+    x0 = X[0]
+    n = len(x0)
+    chart, basis = _echelon([vsub(p, x0) for p in X[1:]], n)
+    eqs = tuple((w, vdot(w, x0)) for w in _kernel(basis, chart, n))
+    ext, planes = [x0], []
+    if len(chart) == 1:
+        d = _primitive(vsub(X[-1], x0))
+        ext, planes = [x0, X[-1]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
+    elif len(chart) == 2:
+        loop = ring2(X, chart)
+        for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
+            d = vsub(v, u)
+            nu = _primitive((d[1], -d[0]) if n == 2 else cross3(eqs[0][0], d))
+            c = vdot(nu, u)
+            if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
+                nu, c = vneg(nu), -c
+            planes.append((nu, c))
+        ext = sorted(loop)
+    elif chart:
+        planes, ext = hull3(X)
+    return Lattice(tuple(chart), eqs, tuple(planes)), ext
+
+
+def _primitive(v) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _echelon(rows: list, n: int) -> tuple[list[int], list]:
+    """Pivot columns and echelon rows of an integer matrix with n
+    columns, by fraction-free elimination (Bareiss 1968): each entry
+    stays an integer minor, so every division is exact.  The pivots are
+    those of the reduced row echelon form."""
+    pivots, basis, prev = [], [], 1
+    for c in range(n):
+        top = next((r for r in rows if r[c]), None)
+        if top is not None:
+            rows.remove(top)
+            p = top[c]
+            rows = [e for e in ([(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                                for r in rows) if any(e)]
+            pivots.append(c)
+            basis.append(top)
+            prev = p
+    return pivots, basis
+
+
+def _kernel(basis: list, pivots: list[int], n: int) -> list:
+    """The nullspace basis of the reduced echelon form, one vector per
+    free coordinate with 1 there, scaled to primitive integers: back
+    substitution through the echelon rows, scaling instead of dividing."""
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        w = [int(j == f) for j in range(n)]
+        for row, p in zip(reversed(basis), reversed(pivots)):
+            s = vdot(row, w)
+            w = [x * row[p] for x in w]
+            w[p] = -s
+        out.append(_primitive(w if w[f] > 0 else vneg(w)))
+    return out
+
+
+def ring2(X: list, chart) -> list:
+    """The extreme points of a rank-2 point list in counterclockwise
+    chart order."""
+    i, j = chart
+    back = {(p[i], p[j]): p for p in X}
+    return [back[q] for q in _hull2_ring(sorted(back))]
+
+
+def ring_on(X: list, plane) -> list:
+    """The ring of the points of a 3D point list on a supporting plane,
+    through an injective chart: drop a coordinate the normal does not
+    vanish on."""
+    nu, c = plane
+    drop = 0 if nu[0] else 1 if nu[1] else 2
+    on = [p for p in X if vdot(nu, p) == c]
+    return ring2(on, [i for i in range(3) if i != drop])
+
+
+def _cross2(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull2_ring(pts: list) -> list:
+    """Monotone chain; strict turns so collinear midpoints drop out."""
+    if len(pts) <= 2:
+        return list(pts)
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def hull3(zpts: list) -> tuple[list, list]:
+    """Facet planes and extreme points of a sorted rank-3 integer point
+    list, both sorted.
+
+    The planes are (nu, c), nu a primitive outward integer normal and
+    <nu,x> <= c on the hull.  A first facet through the lexicographic
+    minimum is wrapped across every edge of every facet found, one pass
+    over the points per edge.  A facet keeps every point of its plane,
+    and its ring is their planar hull; the extreme points are the union
+    of the rings.
+    """
+
+    def wrap(a, d, inner, nu):
+        # turn the supporting plane with outward normal nu about the line
+        # a + t*d, away from inner (a point of that plane off the line),
+        # as far as the points allow.  A point replaces the best one so
+        # far when it lies strictly beyond the plane through the line and
+        # that best point; every point lies within a half-turn of inner,
+        # so one pass ends on a supporting plane.
+        a0, a1, a2 = a
+        i0, i1, i2 = inner[0] - a0, inner[1] - a1, inner[2] - a2
+        b0, b1, b2 = -nu[0], -nu[1], -nu[2]
+        for p in zpts:
+            w0, w1, w2 = p[0] - a0, p[1] - a1, p[2] - a2
+            if b0 * w0 + b1 * w1 + b2 * w2 > 0:
+                b0, b1, b2 = cross3(d, (w0, w1, w2))
+                if b0 * i0 + b1 * i1 + b2 * i2 > 0:
+                    b0, b1, b2 = -b0, -b1, -b2
+        g = gcd(b0, b1, b2)
+        best = (b0 // g, b1 // g, b2 // g)
+        return best, best[0] * a0 + best[1] * a1 + best[2] * a2
+
+    # the plane x = min x supports the lexicographic minimum; turn it
+    # about lines in it until it holds three points off a line
+    plane = ((-1, 0, 0), -zpts[0][0])
+    ring = ring_on(zpts, plane)
+    while len(ring) < 3:
+        a = ring[0]
+        d = vsub(ring[1], a) if len(ring) == 2 else (0, 0, 1)
+        plane = wrap(a, d, vadd(a, cross3(plane[0], d)), plane[0])
+        ring = ring_on(zpts, plane)
+
+    rings = {plane: ring}
+    todo = [plane]
+    done = set()
+    while todo:
+        plane = todo.pop()
+        ring = rings[plane]
+        k = len(ring)
+        for i in range(k):
+            u, v = ring[i], ring[(i + 1) % k]
+            edge = (u, v) if u < v else (v, u)
+            if edge in done:
+                continue
+            done.add(edge)
+            nxt = wrap(u, vsub(v, u), ring[(i + 2) % k], plane[0])
+            if nxt not in rings:
+                rings[nxt] = ring_on(zpts, nxt)
+                todo.append(nxt)
+
+    return sorted(rings), sorted({p for ring in rings.values() for p in ring})

@@ -43,12 +43,8 @@ def primitive(v, keep_sign: bool = False) -> tuple[int, ...]:
     Unless keep_sign is set the result is flipped so its first nonzero
     entry is positive, giving one canonical representative per line.
     """
-    if all(type(x) is int for x in v):
-        ints = list(v)
-    else:
-        fr = [Fraction(x) for x in v]
-        den = lcm(*(x.denominator for x in fr))
-        ints = [x.numerator * (den // x.denominator) for x in fr]
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)

@@ -14,13 +14,12 @@ inside when den*<nu, P> <= C*L.  Minkowski sums, intersections, slices
 and projections make integer points over one denominator and hand them
 to one hull entry, which divides out the gcd; faces are integer subsets
 of their parent's points, and a reflection negates the lattice form.
-2D hulls use a monotone chain; one exact 3D gift-wrapping hull (Chand &
-Kapur 1970) gives the extreme points and the facet planes.
+The lattice form and the hulls themselves are built on integers alone
+in `lattice`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -28,14 +27,9 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
+from .lattice import Lattice, lattice_form, ring2, ring_on
 from .linalg import cross3, vadd, vdot, vneg, vsub
 from .rational import rat
-
-
-# a polytope's integer form: with X = den*x for x in it, <w, X> = c for
-# (w, c) in eqs and <nu, X> <= c for (nu, c) in planes; chart holds the
-# pivot coordinates
-Lattice = namedtuple("Lattice", "den chart eqs planes")
 
 
 def lattice_point(x) -> tuple[tuple[int, ...], int]:
@@ -96,7 +90,7 @@ class Polytope:
 
     @cached_property
     def lattice(self) -> Lattice:
-        return _lattice(self.den, self.ints)[0]
+        return lattice_form(self.ints)[0]
 
     @property
     def adim(self) -> int:
@@ -127,7 +121,8 @@ class Polytope:
     def contains_scaled(self, P, L: int, strict: bool = False) -> bool:
         """Whether the point P/L lies in the polytope (its relative
         interior when strict), for an integer point P and L > 0."""
-        den, _, eqs, planes = self.lattice
+        den = self.den
+        _, eqs, planes = self.lattice
         if any(den * vdot(w, P) != c * L for w, c in eqs):
             return False
         if strict:
@@ -137,7 +132,8 @@ class Polytope:
     def crossings(self, U, D, L: int):
         """(r, s) with s > 0 for each affine-hull or facet plane that the
         line (U + t*D)/L crosses, at t = r/s; U and D are integer."""
-        den, _, eqs, planes = self.lattice
+        den = self.den
+        _, eqs, planes = self.lattice
         for w, c in eqs + planes:
             s = den * vdot(w, D)
             if s:
@@ -190,8 +186,8 @@ class Polytope:
         """The polytope -P; its lattice form is the negated one: equalities
         (w, -c) and facet planes (-nu, c)."""
         out = Polytope.from_ints(self.den, [vneg(p) for p in self.ints])
-        den, chart, eqs, planes = self.lattice
-        out.__dict__["lattice"] = Lattice(den, chart, tuple((w, -c) for w, c in eqs),
+        chart, eqs, planes = self.lattice
+        out.__dict__["lattice"] = Lattice(chart, tuple((w, -c) for w, c in eqs),
                                           tuple((vneg(nu), c) for nu, c in planes))
         return out
 
@@ -229,178 +225,7 @@ def _integer_points(points, empty: str) -> tuple[int, list]:
 
 
 # ---------------------------------------------------------------------------
-# the lattice form
-
-
-def _primitive(v) -> tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(c // g for c in v)
-
-
-def _echelon(rows: list, n: int) -> tuple[list[int], list]:
-    """Pivot columns and echelon rows of an integer matrix with n
-    columns, by fraction-free elimination (Bareiss 1968): each entry
-    stays an integer minor, so every division is exact.  The pivots are
-    those of the reduced row echelon form."""
-    pivots, basis, prev = [], [], 1
-    for c in range(n):
-        top = next((r for r in rows if r[c]), None)
-        if top is not None:
-            rows.remove(top)
-            p = top[c]
-            rows = [e for e in ([(p * x - r[c] * y) // prev for x, y in zip(r, top)]
-                                for r in rows) if any(e)]
-            pivots.append(c)
-            basis.append(top)
-            prev = p
-    return pivots, basis
-
-
-def _kernel(basis: list, pivots: list[int], n: int) -> list:
-    """The nullspace basis of the reduced echelon form, one vector per
-    free coordinate with 1 there, scaled to primitive integers: back
-    substitution through the echelon rows, scaling instead of dividing."""
-    out = []
-    for f in (j for j in range(n) if j not in pivots):
-        w = [int(j == f) for j in range(n)]
-        for row, p in zip(reversed(basis), reversed(pivots)):
-            s = vdot(row, w)
-            w = [x * row[p] for x in w]
-            w[p] = -s
-        out.append(_primitive(w if w[f] > 0 else vneg(w)))
-    return out
-
-
-def _ring2(X: list, chart) -> list:
-    """The extreme points of a rank-2 point list in counterclockwise
-    chart order."""
-    i, j = chart
-    back = {(p[i], p[j]): p for p in X}
-    return [back[q] for q in _hull2_ring(sorted(back))]
-
-
-def _ring_on(X: list, plane) -> list:
-    """The ring of the points of a 3D point list on a supporting plane,
-    through an injective chart: drop a coordinate the normal does not
-    vanish on."""
-    nu, c = plane
-    drop = 0 if nu[0] else 1 if nu[1] else 2
-    on = [p for p in X if vdot(nu, p) == c]
-    return _ring2(on, [i for i in range(3) if i != drop])
-
-
-def _lattice(den: int, X: list) -> tuple[Lattice, list]:
-    """The lattice form of the hull of the sorted distinct integer
-    points X over den, and the hull's extreme points, sorted."""
-    x0 = X[0]
-    n = len(x0)
-    chart, basis = _echelon([vsub(p, x0) for p in X[1:]], n)
-    eqs = tuple((w, vdot(w, x0)) for w in _kernel(basis, chart, n))
-    ext, planes = [x0], []
-    if len(chart) == 1:
-        d = _primitive(vsub(X[-1], x0))
-        ext, planes = [x0, X[-1]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
-    elif len(chart) == 2:
-        loop = _ring2(X, chart)
-        for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
-            d = vsub(v, u)
-            nu = _primitive((d[1], -d[0]) if n == 2 else cross3(eqs[0][0], d))
-            c = vdot(nu, u)
-            if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
-                nu, c = vneg(nu), -c
-            planes.append((nu, c))
-        ext = sorted(loop)
-    elif chart:
-        planes, ext = _hull3(X)
-    return Lattice(den, tuple(chart), eqs, tuple(planes)), ext
-
-
-# ---------------------------------------------------------------------------
 # hull construction
-
-
-def _cross2(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull2_ring(pts: list) -> list:
-    """Monotone chain; strict turns so collinear midpoints drop out."""
-    if len(pts) <= 2:
-        return list(pts)
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _hull3(zpts: list) -> tuple[list, list]:
-    """Facet planes and extreme points of a sorted rank-3 integer point
-    list, both sorted.
-
-    The planes are (nu, c), nu a primitive outward integer normal and
-    <nu,x> <= c on the hull.  A first facet through the lexicographic
-    minimum is wrapped across every edge of every facet found, one pass
-    over the points per edge.  A facet keeps every point of its plane,
-    and its ring is their planar hull; the extreme points are the union
-    of the rings.
-    """
-
-    def wrap(a, d, inner, nu):
-        # turn the supporting plane with outward normal nu about the line
-        # a + t*d, away from inner (a point of that plane off the line),
-        # as far as the points allow.  A point replaces the best one so
-        # far when it lies strictly beyond the plane through the line and
-        # that best point; every point lies within a half-turn of inner,
-        # so one pass ends on a supporting plane.
-        a0, a1, a2 = a
-        i0, i1, i2 = inner[0] - a0, inner[1] - a1, inner[2] - a2
-        b0, b1, b2 = -nu[0], -nu[1], -nu[2]
-        for p in zpts:
-            w0, w1, w2 = p[0] - a0, p[1] - a1, p[2] - a2
-            if b0 * w0 + b1 * w1 + b2 * w2 > 0:
-                b0, b1, b2 = cross3(d, (w0, w1, w2))
-                if b0 * i0 + b1 * i1 + b2 * i2 > 0:
-                    b0, b1, b2 = -b0, -b1, -b2
-        g = gcd(b0, b1, b2)
-        best = (b0 // g, b1 // g, b2 // g)
-        return best, best[0] * a0 + best[1] * a1 + best[2] * a2
-
-    # the plane x = min x supports the lexicographic minimum; turn it
-    # about lines in it until it holds three points off a line
-    plane = ((-1, 0, 0), -zpts[0][0])
-    ring = _ring_on(zpts, plane)
-    while len(ring) < 3:
-        a = ring[0]
-        d = vsub(ring[1], a) if len(ring) == 2 else (0, 0, 1)
-        plane = wrap(a, d, vadd(a, cross3(plane[0], d)), plane[0])
-        ring = _ring_on(zpts, plane)
-
-    rings = {plane: ring}
-    todo = [plane]
-    done = set()
-    while todo:
-        plane = todo.pop()
-        ring = rings[plane]
-        k = len(ring)
-        for i in range(k):
-            u, v = ring[i], ring[(i + 1) % k]
-            edge = (u, v) if u < v else (v, u)
-            if edge in done:
-                continue
-            done.add(edge)
-            nxt = wrap(u, vsub(v, u), ring[(i + 2) % k], plane[0])
-            if nxt not in rings:
-                rings[nxt] = _ring_on(zpts, nxt)
-                todo.append(nxt)
-
-    return sorted(rings), sorted({p for ring in rings.values() for p in ring})
 
 
 def convex_hull(points) -> Polytope:
@@ -411,12 +236,12 @@ def _hull(den: int, points) -> Polytope:
     """The hull of integer points over den > 0, carrying the lattice form
     that building it gave, divided through with the points by their gcd
     with den."""
-    lattice, ext = _lattice(den, sorted(set(points)))
+    lattice, ext = lattice_form(sorted(set(points)))
     hull = Polytope.from_ints(den, ext)
     g = den // hull.den
     if g > 1:
-        eqs, planes = (tuple((w, c // g) for w, c in part) for part in lattice[2:])
-        lattice = Lattice(hull.den, lattice.chart, eqs, planes)
+        eqs, planes = (tuple((w, c // g) for w, c in part) for part in lattice[1:])
+        lattice = Lattice(lattice.chart, eqs, planes)
     hull.__dict__["lattice"] = lattice
     return hull
 
@@ -499,7 +324,7 @@ def polytope_volume(p: Polytope) -> Fraction:
     if d == 1:
         return Fraction(X[-1][chart[0]] - X[0][chart[0]], den)
     if d == 2:
-        ring = [(q[chart[0]], q[chart[1]]) for q in _ring2(X, chart)]
+        ring = [(q[chart[0]], q[chart[1]]) for q in ring2(X, chart)]
         twice = sum(
             a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])
         )
@@ -507,7 +332,7 @@ def polytope_volume(p: Polytope) -> Fraction:
     v0 = X[0]
     total = 0
     for plane in p.lattice.planes:
-        ring = _ring_on(X, plane)
+        ring = ring_on(X, plane)
         a = vsub(ring[0], v0)
         for b, c in zip(ring[1:], ring[2:]):
             total += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))

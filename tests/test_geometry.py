@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from sheafconv import polytope
+from sheafconv import lattice
 from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
@@ -146,13 +146,13 @@ def test_hull3_matches_brute_force_oracle():
 
 def test_hull3_runs_once_per_hull(monkeypatch):
     calls = []
-    real = polytope._hull3
+    real = lattice.hull3
 
     def counting(pts):
         calls.append(len(pts))
         return real(pts)
 
-    monkeypatch.setattr(polytope, "_hull3", counting)
+    monkeypatch.setattr(lattice, "hull3", counting)
     rng = random.Random(18)
     for pts in hull_corpus(rng, 8):
         calls.clear()
