@@ -259,6 +259,11 @@ def _probe_points(g: Generator, h: Generator, result: Sheaf1, rng: random.Random
     return probes, pts
 
 
+# The most trials validate_table runs, about 10 s at the rate of the
+# 1000-trial acceptance check; more is a mistake, not a stronger check.
+MAX_TRIALS = 10_000
+
+
 def _pair_name(g: Generator, h: Generator) -> str:
     return f"{g.interval.closure.name.lower()}*{h.interval.closure.name.lower()}"
 
@@ -278,6 +283,8 @@ def validate_table(
     """
     if trials < 1:
         raise InputError("validate_table needs at least one trial")
+    if trials > MAX_TRIALS:
+        raise InputError(f"validate_table runs at most {MAX_TRIALS} trials")
     if conv_fn is None:
         conv_fn = lambda a, b: Sheaf1(tuple(convolve_generators(a, b)))
     rng = random.Random(seed)

@@ -12,10 +12,11 @@ facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
 read off the same integers.  A probe scaled the same way, P = L*x, is
 inside when den*<nu, P> <= C*L.  Minkowski sums, intersections, slices
 and projections make integer points over one denominator and hand them
-to one hull entry, which divides out the gcd; faces are integer subsets
-of their parent's points, and a reflection negates the lattice form.
-The lattice form and the hulls themselves are built on integers alone
-in `lattice`.
+to one hull entry, which divides out the gcd; a reflection negates the
+lattice form.  Faces are subsets of the parent's points read off each
+vertex's mask of the facet planes it lies on: vertices, edges, facets
+and the polytope, each with the dimension it was built with.  The
+lattice form and the hulls are built on integers alone in `lattice`.
 """
 
 from __future__ import annotations
@@ -148,39 +149,43 @@ class Polytope:
         return Fraction(min(vals), M), Fraction(max(vals), M)
 
     @cached_property
-    def facets(self) -> tuple["Polytope", ...]:
-        return tuple(
-            Polytope.from_ints(self.den, [p for p in self.ints if vdot(nu, p) == c])
-            for nu, c in self.lattice.planes
-        )
+    def _incidence(self) -> tuple[int, ...]:
+        """Per vertex, the bit mask of the facet planes it lies on."""
+        planes = self.lattice.planes
+        return tuple(sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
+                     for p in self.ints)
+
+    def _on_plane(self, k: int) -> tuple[int, ...]:
+        return tuple(i for i, m in enumerate(self._incidence) if m >> k & 1)
+
+    def _face(self, idx) -> "Polytope":
+        return Polytope.from_ints(self.den, [self.ints[i] for i in idx])
 
     @cached_property
-    def faces(self) -> tuple["Polytope", ...]:
-        """Every face, the polytope itself included, by affine dimension
-        and then vertices."""
-        seen = {self: None}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in f.facets:
-                    if g not in seen:
-                        seen[g] = None
-                        nxt.append(g)
-            frontier = nxt
-        faces = list(seen)
-        keys = [(f.adim, k) for f, k in zip(faces, vertex_keys(faces))]
-        return tuple(faces[i] for i in sorted(range(len(faces)), key=keys.__getitem__))
+    def facets(self) -> tuple["Polytope", ...]:
+        return tuple(self._face(self._on_plane(k)) for k in range(len(self.lattice.planes)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Index pairs of the edges' endpoints: the vertex pairs on
         adim - 1 common facet planes."""
-        planes = self.lattice.planes
-        masks = [sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
-                 for p in self.ints]
+        masks, d = self._incidence, self.adim
         return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
-                     if (masks[i] & masks[j]).bit_count() >= self.adim - 1)
+                     if (masks[i] & masks[j]).bit_count() >= d - 1)
+
+    @cached_property
+    def faces(self) -> tuple[tuple["Polytope", int], ...]:
+        """Every face with its dimension, by dimension and then vertices:
+        the vertices, edges, facets (below dimension 3 those are vertices
+        or edges) and the polytope.  Index tuples into the sorted points
+        sort as the vertices do."""
+        d = self.adim
+        keys = [(0, (i,)) for i in range(len(self.ints))] if d else []
+        if d >= 2:
+            keys += [(1, e) for e in self.edges]
+        if d == 3:
+            keys += sorted((2, self._on_plane(k)) for k in range(len(self.lattice.planes)))
+        return tuple((self._face(idx), k) for k, idx in keys) + ((self, d),)
 
     def reflect(self) -> "Polytope":
         """The polytope -P; its lattice form is the negated one: equalities
@@ -339,20 +344,12 @@ def polytope_volume(p: Polytope) -> Fraction:
     return Fraction(total, 6 * den**3)
 
 
-def chart_volume(p: Polytope, idxs: tuple[int, ...], dim: int) -> Fraction:
-    """dim-volume of the projection of p onto the given coordinates."""
-    proj = _hull(p.den, [tuple(V[i] for i in idxs) for V in p.ints])
-    if proj.adim < dim:
-        return Fraction(0)
-    return polytope_volume(proj)
-
-
 def euler_from_faces(p: Polytope) -> int:
     """Alternating face count; equals chi_c of the closed polytope (= 1)."""
-    return sum(-1 if f.adim % 2 else 1 for f in p.faces)
+    return sum(-1 if k % 2 else 1 for _, k in p.faces)
 
 
 def open_indicator_expansion(p: Polytope) -> list[tuple[Polytope, int]]:
     """Write 1_{relint p} as a signed sum of closed-face indicators."""
     top = p.adim
-    return [(f, -1 if (top - f.adim) % 2 else 1) for f in p.faces]
+    return [(f, -1 if (top - k) % 2 else 1) for f, k in p.faces]

@@ -10,6 +10,7 @@ The wire format is the compact string "p" or "p/q".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -63,5 +64,12 @@ def parse_rat(text: str) -> Fraction:
 
 
 def fmt_rat(value: Fraction) -> str:
-    # str(Fraction) is already "p" or "p/q" in lowest terms
-    return str(value)
+    # str(Fraction) is already "p" or "p/q" in lowest terms.  Python
+    # refuses to write an int past sys.get_int_max_str_digits() digits, so
+    # a result built from a few long literals may not be writable: bad
+    # input, reported before anything is printed.
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(f"result has a rational of more than {sys.get_int_max_str_digits()} "
+                         "digits in its numerator or denominator") from None

@@ -6,27 +6,29 @@ honest indicator written by inclusion-exclusion over the terms'
 intersections; this is the package's one inclusion-exclusion.  The
 convexity decision compares exact volumes: the support of an indicator
 region equals its convex hull iff the hull volume matches the union's
-volume, read off the normal form term by term (volume is additive), both
-measured through the hull's coordinate chart.  A nonempty difference is
-open in the hull and therefore has positive volume, so the comparison is
-a real decision procedure, not a heuristic.
+volume, read off the normal form term by term (volume is additive).
+Each term is measured in its own chart, which for a term of the hull's
+dimension is the hull's chart; lower-dimensional terms have measure
+zero.  A nonempty difference is open in the hull and therefore has
+positive volume, so the comparison is a real decision procedure, not a
+heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError, InvariantViolation
 from .linalg import vsub
 from .polytope import (
     Polytope,
-    chart_volume,
     convex_hull,
     intersect_polytopes,
     lattice_point,
     open_indicator_expansion,
+    polytope_volume,
     slice_polytope,
     sort_by_vertices,
     vertex_keys,
@@ -277,24 +279,21 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
         hull = convex_hull([v for p in polys for v in p.verts])
     if hull.adim == 0:
         return True, None, nf
-    chart = hull.chart
-    vol_union = sum(
-        t.weight * chart_volume(t.poly, chart, hull.adim) for t in nf.terms
-    )
-    vol_hull = chart_volume(hull, chart, hull.adim)
-    if vol_union == vol_hull:
+    # exact: a term of the hull's dimension spans the hull's affine hull,
+    # echelon pivots depend only on that span, so its chart is the hull's
+    # chart; a term of lower dimension has measure zero
+    vol = sum(t.weight * polytope_volume(t.poly) for t in nf.terms if t.poly.adim == hull.adim)
+    if vol == polytope_volume(hull):
         return True, None, nf
-    tiers = [sorted({v for p in polys for v in p.verts})]
-    tiers.append(sorted({_barycenter(f) for p in polys for f in p.faces}))
-    seen: list = []
-    for tier in tiers:
-        fresh = [pt for pt in tier if pt not in seen]
-        pool = seen + fresh
-        for x, y in combinations(pool, 2):
-            if x in seen and y in seen:
-                continue
-            z = _segment_exit(polys, x, y)
-            if z is not None:
-                return False, {"x": x, "y": y, "outside": z}, nf
-        seen = pool
+    # vertex pairs, then every pair with a barycenter of a face above a vertex
+    verts = sorted({v for p in polys for v in p.verts})
+    pool = verts + sorted({_barycenter(f) for p in polys for f, k in p.faces if k} - set(verts))
+    m, n = len(verts), len(pool)
+    pairs = chain(combinations(range(m), 2),
+                  ((i, j) for i in range(n) for j in range(max(i + 1, m), n)))
+    for i, j in pairs:
+        x, y = pool[i], pool[j]
+        z = _segment_exit(polys, x, y)
+        if z is not None:
+            return False, {"x": x, "y": y, "outside": z}, nf
     raise InvariantViolation("volume defect found but no segment witness")

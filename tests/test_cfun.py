@@ -274,7 +274,7 @@ def _pushforward_cases():
         elif kind == 3:  # cancelling weights: closed minus relint, or a face
             poly = rand_polytope(rng, n, span=2)
             w = rng.choice([1, -1, 2, -2])
-            face = rng.choice(poly.faces)
+            face, _ = rng.choice(poly.faces)
             items = [(poly, CLOSED, w), (poly, RELINT, -w), (face, CLOSED, -w)]
             items = rng.sample(items, rng.randint(2, 3))
         else:  # outputs of euler_convolve

@@ -20,6 +20,7 @@ from sheafconv import cli, microlocal, sheaf1
 from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_to_text
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
+from sheafconv.oracle import MAX_TRIALS
 from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
@@ -244,7 +245,7 @@ def test_cli_bad_rational_is_exit_2(capsys):
     capsys.readouterr()
 
 
-LONG = "1" * 5000  # past Python's 4300-digit int/str conversion limit
+LONG = "1" * 5000  # past Python's default int/str conversion limit of 4300 digits
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +304,33 @@ def test_cli_table(capsys):
 def test_cli_table_zero_trials_is_exit_2(capsys):
     assert cli.main(["table", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_table_trials_past_bound_is_exit_2(capsys):
+    # only the first value past the bound: running the bound itself takes ~10 s
+    assert cli.main(["table", "--trials", str(MAX_TRIALS + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"at most {MAX_TRIALS} trials" in json.loads(err)["error"]
+
+
+# five pairwise coprime 1000-digit denominators (their differences have
+# only the prime factors 2, 3 and 5, none of which divides them), so the
+# left end of their convolution has a denominator of about 5000 digits,
+# past Python's default int/str conversion limit of 4300 digits
+WIDE = "conv(" + ",".join(f"kc(1/{10**999 + a},1)" for a in (1, 3, 7, 9, 13)) + ")"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "-e", WIDE],
+    ["eval", "-e", WIDE, "--text"],
+    ["btrans", "-e", WIDE],
+    ["cc", "-e", WIDE],
+    ["ss", "-e", WIDE],
+], ids=["eval", "eval-text", "btrans", "cc", "ss"])
+def test_cli_output_past_digit_limit_is_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{sys.get_int_max_str_digits()} digits" in json.loads(err)["error"]
 
 
 SQ = {

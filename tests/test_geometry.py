@@ -13,12 +13,11 @@ from math import lcm
 
 import pytest
 
-from sheafconv import lattice
+from sheafconv import lattice, polytope
 from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
-    chart_volume,
     convex_hull,
     euler_from_faces,
     intersect_polytopes,
@@ -30,6 +29,7 @@ from sheafconv.polytope import (
 from sheafconv.randgen import rand_box, rand_point, rand_polytope, rand_union_region
 
 from linalg_oracles import rref
+from region_oracles import chart_volume, search_faces
 from test_acceptance import region_corpus
 from sheafconv.region import (
     CLOSED,
@@ -177,6 +177,47 @@ def test_hull_of_degenerate_clouds():
     assert seg.verts == ((F(0),) * 3, (F(2),) * 3) and seg.adim == 1
     tri = convex_hull([(0, 0, 0), (1, 0, 1), (0, 1, 1), (F(1, 2), F(1, 2), 1)])
     assert tri.adim == 2 and len(tri.verts) == 3
+
+
+def face_corpus(rng):
+    """Hulls of random clouds in ambient dimensions 1 to 3, and degenerate
+    hulls in 3D: points, segments and polygons."""
+    out = []
+    for i in range(90):
+        n = 1 + i % 3
+        out.append(rand_polytope(rng, n, npts=rng.randint(1, n + 5)))
+    for k in range(30):
+        a = rand_point(rng, 3)
+        dirs = [rand_point(rng, 3, span=2) for _ in range(k % 3)]
+        pts = [vadd(a, tuple(sum(rng.randint(-2, 2) * d[j] for d in dirs) for j in range(3)))
+               for _ in range(rng.randint(1, 7))]
+        out.append(convex_hull(pts))
+    return out
+
+
+def test_faces_match_facet_search_oracle():
+    polys = face_corpus(random.Random(91))
+    assert {p.adim for p in polys if p.n == 3} == {0, 1, 2, 3}
+    for i, p in enumerate(polys):
+        faces = p.faces
+        assert [f for f, _ in faces] == list(search_faces(p)), i
+        assert all(k == Polytope(f.verts).adim for f, k in faces), i
+
+
+def test_face_expansion_computes_no_lattice_form(monkeypatch):
+    calls = []
+    real = polytope.lattice_form
+
+    def counting(X):
+        calls.append(len(X))
+        return real(X)
+
+    rng = random.Random(92)
+    hulls = [rand_polytope(rng, n, npts=n + 4) for n in (1, 2, 3, 3)]
+    monkeypatch.setattr(polytope, "lattice_form", counting)
+    for p in hulls:
+        assert sum(w for _, w in open_indicator_expansion(p)) in (1, -1)
+    assert calls == []
 
 
 def test_face_lattice_counts():

@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only: every absolute import in the package
-names a module of the standard library."""
+names a module of the standard library.  The integer lattice form
+imports no Fractions."""
 
 import ast
 import pathlib
@@ -24,3 +25,12 @@ def test_package_imports_only_the_standard_library():
     outside = [(f.name, name) for f in files for name in absolute_imports(f)
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_lattice_imports_no_fractions():
+    # the lattice form is integers only, as its module docstring promises
+    tree = ast.parse((PACKAGE / "lattice.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {alias.name for node in imports for alias in node.names}
+    names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert not names & {"fractions", "Fraction"}
