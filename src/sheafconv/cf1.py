@@ -13,7 +13,9 @@ plateaus c on ]u, v[, by one sorted difference sweep over their ends:
 the running sum of plateaus opened minus plateaus closed is the gap
 value, and a breakpoint takes the gap value on its left, less the
 plateaus closing there, plus its point mass.  O(m log m) for m atoms,
-with no pointwise evaluation.
+with no pointwise evaluation.  The sweep runs on integer positions: the
+atoms' ends are scaled once over their common denominator, sorted and
+summed as ints, and each surviving breakpoint becomes a Fraction once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .rational import fmt_rat, rat
+from .rational import fmt_rat, lattice_point, rat
 from . import sheaf1
 
 
@@ -61,12 +63,13 @@ class Cf1:
         }
 
 
-def cf1_from_atoms(points: dict[Fraction, int],
-                   opens: list[tuple[Fraction, Fraction, int]]) -> Cf1:
-    """Canonical Cf1 of sum c_x 1_{x} + sum c 1_{]u, v[} (every u < v) by
-    one sorted difference sweep; removable breakpoints are stripped."""
-    starts: dict[Fraction, int] = {}
-    ends: dict[Fraction, int] = {}
+def _sweep(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) -> Cf1:
+    """Canonical Cf1 of sum c_x 1_{x/den} + sum c 1_{]u/den, v/den[} (every
+    u < v) from integer positions over den > 0, by one sorted difference
+    sweep; removable breakpoints are stripped, and each surviving one
+    becomes a Fraction once."""
+    starts: dict[int, int] = {}
+    ends: dict[int, int] = {}
     for u, v, c in opens:
         starts[u] = starts.get(u, 0) + c
         ends[v] = ends.get(v, 0) + c
@@ -83,17 +86,25 @@ def cf1_from_atoms(points: dict[Fraction, int],
             gv.append(left)
         breaks.append(x)
         pv.append(at)
-    return Cf1(tuple(breaks), tuple(pv), tuple(gv))
+    return Cf1(tuple(Fraction(x, den) for x in breaks), tuple(pv), tuple(gv))
 
 
-def _atoms(f: Cf1) -> tuple[list[tuple[Fraction, int]], list[tuple[Fraction, Fraction, int]]]:
-    """Exact decomposition into point masses and open-gap plateaus."""
-    points = [(b, v) for b, v in zip(f.breaks, f.point_values) if v]
-    gaps = [
-        (f.breaks[i], f.breaks[i + 1], v)
-        for i, v in enumerate(f.gap_values)
-        if v
-    ]
+def cf1_from_atoms(points: dict[Fraction, int],
+                   opens: list[tuple[Fraction, Fraction, int]]) -> Cf1:
+    """Canonical Cf1 of sum c_x 1_{x} + sum c 1_{]u, v[} (every u < v):
+    the positions scaled once over their common denominator, then swept."""
+    ends, den = lattice_point([*points, *(e for u, v, _ in opens for e in (u, v))])
+    k = len(points)
+    return _sweep(dict(zip(ends[:k], points.values())),
+                  [(u, v, c) for u, v, (_, _, c) in zip(ends[k::2], ends[k + 1::2], opens)],
+                  den)
+
+
+def _atoms(f: Cf1, X: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """Exact decomposition into point masses and open-gap plateaus, with
+    the breakpoints at the integer positions X."""
+    points = [(x, v) for x, v in zip(X, f.point_values) if v]
+    gaps = [(X[i], X[i + 1], v) for i, v in enumerate(f.gap_values) if v]
     return points, gaps
 
 
@@ -103,11 +114,15 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
     On atoms: point*point is a point mass, point*gap shifts the gap, and
     gap*gap contributes -1 times the product on the open sum interval
     (an open interval has compactly supported Euler characteristic -1).
+    Both operands' breakpoints are scaled once over one common
+    denominator, so the positions add as ints.
     """
-    fp, fg = _atoms(f)
-    gp, gg = _atoms(g)
-    points: dict[Fraction, int] = {}
-    opens: list[tuple[Fraction, Fraction, int]] = []
+    X, den = lattice_point(f.breaks + g.breaks)
+    k = len(f.breaks)
+    fp, fg = _atoms(f, X[:k])
+    gp, gg = _atoms(g, X[k:])
+    points: dict[int, int] = {}
+    opens: list[tuple[int, int, int]] = []
     for x, cv in fp:
         for y, dv in gp:
             points[x + y] = points.get(x + y, 0) + cv * dv
@@ -118,7 +133,7 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
             opens.append((u + y, v + y, cv * dv))
         for u2, v2, dv in gg:
             opens.append((u + u2, v + v2, -cv * dv))
-    return cf1_from_atoms(points, opens)
+    return _sweep(points, opens, den)
 
 
 def cf1_reflect(f: Cf1) -> Cf1:
@@ -129,20 +144,21 @@ def cf1_reflect(f: Cf1) -> Cf1:
 def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
     """Pointwise Euler characteristic of the stalks: a generator k_I[d]
     of multiplicity m adds c = (-1)^d m at each closed end of I and on
-    its interior."""
-    points: dict[Fraction, int] = {}
-    opens: list[tuple[Fraction, Fraction, int]] = []
-    for g in f:
-        iv = g.interval
+    its interior.  The ends are scaled once over one common denominator."""
+    ends, den = lattice_point([e for g in f for e in (g.interval.lo, g.interval.hi)])
+    points: dict[int, int] = {}
+    opens: list[tuple[int, int, int]] = []
+    for g, lo, hi in zip(f, ends[::2], ends[1::2]):
+        closure = g.interval.closure
         c = -g.mult if g.shift % 2 else g.mult
-        if iv.closure.left_closed:
-            points[iv.lo] = points.get(iv.lo, 0) + c
-        if iv.is_point:
+        if closure.left_closed:
+            points[lo] = points.get(lo, 0) + c
+        if lo == hi:
             continue
-        if iv.closure.right_closed:
-            points[iv.hi] = points.get(iv.hi, 0) + c
-        opens.append((iv.lo, iv.hi, c))
-    return cf1_from_atoms(points, opens)
+        if closure.right_closed:
+            points[hi] = points.get(hi, 0) + c
+        opens.append((lo, hi, c))
+    return _sweep(points, opens, den)
 
 
 def invertible_shadow(f: Cf1) -> bool:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, neg, sub
+
+from .rational import lattice_point
 
 Vec = tuple[Fraction, ...]
 
@@ -43,11 +45,10 @@ def primitive(v, keep_sign: bool = False) -> tuple[int, ...]:
     Unless keep_sign is set the result is flipped so its first nonzero
     entry is positive, giving one canonical representative per line.
     """
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    ints, _ = lattice_point(v)
     g = gcd(*ints)
     if g == 0:
-        return tuple(ints)
+        return ints
     ints = [x // g for x in ints]
     if not keep_sign:
         lead = next(x for x in ints if x != 0)

@@ -12,9 +12,7 @@ levels are tracked:
   b_transform -- the projection of cc to the cotangent fiber over the
          sum map; convolution turns into the positionwise product
          (bullet), which is the computable necessary condition for
-         invertibility.  The product runs on integer positions: both
-         ray families are scaled over one common denominator, and each
-         output position becomes a Fraction once.
+         invertibility.
 
 All three read one end rule, the local index formula for the
 characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
@@ -24,31 +22,37 @@ An invertible f has inverse D(a f), the dual of its antipodal object,
 whose transform is B(f) with every position negated (b_reflect); so the
 necessary check multiplies B(f) by its reflection and never builds a
 second sheaf.
+
+The ray families and their product run on integer positions: the
+positions are scaled once over one common denominator, summed in
+int-keyed dicts and sorted as ints, and each output position becomes a
+Fraction once.  Every family is kept sorted by position, so a negation
+reads it backwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
-from .rational import fmt_rat, rat
+from .rational import fmt_rat, lattice_point, rat
 from .sheaf1 import Interval, Sheaf1, convolve, euler_c
 
 PLUS = 1
 MINUS = -1
 
-RayMultiset = dict[Fraction, int]
 
-
-def _ray_items(rays: RayMultiset) -> tuple[tuple[Fraction, int], ...]:
-    return tuple(sorted((x, m) for x, m in rays.items() if m))
+def _ray_items(rays: dict[int, int], den: int) -> tuple[tuple[Fraction, int], ...]:
+    """The nonzero multiplicities of an int-keyed family over den, sorted,
+    each position made a Fraction once."""
+    return tuple((Fraction(p, den), m) for p, m in sorted(rays.items()) if m)
 
 
 def _negated(items: tuple[tuple[Fraction, int], ...]) -> tuple[tuple[Fraction, int], ...]:
-    """Ray multiplicities with every base point negated, re-sorted."""
-    return tuple(sorted((-x, m) for x, m in items))
+    """Ray multiplicities with every base point negated: a sorted family
+    read backwards."""
+    return tuple((-x, m) for x, m in reversed(items))
 
 
 @dataclass(frozen=True)
@@ -127,14 +131,16 @@ def ss(f: Sheaf1) -> SS1:
 
 def _ray_families(f: Sheaf1) -> tuple[tuple, tuple]:
     """Signed (plus, minus) ray multiplicities: the end rule times
-    mult * (-1)^shift, summed over the generators."""
-    families: dict[int, RayMultiset] = {PLUS: {}, MINUS: {}}
-    for g in f:
-        factor = g.mult * (-1 if g.shift % 2 else 1)
-        for x, sign, weight in _end_rays(g.interval):
-            target = families[sign]
-            target[x] = target.get(x, 0) + weight * factor
-    return _ray_items(families[PLUS]), _ray_items(families[MINUS])
+    mult * (-1)^shift, summed over the generators on integer positions
+    over the common denominator of all their ends."""
+    rays = [(x, sign, weight * g.mult * (-1 if g.shift % 2 else 1))
+            for g in f for x, sign, weight in _end_rays(g.interval)]
+    X, den = lattice_point([x for x, _, _ in rays])
+    families: dict[int, dict[int, int]] = {PLUS: {}, MINUS: {}}
+    for p, (_, sign, m) in zip(X, rays):
+        target = families[sign]
+        target[p] = target.get(p, 0) + m
+    return _ray_items(families[PLUS], den), _ray_items(families[MINUS], den)
 
 
 def cc(f: Sheaf1) -> CC1:
@@ -165,16 +171,15 @@ def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     becomes a Fraction once, at the end.  Scaling by den > 0 keeps the
     order, so the sorted tuple is the one Fraction keys would give.
     """
-    den = lcm(*(x.denominator for x, _ in a), *(y.denominator for y, _ in b))
-    scaled_b = [(y.numerator * (den // y.denominator), n) for y, n in b]
+    X, den = lattice_point([x for x, _ in a + b])
+    scaled_b = list(zip(X[len(a):], (n for _, n in b)))
     out: dict[int, int] = {}
     get = out.get
-    for x, m in a:
-        s = x.numerator * (den // x.denominator)
+    for s, (_, m) in zip(X, a):
         for t, n in scaled_b:
             k = s + t
             out[k] = get(k, 0) + m * n
-    return tuple((Fraction(p, den), m) for p, m in sorted(out.items()) if m)
+    return _ray_items(out, den)
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:

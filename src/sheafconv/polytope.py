@@ -30,13 +30,7 @@ from typing import Optional
 from .errors import InputError
 from .lattice import Lattice, lattice_form, ring2, ring_on
 from .linalg import cross3, vadd, vdot, vneg, vsub
-from .rational import rat
-
-
-def lattice_point(x) -> tuple[tuple[int, ...], int]:
-    """(L*x, L) for a rational point x, L the lcm of its denominators."""
-    L = lcm(*(c.denominator for c in x))
-    return tuple(c.numerator * (L // c.denominator) for c in x), L
+from .rational import lattice_point, rat
 
 
 class Polytope:
@@ -160,10 +154,6 @@ class Polytope:
 
     def _face(self, idx) -> "Polytope":
         return Polytope.from_ints(self.den, [self.ints[i] for i in idx])
-
-    @cached_property
-    def facets(self) -> tuple["Polytope", ...]:
-        return tuple(self._face(self._on_plane(k)) for k in range(len(self.lattice.planes)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -4,7 +4,9 @@ All coordinates, endpoints and offsets in this package are
 fractions.Fraction values; Fraction already maintains the invariants we
 need (lowest terms, positive denominator, value equality).  Floats are
 rejected everywhere at construction time so no rounding can sneak in.
-The wire format is the compact string "p" or "p/q".
+The wire format is the compact string "p" or "p/q".  Fast paths scale a
+group of rationals once to integers over their common denominator
+(lattice_point), compute on the ints and make a Fraction only per output.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -53,6 +56,17 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return parse_rat(value)
     raise InputError(f"not an exact rational: {value!r} ({type(value).__name__})")
+
+
+def lattice_point(x) -> tuple[tuple[int, ...], int]:
+    """(L*x, L) for a rational vector x, L the lcm of its denominators.
+    Scaling by L > 0 keeps the order, so the ints sort and compare as
+    the rationals do.  The lcm and L // d are taken once per distinct
+    denominator d, which matters when the denominators are long."""
+    dens = {c.denominator for c in x}
+    L = lcm(*dens)
+    q = {d: L // d for d in dens}
+    return tuple(c.numerator * q[c.denominator] for c in x), L
 
 
 def parse_rat(text: str) -> Fraction:

@@ -3,7 +3,9 @@
 An object is a finite multiset of shifted interval generators k_I[d];
 by the decomposition theorem for constructible sheaves on R this normal
 form is unique once sorted, so equality of objects is equality of the
-canonical generator tuple.  Convolution
+canonical generator tuple.  The normal form is merged and sorted on
+integer keys, the interval ends scaled once over their common
+denominator.  Convolution
 
     F * G = Rs_!(F boxtimes G),   s(x, y) = x + y
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, InvariantViolation, NotInvertible
-from .rational import rat
+from .rational import lattice_point, rat
 
 
 class Closure(enum.IntEnum):
@@ -133,7 +135,7 @@ class Sheaf1:
 
     def __post_init__(self):
         keys = [g.sort_key() for g in self.gens]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("Sheaf1 constructed with non-canonical generators")
 
     @property
@@ -147,16 +149,21 @@ class Sheaf1:
 def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
     """Merge generators that agree on (interval, shift); drop nothing else.
 
-    Idempotent; every public operation returns normalized objects.
+    Idempotent; every public operation returns normalized objects.  The
+    generators are merged and sorted by the integer key (lo*den, hi*den,
+    closure, shift), den the common denominator of all their ends; den > 0
+    keeps the order, so it is the order of Generator.sort_key.
     """
     if isinstance(gens, Sheaf1):
         gens = gens.gens
+    gens = list(gens)
+    ends, _ = lattice_point([e for g in gens for e in (g.interval.lo, g.interval.hi)])
     merged: dict[tuple, Generator] = {}
-    for g in gens:
-        key = (g.interval, g.shift)
+    for g, lo, hi in zip(gens, ends[::2], ends[1::2]):
+        key = (lo, hi, g.interval.closure, g.shift)
         old = merged.get(key)
         merged[key] = g if old is None else Generator(g.interval, g.shift, old.mult + g.mult)
-    return Sheaf1(tuple(sorted(merged.values(), key=Generator.sort_key)))
+    return Sheaf1(tuple(merged[k] for k in sorted(merged)))
 
 
 # -- convenience constructors ------------------------------------------------

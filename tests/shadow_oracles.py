@@ -5,6 +5,10 @@ regions forward in closed form.  The functions here are the paths those
 replaced: they evaluate the function at every candidate breakpoint and
 gap midpoint and canonicalise the samples.  They share no code with the
 sweep or the closed form, so a test that compares the two checks both.
+
+The library's sweep runs on integer positions over one common
+denominator; ``fraction_sweep`` is the same sweep keyed by the Fraction
+positions themselves, as it was first written.
 """
 
 from fractions import Fraction
@@ -41,6 +45,30 @@ def build_cf1(candidates: Iterable[Fraction], value_at: Callable[[Fraction], int
     # gap values between kept breakpoints are constant on the merged gaps
     kept_gv = [value_at((kept[i] + kept[i + 1]) / 2) for i in range(len(kept) - 1)]
     return Cf1(tuple(kept), tuple(kept_pv), tuple(kept_gv))
+
+
+def fraction_sweep(points: dict, opens: list) -> Cf1:
+    """Canonical Cf1 of sum c_x 1_{x} + sum c 1_{]u, v[} (every u < v) by
+    one difference sweep over Fraction positions."""
+    starts: dict = {}
+    ends: dict = {}
+    for u, v, c in opens:
+        starts[u] = starts.get(u, 0) + c
+        ends[v] = ends.get(v, 0) + c
+    breaks, pv, gv = [], [], []
+    run = 0  # value on the gap left of x
+    for x in sorted(points.keys() | starts.keys() | ends.keys()):
+        left = run
+        at = left - ends.get(x, 0)
+        run = at + starts.get(x, 0)
+        at += points.get(x, 0)
+        if at == left == run:
+            continue
+        if breaks:
+            gv.append(left)
+        breaks.append(x)
+        pv.append(at)
+    return Cf1(tuple(breaks), tuple(pv), tuple(gv))
 
 
 def sliced_pushforward(f, xi) -> Cf1:

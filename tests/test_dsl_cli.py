@@ -6,6 +6,7 @@ through monkeypatching rather than by a production backdoor.
 """
 
 import doctest
+import hashlib
 import json
 import os
 import subprocess
@@ -331,6 +332,33 @@ def test_cli_output_past_digit_limit_is_exit_2(capsys, argv):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"{sys.get_int_max_str_digits()} digits" in json.loads(err)["error"]
+
+
+# two five-term sums over the same five pairwise coprime 1000-digit
+# denominators, all four closures and points among them.  Each position
+# of their convolution has a denominator of about 2000 digits, and the
+# common denominator of all of them about 5000, so the integer paths of
+# the 1D layers scale every position to 5000 digits.  The digests are
+# those of the outputs the Fraction-keyed layers wrote, which the
+# integer paths must reproduce byte for byte.
+_D = [10**999 + a for a in (1, 3, 7, 9, 13)]
+HOSTILE = (f"conv(sum(kc(1/{_D[0]},1),ko(-1/{_D[1]},2),kco(1/{_D[2]},3),"
+           f"koc(-1/{_D[3]},1),dirac(1/{_D[4]})),"
+           f"sum(kc(-1/{_D[0]},2),ko(1/{_D[1]},1),shift(kc(1/{_D[2]},2),1),"
+           f"kco(-1/{_D[3]},1),koc(1/{_D[4]},2)))")
+
+
+@pytest.mark.parametrize("cmd, code, size, digest", [
+    ("check", 1, 1281504, "4d0947852dee9a44390443b11e0132df9d867f569e5778980f2c7fb637a69451"),
+    ("btrans", 0, 55373, "10723f6d5d467da86121876f7c0adafd4ea86b3a7a8801d3e48a2e21555a1003"),
+    ("cc", 0, 104670, "b51b96ac235060fa93ebf7f4bbd9acc600b0006c41f410cf27b45ad3eb0ea1f3"),
+    ("eval", 0, 76327, "a3f6b7a752ca2761f03752ddf05df56ad833bad021d04981d797b0c869fcce13"),
+], ids=["check", "btrans", "cc", "eval"])
+def test_cli_hostile_denominators_keep_their_output(capsys, cmd, code, size, digest):
+    assert cli.main([cmd, "-e", HOSTILE]) == code
+    out, err = capsys.readouterr()
+    assert err == "" and len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 SQ = {

@@ -157,7 +157,7 @@ def test_hull3_runs_once_per_hull(monkeypatch):
     for pts in hull_corpus(rng, 8):
         calls.clear()
         hull = convex_hull(pts)
-        hull.inequalities, hull.facets
+        hull.inequalities, hull.faces
         assert hull.contains(pts[0]) and calls == [len(pts)]
     p, q = (rand_polytope(rng, 3, npts=6) for _ in range(2))
     calls.clear()

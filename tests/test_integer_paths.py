@@ -1,0 +1,199 @@
+"""The 1D layers run on integer positions over one common denominator.
+
+Each integer path is pinned equal to the Fraction-keyed path it
+replaced, on positions with mixed denominators up to 10**6, negative
+positions, multiplicities that cancel and empty inputs: the normal form
+against tests/sheaf1_oracles.py, the shadows against the pointwise
+oracles and the Fraction sweep of tests/shadow_oracles.py, the ray
+families against the per-closure tables of tests/microlocal_oracles.py,
+and the negations against a re-sort.  A counting guard keeps the large
+ops free of Fraction hashing.
+"""
+
+import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
+
+from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf
+from sheafconv.microlocal import (
+    BTransform,
+    _ray_families,
+    b_antipodal,
+    b_necessary_check,
+    b_reflect,
+    b_transform,
+    cc,
+    cc_antipodal,
+)
+from sheafconv.sheaf1 import Closure, Generator, Interval, Sheaf1, convolve, normalize
+
+from microlocal_oracles import table_cc_families
+from shadow_oracles import brute_cf1_convolve, build_cf1, fraction_sweep, stalk_shadow
+from sheaf1_oracles import fraction_normalize
+
+# a few positions with denominators up to 10**6, signs mixed
+pools = st.lists(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+def spots(pool) -> list:
+    """The pool and its integer translates: positions that collide
+    under sums and share or mix denominators."""
+    return sorted({x + k for x in pool for k in (-1, 0, 1)})
+
+
+@st.composite
+def generator_lists(draw, max_size=8):
+    """Generators on one pool, some of them repeated, so that merges
+    happen; the empty list included."""
+    at = st.sampled_from(spots(draw(pools)))
+    gens = []
+    for _ in range(draw(st.integers(0, max_size))):
+        a, b = sorted((draw(at), draw(at)))
+        closure = Closure.CC if a == b else draw(st.sampled_from(list(Closure)))
+        gens.append(Generator(Interval(a, b, closure), draw(st.integers(-2, 2)),
+                              draw(st.integers(1, 3))))
+    if gens and draw(st.booleans()):
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    return gens
+
+
+# canonical objects built by the oracle, so the inputs do not depend on
+# the normal form under test
+wide_sheaves = generator_lists().map(lambda gens: Sheaf1(fraction_normalize(gens)))
+
+_I = Interval(Fraction(-3, 7), Fraction(5, 999983), Closure.OO)
+# k_I and k_I[1]: the shadow and every ray cancel
+_CANCELLING = [Generator(_I, 0), Generator(_I, 1)]
+
+
+@given(generator_lists(max_size=12))
+@example([])
+@example(_CANCELLING + _CANCELLING[:1])
+@settings(max_examples=200)
+def test_normalize_matches_fraction_oracle(gens):
+    # Generator equality reads the multiplicity: order and merges both
+    assert normalize(gens).gens == fraction_normalize(gens)
+
+
+@st.composite
+def cf1_pairs(draw):
+    """Two canonical functions on one pool, so that the positions of
+    their convolution collide and cancel."""
+    at = spots(draw(pools))
+
+    def one():
+        breaks = sorted(draw(st.lists(st.sampled_from(at), max_size=5, unique=True)))
+        raw = Cf1(tuple(breaks),
+                  tuple(draw(st.integers(-2, 2)) for _ in breaks),
+                  tuple(draw(st.integers(-2, 2)) for _ in breaks[1:]))
+        return build_cf1(breaks, raw)
+
+    return one(), one()
+
+
+@given(cf1_pairs())
+@settings(max_examples=120)
+def test_cf1_convolve_matches_brute_oracle(pair):
+    f, g = pair
+    assert cf1_convolve(f, g) == brute_cf1_convolve(f, g)
+
+
+@given(wide_sheaves)
+@example(Sheaf1())
+@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@settings(max_examples=120)
+def test_cf1_from_sheaf_matches_stalk_oracle(f):
+    assert cf1_from_sheaf(f) == stalk_shadow(f)
+
+
+@st.composite
+def atoms(draw):
+    """Point masses (zero ones too) and open plateaus, some cancelling."""
+    at = st.sampled_from(spots(draw(pools)))
+    points = draw(st.dictionaries(at, st.integers(-2, 2), max_size=4))
+    opens = []
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = draw(at), draw(at)
+        if u != v:
+            opens.append((min(u, v), max(u, v), draw(st.sampled_from((-2, -1, 1, 2)))))
+    if opens and draw(st.booleans()):
+        u, v, c = opens[0]
+        opens.append((u, v, -c))
+    return points, opens
+
+
+@given(atoms())
+@example(({}, []))
+@settings(max_examples=120)
+def test_cf1_from_atoms_matches_fraction_sweep(case):
+    points, opens = case
+    assert cf1_from_atoms(points, opens) == fraction_sweep(points, opens)
+
+
+@given(wide_sheaves)
+@example(Sheaf1())
+@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@settings(max_examples=120)
+def test_ray_families_match_tables(f):
+    assert _ray_families(f) == table_cc_families(f)
+
+
+def resorted(items) -> tuple:
+    return tuple(sorted((-x, m) for x, m in items))
+
+
+@given(wide_sheaves)
+@settings(max_examples=120)
+def test_negations_are_resorted_negations(f):
+    b = b_transform(f)
+    assert b_reflect(b) == BTransform(resorted(b.plus), resorted(b.minus), b.zero)
+    assert b_antipodal(b) == BTransform(resorted(b.minus), resorted(b.plus), b.zero)
+    c = cc(f)
+    flipped = cc_antipodal(c)
+    assert (flipped.plus, flipped.minus) == (resorted(c.minus), resorted(c.plus))
+
+
+# ---------------------------------------------------------------------------
+# no Fraction hashing on the large ops
+
+_ENDS = sorted({Fraction(n, d) for n in range(-8, 9) for d in (1, 2, 3, 4, 7)})
+
+
+def _random_generator(rng, closure):
+    a, b = sorted(rng.sample(_ENDS, 2))
+    return Generator(Interval(a, b, closure), rng.randint(-2, 2))
+
+
+def _twelve(rng) -> Sheaf1:
+    """Three generators of each closure, as in a large op."""
+    return Sheaf1(fraction_normalize(_random_generator(rng, c) for c in list(Closure) * 3))
+
+
+def test_large_ops_hash_no_fraction(monkeypatch):
+    rng = random.Random(1010)
+    f, g = _twelve(rng), _twelve(rng)
+    assert len(f.gens) == len(g.gens) == 12
+    sf, sg = cf1_from_sheaf(f), cf1_from_sheaf(g)
+    gens = [_random_generator(rng, rng.choice(list(Closure))) for _ in range(120)]
+    gens += rng.sample(gens, 24)
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert not cf1_convolve(sf, sg).is_zero
+    assert len(normalize(gens).gens) > 100
+    assert cf1_from_sheaf(f) == sf
+    # the large check: 144 generator pairs, normalized once, then B(h)
+    # times its reflection
+    ok, _ = b_necessary_check(convolve(f, g))
+    assert not ok
+    assert calls == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from sheafconv import sheaf1
-from sheafconv.errors import InputError, NotInvertible
+from sheafconv.errors import InputError, InvariantViolation, NotInvertible
 from sheafconv.sheaf1 import (
     Closure,
     Generator,
@@ -98,6 +98,18 @@ def test_normalize_merges_and_sorts():
     ])
     assert f == direct_sum(ko(-2, 1, shift=1, mult=2), kc(0, 1, mult=3))
     assert f.gens[0].interval.lo == -2
+
+
+def test_sheaf1_rejects_non_canonical_generator_tuples():
+    iv = Interval(Fraction(0), Fraction(1), Closure.CC)
+    a, b = Generator(iv), Generator(Interval(Fraction(0), Fraction(2), Closure.CC))
+    co, up = Generator(Interval(iv.lo, iv.hi, Closure.CO)), Generator(iv, 1)
+    assert Sheaf1((a, up, co, b)).gens == (a, up, co, b)
+    # out of order by hi, by closure and by shift; the same (interval,
+    # shift) twice, with equal or different multiplicities
+    for gens in ((b, a), (co, up), (up, a), (a, a), (a, Generator(iv, 0, 2)), (a, b, a)):
+        with pytest.raises(InvariantViolation):
+            Sheaf1(gens)
 
 
 def test_direct_sum_of_nothing_is_zero():
