@@ -13,9 +13,11 @@ plateaus c on ]u, v[, by one sorted difference sweep over their ends:
 the running sum of plateaus opened minus plateaus closed is the gap
 value, and a breakpoint takes the gap value on its left, less the
 plateaus closing there, plus its point mass.  O(m log m) for m atoms,
-with no pointwise evaluation.  The sweep runs on integer positions: the
-atoms' ends are scaled once over their common denominator, sorted and
-summed as ints, and each surviving breakpoint becomes a Fraction once.
+with no pointwise evaluation.  The sweep runs on integer positions:
+Fraction atoms and breakpoints are scaled once over their common
+denominator, a sheaf's shadow reads the sheaf's own integer ends and
+denominator as they are, and each surviving breakpoint becomes a
+Fraction once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 from .errors import InvariantViolation
 from .rational import fmt_rat, lattice_point, rat
 from . import sheaf1
+from .sheaf1 import LEFT_OPEN, RIGHT_OPEN
 
 
 @dataclass(frozen=True)
@@ -144,21 +147,20 @@ def cf1_reflect(f: Cf1) -> Cf1:
 def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
     """Pointwise Euler characteristic of the stalks: a generator k_I[d]
     of multiplicity m adds c = (-1)^d m at each closed end of I and on
-    its interior.  The ends are scaled once over one common denominator."""
-    ends, den = lattice_point([e for g in f for e in (g.interval.lo, g.interval.hi)])
+    its interior.  The sweep reads the object's integer ends over its
+    own denominator as they are."""
     points: dict[int, int] = {}
     opens: list[tuple[int, int, int]] = []
-    for g, lo, hi in zip(f, ends[::2], ends[1::2]):
-        closure = g.interval.closure
-        c = -g.mult if g.shift % 2 else g.mult
-        if closure.left_closed:
+    for lo, hi, closure, s, m in f.keys:
+        c = -m if s % 2 else m
+        if not closure & LEFT_OPEN:
             points[lo] = points.get(lo, 0) + c
         if lo == hi:
             continue
-        if closure.right_closed:
+        if not closure & RIGHT_OPEN:
             points[hi] = points.get(hi, 0) + c
         opens.append((lo, hi, c))
-    return _sweep(points, opens, den)
+    return _sweep(points, opens, f.den)
 
 
 def invertible_shadow(f: Cf1) -> bool:

@@ -23,25 +23,29 @@ from .cfun import (
 from .dsl import eval_text
 from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
-from .rational import fmt_rat, parse_rat
+from .rational import fmt_rat, fmt_ratio, parse_rat
 from .region import region_from_json, region_to_json
 
-# JSON closure name -> Closure, and Closure -> expression-language atom
+# JSON closure name -> Closure and back, and Closure -> expression-language atom
 _CLOSURES = {c.name.lower(): c for c in sheaf1.ATOM_CLOSURES.values()}
+_NAMES = {c: name for name, c in _CLOSURES.items()}
 _ATOMS = {c: name for name, c in sheaf1.ATOM_CLOSURES.items()}
+
+
+def _ends(f: sheaf1.Sheaf1):
+    """(lo, hi, closure, shift, mult) of each generator, the ends written
+    from their integer positions over f.den."""
+    den = f.den
+    for lo, hi, c, s, m in f.keys:
+        text = fmt_ratio(lo, den)
+        yield text, text if hi == lo else fmt_ratio(hi, den), c, s, m
 
 
 def sheaf_to_json(f: sheaf1.Sheaf1) -> dict:
     return {
         "generators": [
-            {
-                "lo": fmt_rat(g.interval.lo),
-                "hi": fmt_rat(g.interval.hi),
-                "closure": g.interval.closure.name.lower(),
-                "shift": g.shift,
-                "mult": g.mult,
-            }
-            for g in f.gens
+            {"lo": lo, "hi": hi, "closure": _NAMES[c], "shift": s, "mult": m}
+            for lo, hi, c, s, m in _ends(f)
         ]
     }
 
@@ -73,16 +77,11 @@ def sheaf_from_json(obj) -> sheaf1.Sheaf1:
 def sheaf_to_expr(f: sheaf1.Sheaf1) -> str:
     """Render a canonical object back into the expression language."""
     parts = []
-    for g in f.gens:
-        iv = g.interval
-        if iv.is_point:
-            core = f"dirac({fmt_rat(iv.lo)})"
-        else:
-            name = _ATOMS[iv.closure]
-            core = f"{name}({fmt_rat(iv.lo)},{fmt_rat(iv.hi)})"
-        if g.shift:
-            core = f"shift({core},{g.shift})"
-        parts.extend([core] * g.mult)
+    for lo, hi, c, s, m in _ends(f):
+        core = f"dirac({lo})" if lo == hi else f"{_ATOMS[c]}({lo},{hi})"
+        if s:
+            core = f"shift({core},{s})"
+        parts.extend([core] * m)
     if not parts:
         return "zero"
     if len(parts) == 1:
@@ -92,18 +91,17 @@ def sheaf_to_expr(f: sheaf1.Sheaf1) -> str:
 
 def sheaf_to_text(f: sheaf1.Sheaf1) -> str:
     parts = []
-    for g in f.gens:
-        iv = g.interval
-        if iv.is_point:
-            core = f"k{{{fmt_rat(iv.lo)}}}"
+    for lo, hi, c, s, m in _ends(f):
+        if lo == hi:
+            core = f"k{{{lo}}}"
         else:
-            lb = "[" if iv.closure.left_closed else "]"
-            rb = "]" if iv.closure.right_closed else "["
-            core = f"k{lb}{fmt_rat(iv.lo)},{fmt_rat(iv.hi)}{rb}"
-        if g.shift:
-            core += f"[{g.shift}]"
-        if g.mult != 1:
-            core = f"{g.mult}*{core}"
+            lb = "]" if c & sheaf1.LEFT_OPEN else "["
+            rb = "[" if c & sheaf1.RIGHT_OPEN else "]"
+            core = f"k{lb}{lo},{hi}{rb}"
+        if s:
+            core += f"[{s}]"
+        if m != 1:
+            core = f"{m}*{core}"
         parts.append(core)
     return " ⊕ ".join(parts) if parts else "0"
 

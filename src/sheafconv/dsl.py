@@ -2,22 +2,31 @@
 
 Grammar: expr := 'zero' | name '(' arg {',' arg} ')' where leaf calls
 take rational literals ('p', '-p', 'p/q') and combinators take
-subexpressions.  Arities and argument kinds are checked while parsing;
-error positions are byte offsets into the input.
+subexpressions.  The grammar is ASCII: any other character is a parse
+error with only ASCII before it, so error positions are byte offsets
+into the input.  Arities and argument kinds are checked while parsing,
+and each rational literal becomes an integer pair (p, q), which the
+atoms scale onto their integer keys with no Fraction in between.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from fractions import Fraction
 
 from .errors import ParseError
 from .rational import MAX_LITERAL_DIGITS, RAT_LITERAL, too_many_digits
 from . import sheaf1
 
-_TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))")
+_TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))", re.ASCII)
+_SPACE = re.compile(r"\s*", re.ASCII)
 
 RAT, INT, EXPR = "rat", "int", "expr"
+
+# combinator -> the sheaf1 function that evaluates it, looked up when
+# called; conv folds sheaf1.convolve over its arguments
+_COMBINATORS = {"sum": "direct_sum", "dual": "dual", "antipodal": "antipodal",
+                "inverse": "inverse", "shift": "shift", "translate": "translate"}
 
 # name -> (argument kinds, variadic tail allowed)
 _SIGNATURES = {
@@ -38,12 +47,11 @@ def _tokens(text: str):
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
+        if m is None:
+            at = _SPACE.match(text, pos).end()
+            if at == len(text):
                 break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
         num, name, punct = m.groups()
         start = m.start(1) if num else m.start(2) if name else m.start(3)
         if num:
@@ -111,7 +119,8 @@ class _Parser:
             if not value.partition("/")[2].strip("0"):
                 raise ParseError("zero denominator", at)
             raise ParseError(f"malformed rational {value!r}; expected 'p' or 'p/q'", at)
-        return Fraction(value)
+        p, _, q = value.partition("/")
+        return int(p), int(q or 1)
 
 
 def parse(text: str):
@@ -131,23 +140,13 @@ def eval_expr(tree) -> sheaf1.Sheaf1:
         return sheaf1.interval_sheaf(sheaf1.ATOM_CLOSURES[head], *args)
     if head == "dirac":
         return sheaf1.dirac(*args)
-    vals = [eval_expr(a) if isinstance(a, tuple) else a for a in args]
+    # a subexpression is a tuple headed by its name, a literal an int or
+    # an integer pair
+    vals = [eval_expr(a) if isinstance(a, tuple) and isinstance(a[0], str) else a
+            for a in args]
     if head == "conv":
-        out = vals[0]
-        for v in vals[1:]:
-            out = sheaf1.convolve(out, v)
-        return out
-    if head == "sum":
-        return sheaf1.direct_sum(*vals)
-    if head == "dual":
-        return sheaf1.dual(vals[0])
-    if head == "antipodal":
-        return sheaf1.antipodal(vals[0])
-    if head == "inverse":
-        return sheaf1.inverse(vals[0])
-    if head == "shift":
-        return sheaf1.shift(vals[0], vals[1])
-    return sheaf1.translate(vals[0], vals[1])
+        return functools.reduce(sheaf1.convolve, vals)
+    return getattr(sheaf1, _COMBINATORS[head])(*vals)
 
 
 def eval_text(text: str) -> sheaf1.Sheaf1:

@@ -27,10 +27,6 @@ def vdot(u, v) -> Fraction:
     return sum(map(mul, u, v))
 
 
-def vscale(u: Vec, c) -> Vec:
-    return tuple(a * c for a in u)
-
-
 def cross3(u, v) -> tuple:
     return (
         u[1] * v[2] - u[2] * v[1],

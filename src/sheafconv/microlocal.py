@@ -23,11 +23,13 @@ whose transform is B(f) with every position negated (b_reflect); so the
 necessary check multiplies B(f) by its reflection and never builds a
 second sheaf.
 
-The ray families and their product run on integer positions: the
-positions are scaled once over one common denominator, summed in
-int-keyed dicts and sorted as ints, and each output position becomes a
-Fraction once.  Every family is kept sorted by position, so a negation
-reads it backwards.
+The ray families are read off the object's integer keys over its own
+denominator and kept sorted by position, so a negation reads a family
+backwards.  Products run on integer positions through one kernel; the
+necessary check's product P * P-bar is symmetric about 0, so it sums
+only the pairs at t >= 0, mirrors them, and writes its detail straight
+from the integer positions.  Public transforms hold Fraction positions,
+each made once.
 """
 
 from __future__ import annotations
@@ -36,17 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
-from .rational import fmt_rat, lattice_point, rat
-from .sheaf1 import Interval, Sheaf1, convolve, euler_c
+from .rational import fmt_rat, fmt_ratio, lattice_point, rat
+from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1, convolve, euler_c
 
 PLUS = 1
 MINUS = -1
 
 
-def _ray_items(rays: dict[int, int], den: int) -> tuple[tuple[Fraction, int], ...]:
-    """The nonzero multiplicities of an int-keyed family over den, sorted,
-    each position made a Fraction once."""
-    return tuple((Fraction(p, den), m) for p, m in sorted(rays.items()) if m)
+def _int_items(rays: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero multiplicities of an int-keyed family, sorted."""
+    return tuple(sorted((p, m) for p, m in rays.items() if m))
 
 
 def _negated(items: tuple[tuple[Fraction, int], ...]) -> tuple[tuple[Fraction, int], ...]:
@@ -101,46 +102,45 @@ class BTransform:
         }
 
 
-def _end_rays(iv: Interval) -> tuple[tuple[Fraction, int, int], ...]:
+def _end_rays(lo: int, hi: int, closure: int) -> tuple[tuple[int, int, int], ...]:
     """(base point, ray sign, weight) of each end of an interval: +1 on
     the outward ray of a closed end, -1 on the inward ray of an open one."""
-    lw = 1 if iv.closure.left_closed else -1
-    rw = 1 if iv.closure.right_closed else -1
-    return ((iv.lo, -lw, lw), (iv.hi, rw, rw))
-
-
-def _merge_closed_intervals(ivs: list[tuple[Fraction, Fraction]]) -> tuple:
-    merged: list[list[Fraction]] = []
-    for lo, hi in sorted(ivs):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+    lw = -1 if closure & LEFT_OPEN else 1
+    rw = -1 if closure & RIGHT_OPEN else 1
+    return ((lo, -lw, lw), (hi, rw, rw))
 
 
 def ss(f: Sheaf1) -> SS1:
+    den = f.den
+    support: list[list[int]] = []  # the merged closed intervals, in order of lo
     rays = set()
-    support = []
-    for g in f:
-        support.append((g.interval.lo, g.interval.hi))
-        rays.update((x, sign) for x, sign, _ in _end_rays(g.interval))
-    return SS1(_merge_closed_intervals(support),
-               tuple(sorted(rays, key=lambda r: (r[0], -r[1]))))
+    for lo, hi, c, _, _ in f.keys:
+        if support and lo <= support[-1][1]:
+            support[-1][1] = max(support[-1][1], hi)
+        else:
+            support.append([lo, hi])
+        rays.update((x, sign) for x, sign, _ in _end_rays(lo, hi, c))
+    return SS1(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in support),
+               tuple((Fraction(x, den), s) for x, s in sorted(rays, key=lambda r: (r[0], -r[1]))))
+
+
+def _int_families(f: Sheaf1) -> tuple[tuple, tuple]:
+    """Signed (plus, minus) ray multiplicities on the integer positions of
+    f over f.den, sorted: the end rule times mult * (-1)^shift, summed
+    over the generators."""
+    families: dict[int, dict[int, int]] = {PLUS: {}, MINUS: {}}
+    for lo, hi, c, s, m in f.keys:
+        m = -m if s % 2 else m
+        for x, sign, weight in _end_rays(lo, hi, c):
+            target = families[sign]
+            target[x] = target.get(x, 0) + weight * m
+    return _int_items(families[PLUS]), _int_items(families[MINUS])
 
 
 def _ray_families(f: Sheaf1) -> tuple[tuple, tuple]:
-    """Signed (plus, minus) ray multiplicities: the end rule times
-    mult * (-1)^shift, summed over the generators on integer positions
-    over the common denominator of all their ends."""
-    rays = [(x, sign, weight * g.mult * (-1 if g.shift % 2 else 1))
-            for g in f for x, sign, weight in _end_rays(g.interval)]
-    X, den = lattice_point([x for x, _, _ in rays])
-    families: dict[int, dict[int, int]] = {PLUS: {}, MINUS: {}}
-    for p, (_, sign, m) in zip(X, rays):
-        target = families[sign]
-        target[p] = target.get(p, 0) + m
-    return _ray_items(families[PLUS], den), _ray_items(families[MINUS], den)
+    """The signed (plus, minus) ray multiplicities, each position made a
+    Fraction once."""
+    return tuple(tuple((Fraction(p, f.den), m) for p, m in items) for items in _int_families(f))
 
 
 def cc(f: Sheaf1) -> CC1:
@@ -163,6 +163,14 @@ def b_one() -> BTransform:
     return BTransform(((z, 1),), ((z, 1),), 1)
 
 
+def _add_row(out: dict[int, int], y: int, n: int, items) -> None:
+    """The product kernel: out[x + y] += m * n for each (x, m) in items."""
+    get = out.get
+    for x, m in items:
+        k = x + y
+        out[k] = get(k, 0) + m * n
+
+
 def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     """Additive convolution of two ray families on integer positions.
 
@@ -172,14 +180,24 @@ def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     order, so the sorted tuple is the one Fraction keys would give.
     """
     X, den = lattice_point([x for x, _ in a + b])
-    scaled_b = list(zip(X[len(a):], (n for _, n in b)))
+    scaled_a = list(zip(X[:len(a)], (m for _, m in a)))
     out: dict[int, int] = {}
-    get = out.get
-    for s, (_, m) in zip(X, a):
-        for t, n in scaled_b:
-            k = s + t
-            out[k] = get(k, 0) + m * n
-    return _ray_items(out, den)
+    for y, (_, n) in zip(X[len(a):], b):
+        _add_row(out, y, n, scaled_a)
+    return tuple((Fraction(p, den), m) for p, m in _int_items(out))
+
+
+def _ray_square(items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """A sorted int family P times its reflection: c(t) is the sum of
+    m_i * m_j over x_i - x_j = t.  It is symmetric, c(t) = c(-t), so only
+    the pairs i > j (t > 0) are summed and mirrored; c(0) is the sum of
+    the squares."""
+    half: dict[int, int] = {}
+    for j, (y, n) in enumerate(items):
+        _add_row(half, -y, n, items[j + 1:])
+    right = _int_items(half)
+    centre = ((0, sum(m * m for _, m in items)),) if items else ()
+    return tuple((-t, c) for t, c in reversed(right)) + centre + right
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:
@@ -221,13 +239,18 @@ def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
     objects always pass; the converse fails in general, so a pass is not
     a certificate.
     """
-    bf = b_transform(f)
-    product = bullet(bf, b_reflect(bf))
-    refined_ok = product == b_one()
-    scalar_ok = bf.zero * bf.zero == 1
+    den, z = f.den, euler_c(f)
+    plus, minus = (_ray_square(items) for items in _int_families(f))
+    unit = ((0, 1),)
+    scalar_ok = z * z == 1
+    refined_ok = plus == unit and minus == unit and scalar_ok
     detail = {
-        "product": product.to_json(),
-        "zero": bf.zero,
+        "product": {
+            "plus": [[fmt_ratio(t, den), str(c)] for t, c in plus],
+            "minus": [[fmt_ratio(t, den), str(c)] for t, c in minus],
+            "zero": z * z,
+        },
+        "zero": z,
         "refined_ok": refined_ok,
         "scalar_ok": scalar_ok,
     }

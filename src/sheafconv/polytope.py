@@ -334,11 +334,6 @@ def polytope_volume(p: Polytope) -> Fraction:
     return Fraction(total, 6 * den**3)
 
 
-def euler_from_faces(p: Polytope) -> int:
-    """Alternating face count; equals chi_c of the closed polytope (= 1)."""
-    return sum(-1 if k % 2 else 1 for _, k in p.faces)
-
-
 def open_indicator_expansion(p: Polytope) -> list[tuple[Polytope, int]]:
     """Write 1_{relint p} as a signed sum of closed-face indicators."""
     top = p.adim

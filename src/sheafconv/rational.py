@@ -1,12 +1,14 @@
 """Exact rational scalars.
 
-All coordinates, endpoints and offsets in this package are
-fractions.Fraction values; Fraction already maintains the invariants we
-need (lowest terms, positive denominator, value equality).  Floats are
-rejected everywhere at construction time so no rounding can sneak in.
-The wire format is the compact string "p" or "p/q".  Fast paths scale a
-group of rationals once to integers over their common denominator
-(lattice_point), compute on the ints and make a Fraction only per output.
+Coordinates, endpoints and offsets at the API edge are fractions.Fraction
+values; Fraction already maintains the invariants we need (lowest terms,
+positive denominator, value equality).  Floats are rejected everywhere
+at construction time so no rounding can sneak in.  The wire format is
+the compact string "p" or "p/q", read by one ASCII literal grammar.
+Fast paths scale a group of rationals once to integers over their
+common denominator (lattice_point), or take them as integer pairs
+(ratio), compute on the ints, and write each output position from its
+integer pair with one gcd (fmt_ratio).
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
-Rat = Fraction
-
 # The one grammar of a rational literal, for parse_rat and the DSL: 'p',
-# '-p' or 'p/q', the denominator without leading zeros.
-RAT_LITERAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# '-p' or 'p/q' in ASCII digits, the denominator without leading zeros.
+RAT_LITERAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z", re.ASCII)
 
 # The most decimal digits a literal may spell in its numerator and in its
 # denominator, leading zeros included; a longer one is bad input, rejected
@@ -58,6 +58,19 @@ def rat(value) -> Fraction:
     raise InputError(f"not an exact rational: {value!r} ({type(value).__name__})")
 
 
+def ratio(value) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0 for an int, a Fraction, a "p/q"
+    string, or an integer pair (p, q) with q > 0, which the DSL's
+    literals are."""
+    if not isinstance(value, tuple):
+        value = rat(value)
+        return value.numerator, value.denominator
+    if len(value) != 2 or not all(type(v) is int for v in value) or value[1] < 1:
+        raise InputError(f"not an integer pair (p, q) with q > 0: {value!r}")
+    g = gcd(*value)
+    return value[0] // g, value[1] // g
+
+
 def lattice_point(x) -> tuple[tuple[int, ...], int]:
     """(L*x, L) for a rational vector x, L the lcm of its denominators.
     Scaling by L > 0 keeps the order, so the ints sort and compare as
@@ -78,12 +91,18 @@ def parse_rat(text: str) -> Fraction:
 
 
 def fmt_rat(value: Fraction) -> str:
-    # str(Fraction) is already "p" or "p/q" in lowest terms.  Python
-    # refuses to write an int past sys.get_int_max_str_digits() digits, so
-    # a result built from a few long literals may not be writable: bad
-    # input, reported before anything is printed.
+    return fmt_ratio(value.numerator, value.denominator)
+
+
+def fmt_ratio(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms as "p" or "p/q": one gcd, taken only
+    when the position is written."""
+    g = gcd(p, q)
+    # Python refuses to write an int past sys.get_int_max_str_digits()
+    # digits, so a result built from a few long literals may not be
+    # writable: bad input, reported before anything is printed.
     try:
-        return str(value)
+        return str(p // g) if q == g else f"{p // g}/{q // g}"
     except ValueError:
         raise InputError(f"result has a rational of more than {sys.get_int_max_str_digits()} "
                          "digits in its numerator or denominator") from None

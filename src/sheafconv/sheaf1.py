@@ -3,17 +3,21 @@
 An object is a finite multiset of shifted interval generators k_I[d];
 by the decomposition theorem for constructible sheaves on R this normal
 form is unique once sorted, so equality of objects is equality of the
-canonical generator tuple.  The normal form is merged and sorted on
-integer keys, the interval ends scaled once over their common
-denominator.  Convolution
+canonical form.  A Sheaf1 is that form on integers: one denominator den
+and a strictly increasing tuple of keys (lo, hi, closure, shift, mult),
+the ends lo/den and hi/den, with den >= 1 coprime to the ends taken
+together.  Every operation acts on the keys; Fractions appear only at
+the API edge (the Generator views and the constructors' arguments).
+Convolution
 
     F * G = Rs_!(F boxtimes G),   s(x, y) = x + y
 
 is computed generator by generator from a closed case table over the
-four closure types; the table is cross-validated against an independent
-stalk/sections oracle (see sheafconv.oracle).  The unit is the skyscraper
-at 0 and the semi-open generators are the zero divisors: k_{[a,b[} always
-annihilates k_{]c,d]}.
+four closure types, on integer ends over the lcm of the two
+denominators; the table is cross-validated against an independent
+stalk/sections oracle (see sheafconv.oracle).  The unit is the
+skyscraper at 0 and the semi-open generators are the zero divisors:
+k_{[a,b[} always annihilates k_{]c,d]}.
 """
 
 from __future__ import annotations
@@ -21,10 +25,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InputError, InvariantViolation, NotInvertible
-from .rational import lattice_point, rat
+from .rational import fmt_ratio, lattice_point, rat, ratio
+
+# The most generator pairs one convolution may multiply, checked before
+# any pair is built: a conv of four random 12-term sums already holds
+# about 17,000 generators, so a fifth term would multiply about 200,000.
+MAX_GENERATOR_PAIRS = 100_000
+
+# the two bits of a closure's value: which ends are open
+LEFT_OPEN = 2
+RIGHT_OPEN = 1
 
 
 class Closure(enum.IntEnum):
@@ -37,22 +52,16 @@ class Closure(enum.IntEnum):
 
     @property
     def left_closed(self) -> bool:
-        return self in (Closure.CC, Closure.CO)
+        return not self & LEFT_OPEN
 
     @property
     def right_closed(self) -> bool:
-        return self in (Closure.CC, Closure.OC)
+        return not self & RIGHT_OPEN
 
-    @property
-    def reversed(self) -> "Closure":
-        # mirror image under x -> -x
-        return Closure.of(self.right_closed, self.left_closed)
 
-    @staticmethod
-    def of(left_closed: bool, right_closed: bool) -> "Closure":
-        # the value's two bits say which ends are open: left 2, right 1
-        return Closure(2 * (not left_closed) + (not right_closed))
-
+CC, CO, OC, OO = Closure
+_REVERSED = (CC, OC, CO, OO)  # the mirror image under x -> -x
+_FLIPPED = (OO, OC, CO, CC)  # both ends' closures swapped
 
 # the expression language's interval atoms; the JSON wire format names
 # each closure by its lower-case enum name instead
@@ -62,6 +71,13 @@ ATOM_CLOSURES = {
     "koc": Closure.OC,
     "ko": Closure.OO,
 }
+
+
+def _check_degree(shift, mult) -> None:
+    if not isinstance(shift, int) or isinstance(shift, bool):
+        raise InputError(f"shift must be an integer, got {shift!r}")
+    if not isinstance(mult, int) or mult < 1:
+        raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -84,10 +100,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, t: Fraction) -> bool:
         if t < self.lo or t > self.hi:
             return False
@@ -96,12 +108,6 @@ class Interval:
         if t == self.hi and not self.closure.right_closed:
             return False
         return True
-
-    def translate(self, x0: Fraction) -> "Interval":
-        return Interval(self.lo + x0, self.hi + x0, self.closure)
-
-    def reflect(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.closure.reversed)
 
 
 @dataclass(frozen=True, order=True)
@@ -117,61 +123,117 @@ class Generator:
     mult: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.shift, int) or isinstance(self.shift, bool):
-            raise InputError(f"shift must be an integer, got {self.shift!r}")
-        if not isinstance(self.mult, int) or self.mult < 1:
-            raise InputError(f"multiplicity must be a positive integer, got {self.mult!r}")
-
-    def sort_key(self):
-        iv = self.interval
-        return (iv.lo, iv.hi, int(iv.closure), self.shift)
+        _check_degree(self.shift, self.mult)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sheaf1:
-    """Canonical direct sum of generators; the empty sum is the zero object."""
+    """Canonical direct sum of generators; the empty sum is the zero object.
 
-    gens: tuple[Generator, ...] = ()
+    den >= 1 and keys, a strictly increasing tuple of (lo, hi, closure,
+    shift, mult) over den, with gcd(den, every end) == 1, so that equal
+    objects have equal fields.  Sheaf1(gens) takes a canonical tuple of
+    Generators (see normalize); gens is that tuple, built on first use.
+    """
 
-    def __post_init__(self):
-        keys = [g.sort_key() for g in self.gens]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+    den: int
+    keys: tuple[tuple[int, int, Closure, int, int], ...]
+
+    def __init__(self, gens: Iterable[Generator] = ()):
+        gens = tuple(gens)
+        den, keys = _items(gens)
+        self._set(den, tuple(keys))
+        self.__dict__["gens"] = gens
+
+    @classmethod
+    def _of(cls, den: int, keys: tuple) -> "Sheaf1":
+        f = object.__new__(cls)
+        f._set(den, keys)
+        return f
+
+    def _set(self, den: int, keys: tuple) -> None:
+        # the canonical form, checked in one pass
+        if den < 1 or (den > 1 and gcd(den, *(e for k in keys for e in k[:2])) != 1) or any(
+                a[:4] >= b[:4] for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("Sheaf1 constructed with non-canonical generators")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "keys", keys)
+
+    @cached_property
+    def gens(self) -> tuple[Generator, ...]:
+        den = self.den
+        return tuple(Generator(Interval(Fraction(lo, den), Fraction(hi, den), c), s, m)
+                     for lo, hi, c, s, m in self.keys)
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.keys
 
     def __iter__(self):
         return iter(self.gens)
+
+
+def _items(gens) -> tuple[int, list[tuple]]:
+    """(den, [(lo, hi, closure, shift, mult)]) of a generator sequence, the
+    ends scaled once over their common denominator den."""
+    ends, den = lattice_point([e for g in gens for e in (g.interval.lo, g.interval.hi)])
+    return den, [(lo, hi, g.interval.closure, g.shift, g.mult)
+                 for g, lo, hi in zip(gens, ends[::2], ends[1::2])]
+
+
+def _normal(den: int, items: Iterable[tuple]) -> Sheaf1:
+    """The canonical object of (lo, hi, closure, shift, mult) items over
+    den: items that agree on all but mult are merged, the keys sorted and
+    den reduced by the gcd of all ends."""
+    merged: dict[tuple, int] = {}
+    get = merged.get
+    for lo, hi, c, s, m in items:
+        k = (lo, hi, c, s)
+        merged[k] = get(k, 0) + m
+    keys = [(*k, m) for k, m in sorted(merged.items())]
+    g = gcd(den, *(e for k in keys for e in k[:2])) if den > 1 else 1
+    if g > 1:
+        den //= g
+        keys = [(lo // g, hi // g, c, s, m) for lo, hi, c, s, m in keys]
+    return Sheaf1._of(den, tuple(keys))
+
+
+def _scaled(f: Sheaf1, den: int):
+    """The keys of f over den, a multiple of f.den."""
+    k = den // f.den
+    if k == 1:
+        return f.keys
+    return [(lo * k, hi * k, c, s, m) for lo, hi, c, s, m in f.keys]
 
 
 def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
     """Merge generators that agree on (interval, shift); drop nothing else.
 
     Idempotent; every public operation returns normalized objects.  The
-    generators are merged and sorted by the integer key (lo*den, hi*den,
-    closure, shift), den the common denominator of all their ends; den > 0
-    keeps the order, so it is the order of Generator.sort_key.
+    ends are scaled once over their common denominator, and the keys
+    (lo, hi, closure, shift) merged and sorted as ints; den > 0 keeps the
+    order, so it is the order of the Fraction ends.
     """
     if isinstance(gens, Sheaf1):
-        gens = gens.gens
-    gens = list(gens)
-    ends, _ = lattice_point([e for g in gens for e in (g.interval.lo, g.interval.hi)])
-    merged: dict[tuple, Generator] = {}
-    for g, lo, hi in zip(gens, ends[::2], ends[1::2]):
-        key = (lo, hi, g.interval.closure, g.shift)
-        old = merged.get(key)
-        merged[key] = g if old is None else Generator(g.interval, g.shift, old.mult + g.mult)
-    return Sheaf1(tuple(merged[k] for k in sorted(merged)))
+        return gens
+    return _normal(*_items(list(gens)))
 
 
 # -- convenience constructors ------------------------------------------------
 
 def interval_sheaf(closure: Closure, a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
     """mult copies of k_I[shift], I the interval from a to b with the
-    given endpoint closure."""
-    return normalize([Generator(Interval(rat(a), rat(b), closure), shift, mult)])
+    given endpoint closure; a and b are anything rational.ratio reads."""
+    (p, q), (r, s) = ratio(a), ratio(b)
+    den = lcm(q, s)
+    lo, hi = p * (den // q), r * (den // s)
+    if lo > hi:
+        raise InputError(f"empty interval: lo={fmt_ratio(p, q)} > hi={fmt_ratio(r, s)}")
+    if lo == hi and closure is not Closure.CC:
+        raise InputError("a degenerate interval must be closed")
+    _check_degree(shift, mult)
+    # both ends in lowest terms over the lcm of their denominators: canonical
+    return Sheaf1._of(den, ((lo, hi, closure, shift, mult),))
 
 
 def kc(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
@@ -199,25 +261,27 @@ def zero() -> Sheaf1:
 
 
 def direct_sum(*sheaves: Sheaf1) -> Sheaf1:
-    return normalize([g for f in sheaves for g in f.gens])
+    den = lcm(*(f.den for f in sheaves))
+    return _normal(den, [k for f in sheaves for k in _scaled(f, den)])
 
 
 # -- elementary operations ---------------------------------------------------
 
 def shift(f: Sheaf1, k: int) -> Sheaf1:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InputError(f"shift must be an integer, got {k!r}")
-    return normalize(Generator(g.interval, g.shift + k, g.mult) for g in f)
+    _check_degree(k, 1)
+    return _normal(f.den, [(lo, hi, c, s + k, m) for lo, hi, c, s, m in f.keys])
 
 
 def translate(f: Sheaf1, x0) -> Sheaf1:
-    x0 = rat(x0)
-    return normalize(Generator(g.interval.translate(x0), g.shift, g.mult) for g in f)
+    p, q = ratio(x0)
+    den = lcm(f.den, q)
+    x = p * (den // q)
+    return _normal(den, [(lo + x, hi + x, c, s, m) for lo, hi, c, s, m in _scaled(f, den)])
 
 
 def antipodal(f: Sheaf1) -> Sheaf1:
     """Pullback along x -> -x."""
-    return normalize(Generator(g.interval.reflect(), g.shift, g.mult) for g in f)
+    return _normal(f.den, [(-hi, -lo, _REVERSED[c], s, m) for lo, hi, c, s, m in f.keys])
 
 
 def dual(f: Sheaf1) -> Sheaf1:
@@ -230,113 +294,93 @@ def dual(f: Sheaf1) -> Sheaf1:
         D k_{[a,b[}[d] = k_{]a,b]}[1-d]      D k_{]a,b]}[d] = k_{[a,b[}[1-d]
         D delta_a[d]   = delta_a[-d]
     """
-    out = []
-    for g in f:
-        iv = g.interval
-        if iv.is_point:
-            out.append(Generator(iv, -g.shift, g.mult))
-        else:
-            flipped = Interval(iv.lo, iv.hi, Closure.of(not iv.closure.left_closed,
-                                                        not iv.closure.right_closed))
-            out.append(Generator(flipped, 1 - g.shift, g.mult))
-    return normalize(out)
+    return _normal(f.den, [(lo, hi, c, -s, m) if lo == hi else (lo, hi, _FLIPPED[c], 1 - s, m)
+                           for lo, hi, c, s, m in f.keys])
 
 
 # -- convolution -------------------------------------------------------------
 
-def _convolve_intervals(i: Interval, j: Interval) -> list[tuple[Interval, int]]:
-    """Unshifted, multiplicity-one convolution k_I * k_J.
+def _convolve_ends(a: int, b: int, ci: Closure, c: int, d: int, cj: Closure) -> tuple:
+    """Unshifted, multiplicity-one convolution of k_I and k_J, I from a to
+    b and J from c to d (integer ends over one denominator).
 
-    Returns [(interval, extra_shift)] summands.  Case analysis over the
-    closure pair (symmetric in its arguments); every case is forced by the
-    stalkwise computation RGamma_c(I cap (t - J)) and double-checked by the
-    oracle module.
+    Returns (lo, hi, closure, extra_shift) summands.  Case analysis over
+    the closure pair (symmetric in its arguments); every case is forced
+    by the stalkwise computation RGamma_c(I cap (t - J)) and
+    double-checked by the oracle module.
     """
-    ci, cj = i.closure, j.closure
-    if int(ci) > int(cj):
-        i, j = j, i
-        ci, cj = cj, ci
-    a, b = i.lo, i.hi
-    c, d = j.lo, j.hi
+    if ci > cj:
+        a, b, ci, c, d, cj = c, d, cj, a, b, ci
 
-    if ci is Closure.CC and cj is Closure.CC:
-        return [(Interval(a + c, b + d, Closure.CC), 0)]
+    if ci is CC:
+        if cj is CC:
+            return ((a + c, b + d, CC, 0),)
+        if cj is OO:
+            if b - a < d - c:
+                return ((b + c, a + d, OO, 0),)
+            # a shorter (or equal) open window degenerates to a closed
+            # interval (a skyscraper when the lengths agree), one degree down
+            return ((a + d, b + c, CC, -1),)
+        if cj is CO:
+            # only the left closure of the CC factor survives
+            return ((a + c, a + d, CO, 0),)
+        return ((b + c, b + d, OC, 0),)
 
-    if ci is Closure.CC and cj is Closure.OO:
-        if i.length < j.length:
-            return [(Interval(b + c, a + d, Closure.OO), 0)]
-        # a shorter (or equal) open window degenerates to a closed interval
-        # (a skyscraper when the lengths agree), one degree down
-        return [(Interval(a + d, b + c, Closure.CC), -1)]
+    if cj is OO:
+        if ci is OO:
+            return ((a + c, b + d, OO, -1),)
+        if ci is CO:
+            # the CO factor translated by the right end of the open window
+            return ((a + d, b + d, CO, -1),)
+        return ((a + c, b + c, OC, -1),)
 
-    if ci is Closure.CC and cj is Closure.CO:
-        # only the left closure of the CC factor survives
-        return [(Interval(a + c, a + d, Closure.CO), 0)]
+    if ci is not cj:
+        return ()  # CO and OC: semi-open annihilation, every stalk is half-open
 
-    if ci is Closure.CC and cj is Closure.OC:
-        return [(Interval(b + c, b + d, Closure.OC), 0)]
-
-    if ci is Closure.CO and cj is Closure.OC:
-        return []  # semi-open annihilation: every stalk is half-open
-
-    if ci is Closure.OO and cj is Closure.OO:
-        return [(Interval(a + c, b + d, Closure.OO), -1)]
-
-    if ci is Closure.CO and cj is Closure.OO:
-        # the CO factor translated by the right end of the open window
-        return [(Interval(a + d, b + d, Closure.CO), -1)]
-
-    if ci is Closure.OC and cj is Closure.OO:
-        return [(Interval(a + c, b + c, Closure.OC), -1)]
-
-    if ci is Closure.CO and cj is Closure.CO:
-        lo_cut = min(a + d, b + c)
-        hi_cut = max(a + d, b + c)
-        return [
-            (Interval(a + c, lo_cut, Closure.CO), 0),
-            (Interval(hi_cut, b + d, Closure.CO), -1),
-        ]
-
-    if ci is Closure.OC and cj is Closure.OC:
-        lo_cut = min(a + d, b + c)
-        hi_cut = max(a + d, b + c)
-        return [
-            (Interval(hi_cut, b + d, Closure.OC), 0),
-            (Interval(a + c, lo_cut, Closure.OC), -1),
-        ]
-
-    raise InvariantViolation(f"unhandled closure pair {ci}, {cj}")
+    lo_cut, hi_cut = (a + d, b + c) if a + d <= b + c else (b + c, a + d)
+    if ci is CO:
+        return ((a + c, lo_cut, CO, 0), (hi_cut, b + d, CO, -1))
+    return ((hi_cut, b + d, OC, 0), (a + c, lo_cut, OC, -1))
 
 
 def convolve_generators(g: Generator, h: Generator) -> Sheaf1:
     """Convolution of two single generators."""
-    summands = [
-        Generator(iv, g.shift + h.shift + extra, g.mult * h.mult)
-        for iv, extra in _convolve_intervals(g.interval, h.interval)
-    ]
-    return normalize(summands)
+    return convolve(Sheaf1((g,)), Sheaf1((h,)))
 
 
 def convolve(f: Sheaf1, g: Sheaf1) -> Sheaf1:
-    """Bilinear extension of the generator table, normalized once."""
-    return normalize(
-        Generator(iv, gf.shift + gg.shift + extra, gf.mult * gg.mult)
-        for gf in f
-        for gg in g
-        for iv, extra in _convolve_intervals(gf.interval, gg.interval)
-    )
+    """Bilinear extension of the generator table on integer ends over
+    lcm(f.den, g.den), normalized once.
+
+    Raises InputError when f and g have more than MAX_GENERATOR_PAIRS
+    generator pairs, before any pair is built.
+    """
+    pairs = len(f.keys) * len(g.keys)
+    if pairs > MAX_GENERATOR_PAIRS:
+        raise InputError(f"convolution of {len(f.keys)} by {len(g.keys)} generators: "
+                         f"more than {MAX_GENERATOR_PAIRS} generator pairs")
+    den = lcm(f.den, g.den)
+    gk = _scaled(g, den)
+    return _normal(den, [
+        (lo, hi, c, s + t + extra, m * n)
+        for a, b, ci, s, m in _scaled(f, den)
+        for c2, d, cj, t, n in gk
+        for lo, hi, c, extra in _convolve_ends(a, b, ci, c2, d, cj)
+    ])
 
 
 # -- local and global invariants ---------------------------------------------
 
 def stalk(f: Sheaf1, t) -> dict[int, int]:
     """Graded dimensions of the stalk at t; zero entries are dropped."""
-    t = rat(t)
+    p, q = ratio(t)
+    x = p * f.den  # t scaled by den * q, like every end below
     dims: dict[int, int] = {}
-    for g in f:
-        if g.interval.contains(t):
-            deg = -g.shift
-            dims[deg] = dims.get(deg, 0) + g.mult
+    for lo, hi, c, s, m in f.keys:
+        lo, hi = lo * q, hi * q
+        if ((lo < x or (lo == x and not c & LEFT_OPEN))
+                and (x < hi or (x == hi and not c & RIGHT_OPEN))):
+            dims[-s] = dims.get(-s, 0) + m
     return {k: v for k, v in sorted(dims.items()) if v}
 
 
@@ -347,28 +391,19 @@ def global_sections_c(f: Sheaf1) -> dict[int, int]:
     an open one in degree 1-d, a semi-open one contributes nothing.
     """
     dims: dict[int, int] = {}
-    for g in f:
-        c = g.interval.closure
-        if c is Closure.CC:
-            deg = -g.shift
-        elif c is Closure.OO:
-            deg = 1 - g.shift
+    for _, _, c, s, m in f.keys:
+        if c is CC:
+            deg = -s
+        elif c is OO:
+            deg = 1 - s
         else:
             continue
-        dims[deg] = dims.get(deg, 0) + g.mult
+        dims[deg] = dims.get(deg, 0) + m
     return {k: v for k, v in sorted(dims.items()) if v}
 
 
 def euler_c(f: Sheaf1) -> int:
     return sum((-1 if deg % 2 else 1) * dim for deg, dim in global_sections_c(f).items())
-
-
-def graded_tensor(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, p in a.items():
-        for j, q in b.items():
-            out[i + j] = out.get(i + j, 0) + p * q
-    return {k: v for k, v in sorted(out.items()) if v}
 
 
 def rescale(f: Sheaf1, lam) -> Sheaf1:
@@ -377,21 +412,13 @@ def rescale(f: Sheaf1, lam) -> Sheaf1:
     For lam = 0 the image is a point and the result is the skyscraper
     complex at 0 carrying RGamma_c(f).
     """
-    lam = rat(lam)
-    if lam == 0:
-        return normalize(
-            Generator(Interval(rat(0), rat(0), Closure.CC), -deg, dim)
-            for deg, dim in global_sections_c(f).items()
-        )
-    out = []
-    for g in f:
-        iv = g.interval
-        if lam > 0:
-            img = Interval(lam * iv.lo, lam * iv.hi, iv.closure)
-        else:
-            img = Interval(lam * iv.hi, lam * iv.lo, iv.closure.reversed)
-        out.append(Generator(img, g.shift, g.mult))
-    return normalize(out)
+    p, q = ratio(lam)
+    if p == 0:
+        return _normal(1, [(0, 0, CC, -deg, dim) for deg, dim in global_sections_c(f).items()])
+    if p > 0:
+        return _normal(f.den * q, [(lo * p, hi * p, c, s, m) for lo, hi, c, s, m in f.keys])
+    return _normal(f.den * q, [(hi * p, lo * p, _REVERSED[c], s, m)
+                               for lo, hi, c, s, m in f.keys])
 
 
 # -- invertibility -----------------------------------------------------------
@@ -406,12 +433,12 @@ def is_invertible(f: Sheaf1) -> tuple[bool, str]:
     """
     if f.is_zero:
         return False, "the zero object is not invertible"
-    if len(f.gens) > 1:
-        return False, f"{len(f.gens)} generators; an invertible object has exactly one"
-    g = f.gens[0]
-    if g.mult != 1:
-        return False, f"multiplicity {g.mult}; an invertible generator has multiplicity 1"
-    if g.interval.closure in (Closure.CO, Closure.OC):
+    if len(f.keys) > 1:
+        return False, f"{len(f.keys)} generators; an invertible object has exactly one"
+    _, _, c, _, m = f.keys[0]
+    if m != 1:
+        return False, f"multiplicity {m}; an invertible generator has multiplicity 1"
+    if c is CO or c is OC:
         return False, "semi-open generators are zero divisors"
     return True, "single closed or open generator of multiplicity 1"
 

@@ -1,7 +1,12 @@
 """Fraction linear algebra, kept as an oracle for the integer lattice
-form of sheafconv.polytope: reduced row echelon form and nullspace."""
+form of sheafconv.polytope: reduced row echelon form and nullspace, and
+the scaling of a vector the tests build points with."""
 
 from fractions import Fraction
+
+
+def vscale(u, c) -> tuple:
+    return tuple(a * c for a in u)
 
 
 def rref(rows: list) -> tuple[list[list[Fraction]], list[int]]:

@@ -12,9 +12,13 @@ table and measures every term in its own chart; `search_faces` is the
 breadth-first search over facets that found the faces before, and
 `chart_volume` the projection hull that measured a term in the hull's
 chart.
+
+The seeded random polytopes and regions the tests draw close the file.
 """
 
+import random
 from fractions import Fraction
+from itertools import product
 
 from sheafconv.linalg import vadd, vdot
 from sheafconv.polytope import (
@@ -24,7 +28,8 @@ from sheafconv.polytope import (
     polytope_volume,
     vertex_keys,
 )
-from sheafconv.region import CLOSED, Region, Term
+from sheafconv.randgen import rand_rat
+from sheafconv.region import CLOSED, Region, Term, make_region
 
 
 def fraction_make_region(dim: int, items) -> Region:
@@ -88,9 +93,46 @@ def search_faces(p) -> tuple:
     return tuple(faces[i] for i in sorted(range(len(faces)), key=keys.__getitem__))
 
 
+def euler_from_faces(p: Polytope) -> int:
+    """Alternating face count; equals chi_c of the closed polytope (= 1)."""
+    return sum(-1 if k % 2 else 1 for _, k in p.faces)
+
+
 def chart_volume(p, idxs: tuple[int, ...], dim: int) -> Fraction:
     """dim-volume of the projection of p onto the given coordinates."""
     proj = convex_hull([tuple(v[i] for i in idxs) for v in p.verts])
     if proj.adim < dim:
         return Fraction(0)
     return polytope_volume(proj)
+
+
+# ---------------------------------------------------------------------------
+# seeded random objects (kept small-coordinate so exact hulls stay fast)
+
+def rand_point(rng: random.Random, n: int, span: int = 4, max_den: int = 2) -> tuple:
+    return tuple(rand_rat(rng, -span, span, max_den) for _ in range(n))
+
+
+def rand_polytope(rng: random.Random, n: int, npts: int | None = None, span: int = 4):
+    if npts is None:
+        npts = rng.randint(n + 1, n + 4)
+    return convex_hull([rand_point(rng, n, span) for _ in range(npts)])
+
+
+def rand_box(rng: random.Random, n: int, span: int = 4):
+    sides = []
+    for _ in range(n):
+        a = rand_rat(rng, -span, span, 2)
+        b = rand_rat(rng, -span, span, 2)
+        sides.append((min(a, b), max(a, b)))
+    return Polytope(tuple(product(*[(lo, hi) for lo, hi in sides])))
+
+
+def rand_union_region(rng: random.Random, n: int, max_terms: int = 3, span: int = 4):
+    """Union of closed polytopes presented with weight one each."""
+    k = rng.randint(1, max_terms)
+    polys: dict = {}
+    while len(polys) < k:
+        p = rand_box(rng, n, span) if rng.random() < 0.5 else rand_polytope(rng, n, span=span)
+        polys[p] = p
+    return make_region(n, [(p, CLOSED, 1) for p in polys.values()])

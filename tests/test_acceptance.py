@@ -33,14 +33,7 @@ from sheafconv.microlocal import (
     ss_convolution_bound_check,
 )
 from sheafconv.polytope import convex_hull, minkowski_sum
-from sheafconv.randgen import (
-    rand_box,
-    rand_invertible,
-    rand_polytope,
-    rand_rat,
-    rand_sheaf,
-    rand_union_region,
-)
+from sheafconv.randgen import rand_rat
 from sheafconv.region import CLOSED, evaluate_region, is_convex_region, make_region
 from sheafconv.sheaf1 import (
     convolve,
@@ -58,7 +51,9 @@ from sheafconv.sheaf1 import (
     zero,
 )
 
+from region_oracles import rand_box, rand_polytope, rand_union_region
 from shadow_oracles import sliced_pushforward
+from sheaf1_oracles import rand_invertible, rand_sheaf
 
 F = Fraction
 

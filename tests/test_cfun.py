@@ -28,18 +28,13 @@ from sheafconv.cfun import (
 from sheafconv.errors import InputError
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vsub
 from sheafconv.polytope import Polytope, convex_hull, minkowski_sum
-from sheafconv.randgen import (
-    rand_box,
-    rand_point,
-    rand_polytope,
-    rand_rat,
-    rand_sheaf,
-    rand_union_region,
-)
+from sheafconv.randgen import rand_rat
 from sheafconv.region import CLOSED, RELINT, evaluate_region, is_convex_region, make_region
 from sheafconv.sheaf1 import convolve, kc, kco, ko
 
+from region_oracles import rand_box, rand_point, rand_polytope, rand_union_region
 from shadow_oracles import brute_cf1_convolve, build_cf1, sliced_pushforward, stalk_shadow
+from sheaf1_oracles import rand_sheaf
 
 F = Fraction
 

@@ -9,6 +9,8 @@ import doctest
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -50,9 +52,10 @@ CORPUS = [
 
 
 def test_parse_shapes():
-    assert parse("kc(0,1)") == ("kc", F(0), F(1))
+    # a rational literal parses to its integer pair (p, q)
+    assert parse("kc(0,1)") == ("kc", (0, 1), (1, 1))
     assert parse(" conv( kc(0,1) , dirac(1/3) ) ") == (
-        "conv", ("kc", F(0), F(1)), ("dirac", F(1, 3)),
+        "conv", ("kc", (0, 1), (1, 1)), ("dirac", (1, 3)),
     )
     assert parse("zero") == ("zero",)
 
@@ -241,6 +244,41 @@ def test_readme_example_runs():
     assert result.attempted > 0 and result.failed == 0
 
 
+def _readme_cli_examples():
+    """(argv, stdout, exit code) of each `$ sheafconv` line in the README's
+    first block of command-line examples; region examples are skipped,
+    since their files are not in the repository."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(.*?)^```", fh.read(), re.S | re.M)
+    lines = next(b for b in blocks if "$ sheafconv " in b).splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ sheafconv ") or line.startswith("$ sheafconv region "):
+            continue
+        out = []
+        for text in lines[i + 1:]:
+            if not text or text.startswith("$ "):
+                break
+            out.append(text)
+        body, _, comment = "\n".join(out).partition("#")
+        code = int(comment.split()[-1]) if comment else 0
+        examples.append((shlex.split(line)[2:], body.rstrip() + "\n", code))
+    return examples
+
+
+@pytest.mark.parametrize("argv, stdout, code", _readme_cli_examples())
+def test_readme_cli_examples_print_what_they_show(capsys, argv, stdout, code):
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == stdout and err == ""
+
+
+def test_readme_cli_examples_are_all_read():
+    assert len(_readme_cli_examples()) == 7
+
+
 def test_cli_bad_rational_is_exit_2(capsys):
     assert cli.main(["stalk", "-e", "kc(0,1)", "--at", "x"]) == 2
     capsys.readouterr()
@@ -271,6 +309,42 @@ def test_literal_digit_bound_is_inclusive(capsys):
         eval_text(f"kc(0,{edge}9)")
     with pytest.raises(InputError):
         parse_rat(f"{edge}9")
+
+
+@pytest.mark.parametrize("argv, at", [
+    (["eval", "-e", "kc(\u0663,4)"], 3),  # ARABIC-INDIC DIGIT THREE
+    (["eval", "-e", "kc(\uff11,2)"], 3),  # FULLWIDTH DIGIT ONE
+    (["eval", "-e", "kc(\u0663,4"], 3),
+    (["eval", "-e", "kc(0,\u00a01)"], 5),  # NO-BREAK SPACE
+    (["stalk", "-e", "kc(0,2)", "--at", "\u0661"], None),
+    (["stalk", "-e", "kc(0,2)", "--at", "1\n"], None),
+], ids=["dsl-arabic-indic", "dsl-fullwidth", "dsl-unbalanced", "dsl-no-break-space",
+        "stalk-at", "stalk-at-trailing-newline"])
+def test_cli_literals_are_ascii(capsys, argv, at):
+    # only ASCII precedes the offending character, so its offset is a byte offset
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error
+    if at is not None:
+        assert error.endswith(f"(at byte {at})")
+
+
+def test_cli_region_vertex_is_ascii(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_region_doc(vertices=[["0", "0"], ["1", "0"], ["0", "\u0663"]]))
+    assert cli.main(["region", "check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed rational" in json.loads(err)["error"]
+
+
+def test_cli_convolution_past_pair_bound_is_exit_2(capsys):
+    # two 400-term sums: 160,000 generator pairs, refused before any is built
+    terms = ",".join(f"kc({i},{2 * i + 1}/2)" for i in range(400))
+    assert 400 * 400 > sheaf1.MAX_GENERATOR_PAIRS
+    assert cli.main(["eval", "-e", f"conv(sum({terms}),sum({terms}))"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "generator pairs" in json.loads(err)["error"]
 
 
 def test_cli_zero_denominator_with_leading_zeros_is_exit_2(capsys):

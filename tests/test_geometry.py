@@ -19,17 +19,23 @@ from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
     convex_hull,
-    euler_from_faces,
     intersect_polytopes,
     minkowski_sum,
     open_indicator_expansion,
     polytope_volume,
     slice_polytope,
 )
-from sheafconv.randgen import rand_box, rand_point, rand_polytope, rand_union_region
 
 from linalg_oracles import rref
-from region_oracles import chart_volume, search_faces
+from region_oracles import (
+    chart_volume,
+    euler_from_faces,
+    rand_box,
+    rand_point,
+    rand_polytope,
+    rand_union_region,
+    search_faces,
+)
 from test_acceptance import region_corpus
 from sheafconv.region import (
     CLOSED,

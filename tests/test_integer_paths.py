@@ -2,20 +2,24 @@
 
 Each integer path is pinned equal to the Fraction-keyed path it
 replaced, on positions with mixed denominators up to 10**6, negative
-positions, multiplicities that cancel and empty inputs: the normal form
-against tests/sheaf1_oracles.py, the shadows against the pointwise
+positions, points, multiplicities that cancel and empty inputs: the
+normal form and every operation on objects against the Fraction
+operations of tests/sheaf1_oracles.py, the shadows against the pointwise
 oracles and the Fraction sweep of tests/shadow_oracles.py, the ray
 families against the per-closure tables of tests/microlocal_oracles.py,
-and the negations against a re-sort.  A counting guard keeps the large
-ops free of Fraction hashing.
+the symmetric product of the necessary check against the full product,
+and the negations against a re-sort.  Counting guards keep the large ops
+free of Fraction hashing, and the large check free of Fractions.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+from sheafconv import cli
 from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf
 from sheafconv.microlocal import (
     BTransform,
@@ -24,14 +28,39 @@ from sheafconv.microlocal import (
     b_necessary_check,
     b_reflect,
     b_transform,
+    bullet,
     cc,
     cc_antipodal,
 )
-from sheafconv.sheaf1 import Closure, Generator, Interval, Sheaf1, convolve, normalize
+from sheafconv.sheaf1 import (
+    Closure,
+    Generator,
+    Interval,
+    Sheaf1,
+    antipodal,
+    convolve,
+    dual,
+    inverse,
+    normalize,
+    rescale,
+    shift,
+    stalk,
+    translate,
+)
 
 from microlocal_oracles import table_cc_families
 from shadow_oracles import brute_cf1_convolve, build_cf1, fraction_sweep, stalk_shadow
-from sheaf1_oracles import fraction_normalize
+from sheaf1_oracles import (
+    fraction_antipodal,
+    fraction_convolve,
+    fraction_dual,
+    fraction_inverse,
+    fraction_normalize,
+    fraction_rescale,
+    fraction_shift,
+    fraction_stalk,
+    fraction_translate,
+)
 
 # a few positions with denominators up to 10**6, signs mixed
 pools = st.lists(
@@ -47,10 +76,10 @@ def spots(pool) -> list:
 
 
 @st.composite
-def generator_lists(draw, max_size=8):
-    """Generators on one pool, some of them repeated, so that merges
-    happen; the empty list included."""
-    at = st.sampled_from(spots(draw(pools)))
+def generator_lists(draw, max_size=8, pool=None):
+    """Generators on one pool (drawn unless given), some of them
+    repeated, so that merges happen; the empty list included."""
+    at = st.sampled_from(spots(pool or draw(pools)))
     gens = []
     for _ in range(draw(st.integers(0, max_size))):
         a, b = sorted((draw(at), draw(at)))
@@ -78,6 +107,62 @@ _CANCELLING = [Generator(_I, 0), Generator(_I, 1)]
 def test_normalize_matches_fraction_oracle(gens):
     # Generator equality reads the multiplicity: order and merges both
     assert normalize(gens).gens == fraction_normalize(gens)
+
+
+@st.composite
+def sheaf_pairs(draw):
+    """Two canonical objects and a point on one pool, so that the ends of
+    their convolution collide and cancel."""
+    pool = draw(pools)
+    f, g = (Sheaf1(fraction_normalize(draw(generator_lists(pool=pool)))) for _ in range(2))
+    return f, g, draw(st.sampled_from(spots(pool)))
+
+
+_PAIR_EXAMPLES = [(Sheaf1(), Sheaf1(fraction_normalize(_CANCELLING)), Fraction(-3, 7)),
+                  (Sheaf1(fraction_normalize(_CANCELLING)),) * 2 + (Fraction(1, 2),),
+                  (Sheaf1(fraction_normalize(_CANCELLING)), Sheaf1(), Fraction(0))]
+
+
+def pinned(test):
+    """Run test on drawn sheaf_pairs and on the empty and cancelling
+    examples, the point 0 among them."""
+    for case in _PAIR_EXAMPLES:
+        test = example(case)(test)
+    return settings(max_examples=150)(given(sheaf_pairs())(test))
+
+
+@pinned
+def test_convolve_matches_fraction_oracle(case):
+    f, g, _ = case
+    assert convolve(f, g).gens == fraction_convolve(f, g)
+
+
+@pinned
+def test_dual_antipodal_shift_match_fraction_oracle(case):
+    f, _, _ = case
+    assert dual(f).gens == fraction_dual(f)
+    assert antipodal(f).gens == fraction_antipodal(f)
+    assert shift(f, -3).gens == fraction_shift(f, -3)
+
+
+@pinned
+def test_translate_rescale_stalk_match_fraction_oracle(case):
+    # the point is a translation, a scale factor and a probe at once
+    f, _, x = case
+    assert translate(f, x).gens == fraction_translate(f, x)
+    assert rescale(f, x).gens == fraction_rescale(f, x)
+    for t in (x, x + Fraction(1, 3), -x):
+        assert stalk(f, t) == fraction_stalk(f, t)
+
+
+@given(st.sampled_from(spots([Fraction(5, 999983), Fraction(-7, 10**6)])),
+       st.sampled_from(spots([Fraction(1, 3), Fraction(2, 999983)])),
+       st.sampled_from([Closure.CC, Closure.OO]), st.integers(-3, 3))
+@settings(max_examples=100)
+def test_inverse_matches_fraction_oracle(a, b, closure, d):
+    a, b = sorted((a, b))
+    f = Sheaf1((Generator(Interval(a, b, closure if a < b else Closure.CC), d),))
+    assert inverse(f).gens == fraction_inverse(f)
 
 
 @st.composite
@@ -143,6 +228,17 @@ def test_ray_families_match_tables(f):
     assert _ray_families(f) == table_cc_families(f)
 
 
+@given(wide_sheaves)
+@example(Sheaf1())
+@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@settings(max_examples=150)
+def test_symmetric_product_matches_full_product(f):
+    # the necessary check sums half of B(f) times its reflection on ints
+    b = b_transform(f)
+    _, detail = b_necessary_check(f)
+    assert detail["product"] == bullet(b, b_reflect(b)).to_json()
+
+
 def resorted(items) -> tuple:
     return tuple(sorted((-x, m) for x, m in items))
 
@@ -196,4 +292,30 @@ def test_large_ops_hash_no_fraction(monkeypatch):
     # times its reflection
     ok, _ = b_necessary_check(convolve(f, g))
     assert not ok
+    assert calls == []
+
+
+def _sum_expr(rng) -> str:
+    parts = []
+    for closure in ("kc", "ko", "kco", "koc") * 3:
+        a, b = sorted(rng.sample(_ENDS, 2))
+        parts.append(f"shift({closure}({a},{b}),{rng.randint(-2, 2)})")
+    return "sum(" + ",".join(parts) + ")"
+
+
+def test_large_check_makes_no_fraction(monkeypatch, capsys):
+    rng = random.Random(1013)
+    argv = ["check", "-e", f"conv({_sum_expr(rng)},{_sum_expr(rng)})"]
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert cli.main(argv) == 1
+    monkeypatch.undo()
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    assert len(detail["product"]["plus"]) > 50
     assert calls == []

@@ -16,10 +16,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vscale, vsub
+from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import Polytope, convex_hull
 
-from linalg_oracles import nullspace, rref
+from linalg_oracles import nullspace, rref, vscale
 from test_geometry import brute_hull3
 
 F = Fraction
