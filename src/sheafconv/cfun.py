@@ -4,8 +4,8 @@ Convolution works through the closed-face presentation: every relint
 term is a signed sum of closed faces, and for closed compact convex A, B
 the Euler integral of 1_A(x) 1_B(t-x) over x is 1 exactly when t lies in
 the Minkowski sum A + B.  So f * g is a signed pile of Minkowski-sum
-indicators, cached per argument pair, and pointwise values are plain
-membership counts.
+indicators, cached once per unordered pair since f * g = g * f, and
+pointwise values are plain membership counts.
 
 Pushforward to the line is in closed form, with no slicing: Euler
 integration along the fibres of x -> <xi, x> sends a closed term of
@@ -66,15 +66,20 @@ def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> Constructi
     return ConstructibleFunction(make_region(poly.n, [(poly, mode, weight)]))
 
 
+def _terms(fr: Region, gr: Region) -> tuple:
+    # f * g = g * f: one cache entry per unordered pair, ordered by the
+    # regions' hashes, which each takes once when it is built
+    return _conv_terms(fr, gr) if hash(fr) <= hash(gr) else _conv_terms(gr, fr)
+
+
 @lru_cache(maxsize=256)
 def _conv_terms(fr: Region, gr: Region) -> tuple:
     if fr.dim != gr.dim:
         raise InputError("convolution needs a common ambient dimension")
     acc: dict = {}
-    for a, wa in closed_expansion(fr):
-        for b, wb in closed_expansion(gr):
-            m = minkowski_sum(a, b)
-            acc[m] = acc.get(m, 0) + wa * wb
+    for (a, wa), (b, wb) in product(closed_expansion(fr), closed_expansion(gr)):
+        m = minkowski_sum(a, b)
+        acc[m] = acc.get(m, 0) + wa * wb
     return tuple(sort_by_vertices([(m, w) for m, w in acc.items() if w]))
 
 
@@ -84,7 +89,7 @@ def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> Constr
     The term list is a valid presentation, not a canonical facial form;
     supports may overlap.
     """
-    terms = _conv_terms(f.region, g.region)
+    terms = _terms(f.region, g.region)
     return ConstructibleFunction(
         make_region(f.n, [(p, CLOSED, w) for p, w in terms])
     )
@@ -95,7 +100,7 @@ def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> 
     if len(t) != f.n:
         raise InputError("point dimension mismatch")
     P, L = lattice_point(t)
-    return sum(w for p, w in _conv_terms(f.region, g.region) if p.contains_scaled(P, L))
+    return sum(w for p, w in _terms(f.region, g.region) if p.contains_scaled(P, L))
 
 
 def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:
@@ -237,7 +242,7 @@ def invertibility_check_cf(r: Region) -> dict:
     and a witness (point pair, exit point, separating direction with a
     slice of Euler characteristic >= 2) on failure.  The certificate
     slices the union's normal form that the decision already built."""
-    hull = convex_hull([v for t in r.terms for v in t.poly.verts])
+    hull = convex_hull([v for p in indicator_polys(r) for v in p.verts])
     ok, wit, nf = is_convex_region(r, hull)
     if ok:
         return {

@@ -6,7 +6,8 @@ points to integers over one denominator and builds its Polytopes on this.
 The pivot chart and the affine-hull equalities come from fraction-free
 elimination (Bareiss 1968); a planar hull is a monotone chain, and one
 exact 3D gift-wrapping hull (Chand & Kapur 1970) gives the extreme points
-and the facet planes.
+and the facet planes.  Minkowski sums merge planar rings or push out a
+solid's facets along a segment (Fukuda 2004).
 """
 
 from __future__ import annotations
@@ -35,17 +36,83 @@ def lattice_form(X: list) -> tuple[Lattice, list]:
         ext, planes = [x0, X[-1]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
     elif len(chart) == 2:
         loop = ring2(X, chart)
-        for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
-            d = vsub(v, u)
-            nu = _primitive((d[1], -d[0]) if n == 2 else cross3(eqs[0][0], d))
-            c = vdot(nu, u)
-            if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
-                nu, c = vneg(nu), -c
-            planes.append((nu, c))
-        ext = sorted(loop)
+        planes, ext = ring_planes(loop, eqs), sorted(loop)
     elif chart:
         planes, ext = hull3(X)
     return Lattice(tuple(chart), eqs, tuple(planes)), ext
+
+
+def ring_planes(loop: list, eqs) -> list:
+    """The outward edge planes (nu, c) of a planar ring of three or more
+    points, in ring order; eqs holds the plane's equalities in 3D."""
+    planes = []
+    for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
+        d = vsub(v, u)
+        nu = _primitive(cross3(eqs[0][0], d) if eqs else (d[1], -d[0]))
+        c = vdot(nu, u)
+        if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
+            nu, c = vneg(nu), -c
+        planes.append((nu, c))
+    return planes
+
+
+def sum_plane(P: list, Q: list):
+    """The chart and equality normals of the plane P + Q spans, else None,
+    for 2 <= len(P) <= len(Q) points in convex position: two directions of
+    Q, or one of each, if both lie in it.  The chart drops the last entry
+    its normal w is nonzero in, w > 0 there, as elimination does."""
+    u, v = vsub(Q[1], Q[0]), vsub(Q[2], Q[0]) if len(Q) > 2 else vsub(P[1], P[0])
+    if len(u) < 3:  # on a line, u[0] * v[-1] == u[-1] * v[0] holds trivially
+        return ((0, 1), []) if u[0] * v[-1] != u[-1] * v[0] else None
+    w = cross3(u, v)
+    if not any(w) or any(vdot(w, x) != vdot(w, X[0]) for X in (P, Q) for x in X[1:]):
+        return None
+    f = 2 if w[2] else 1 if w[1] else 0
+    g = gcd(*w) if w[f] > 0 else -gcd(*w)
+    return tuple(i for i in range(3) if i != f), [tuple(c // g for c in w)]
+
+
+def ring_sum(A: list, B: list, i: int, j: int) -> list:
+    """The vertex ring of A + B, rings counterclockwise in coordinates (i, j)
+    from their least points (a segment is its two ends): edges merged by
+    angle in ]-90, 270] degrees, half ]-90, 90] first, parallel ones joined
+    (de Berg et al., Computational Geometry, 3rd ed., 2008, 13.3)."""
+
+    def edges(R):
+        return [(vsub(v, u), 0 if v[i] > u[i] or (v[i] == u[i] and v[j] > u[j]) else 1)
+                for u, v in zip(R, R[1:] + R[:1])]
+
+    ea, eb = edges(A) + [((), 2)], edges(B) + [((), 2)]  # half 2 comes last
+    a = b = 0
+    out = [vadd(A[0], B[0])]
+    while a + b < len(ea) + len(eb) - 2:
+        (u, hu), (v, hv) = ea[a], eb[b]
+        turn = hu - hv or u[j] * v[i] - u[i] * v[j]
+        out.append(vadd(out[-1], u if turn < 0 else v if turn > 0 else vadd(u, v)))
+        a, b = a + (turn <= 0), b + (turn >= 0)
+    out.pop()
+    return out
+
+
+def segment_sum(X: list, planes, k: int, inc, edges, a, b) -> tuple[list, tuple]:
+    """The vertices and sorted facet planes of hull(X) + [a, b] for a solid:
+    X its points, planes its facets over X / k, inc each point's mask of
+    them.  Each plane moves out by its greater value on the segment; an edge
+    whose two facet normals take opposite signs s on e = b - a adds their
+    |s|-swapped sum; u + a (u + b) is a vertex when u's mask has s < 0 (> 0)."""
+    e = vsub(b, a)
+    s = [vdot(nu, e) for nu, _ in planes]
+    out = [(nu, c * k + vdot(nu, a) + max(t, 0)) for (nu, c), t in zip(planes, s)]
+    for i, j in edges:
+        m = inc[i] & inc[j]
+        f, g = (m & -m).bit_length() - 1, m.bit_length() - 1
+        if s[f] * s[g] < 0:
+            nu = _primitive(vadd([abs(s[f]) * x for x in planes[g][0]],
+                                 [abs(s[g]) * x for x in planes[f][0]]))
+            out.append((nu, vdot(nu, X[i]) + vdot(nu, a)))
+    neg, pos = (sum(1 << t for t, x in enumerate(s) if x * sign > 0) for sign in (-1, 1))
+    pts = [vadd(u, a) for u, m in zip(X, inc) if m & neg] + [vadd(u, b) for u, m in zip(X, inc) if m & pos]
+    return pts, tuple(sorted(out))
 
 
 def _primitive(v) -> tuple[int, ...]:

@@ -10,13 +10,16 @@ form of the same points: the affine chart (fraction-free elimination,
 Bareiss 1968), the affine-hull equalities <w, X> = C and the outward
 facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
 read off the same integers.  A probe scaled the same way, P = L*x, is
-inside when den*<nu, P> <= C*L.  Minkowski sums, intersections, slices
-and projections make integer points over one denominator and hand them
-to one hull entry, which divides out the gcd; a reflection negates the
-lattice form.  Faces are subsets of the parent's points read off each
-vertex's mask of the facet planes it lies on: vertices, edges, facets
-and the polytope, each with the dimension it was built with.  The
-lattice form and the hulls are built on integers alone in `lattice`.
+inside when den*<nu, P> <= C*L.  Intersections, slices and projections
+make integer points over one denominator and hand them to one hull
+entry.  A Minkowski sum is read off its summands' points and lattice
+forms: a translate when one is a point, merged edge rings when it is
+planar, a solid's facets pushed out and banded by a segment, else the
+hull of the vertex sums; a reflection negates the lattice form.  Faces are subsets of the parent's
+points read off each vertex's mask of the facet planes it lies on:
+vertices, edges, facets and the polytope, each with the dimension it was
+built with.  The lattice form and the hulls are built on integers alone
+in `lattice`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
-from .lattice import Lattice, lattice_form, ring2, ring_on
+from .lattice import (Lattice, lattice_form, ring2, ring_on, ring_planes, ring_sum,
+                      segment_sum, sum_plane)
 from .linalg import cross3, vadd, vdot, vneg, vsub
 from .rational import lattice_point, rat
 
@@ -180,11 +184,10 @@ class Polytope:
     def reflect(self) -> "Polytope":
         """The polytope -P; its lattice form is the negated one: equalities
         (w, -c) and facet planes (-nu, c)."""
-        out = Polytope.from_ints(self.den, [vneg(p) for p in self.ints])
         chart, eqs, planes = self.lattice
-        out.__dict__["lattice"] = Lattice(chart, tuple((w, -c) for w, c in eqs),
-                                          tuple((vneg(nu), c) for nu, c in planes))
-        return out
+        return _carried(self.den, [vneg(p) for p in self.ints],
+                        Lattice(chart, tuple((w, -c) for w, c in eqs),
+                                tuple((vneg(nu), c) for nu, c in planes)))
 
     def support(self, nu) -> Fraction:
         return Fraction(max(vdot(nu, p) for p in self.ints)) / self.den
@@ -228,17 +231,20 @@ def convex_hull(points) -> Polytope:
 
 
 def _hull(den: int, points) -> Polytope:
-    """The hull of integer points over den > 0, carrying the lattice form
-    that building it gave, divided through with the points by their gcd
-    with den."""
+    """The hull of integer points over den > 0, with the lattice form it built."""
     lattice, ext = lattice_form(sorted(set(points)))
-    hull = Polytope.from_ints(den, ext)
-    g = den // hull.den
+    return _carried(den, ext, lattice)
+
+
+def _carried(den: int, points, lattice: Lattice) -> Polytope:
+    """from_ints(den, points) with their lattice form over den, reduced alike."""
+    out = Polytope.from_ints(den, points)
+    g = den // out.den
     if g > 1:
         eqs, planes = (tuple((w, c // g) for w, c in part) for part in lattice[1:])
         lattice = Lattice(lattice.chart, eqs, planes)
-    hull.__dict__["lattice"] = lattice
-    return hull
+    out.__dict__["lattice"] = lattice
+    return out
 
 
 def _hull_of_ratios(points) -> Polytope:
@@ -257,12 +263,30 @@ def _hull_of_ratios(points) -> Polytope:
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """The hull of the vertex sums, added as integers over lcm(dp, dq)."""
+    """P + Q over lcm(dp, dq) from the summands: a translate when one is a
+    point, merged rings when the sum is planar, a solid's facets pushed out
+    and banded when one is a segment, else the hull of the vertex sums."""
     if p.n != q.n:
         raise InputError("Minkowski sum needs a common ambient dimension")
+    if len(p.ints) > len(q.ints):
+        p, q = q, p
     den = lcm(p.den, q.den)
-    P, Q = ([tuple(c * (den // a.den) for c in v) for v in a.ints] for a in (p, q))
-    return _hull(den, [vadd(u, v) for u in P for v in Q])
+    P, Q = (a.ints if a.den == den else [tuple(c * (den // a.den) for c in v) for v in a.ints]
+            for a in (p, q))
+    if len(P) == 1:
+        V, k, (chart, *parts) = P[0], den // q.den, q.lattice
+        eqs, planes = (tuple((w, c * k + vdot(w, V)) for w, c in part) for part in parts)
+        return _carried(den, [vadd(V, v) for v in Q], Lattice(chart, eqs, planes))
+    plane = sum_plane(P, Q)
+    if plane is None:
+        if len(P) == 2 and q.adim == 3:
+            pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q._incidence, q.edges, *P)
+            return _carried(den, pts, Lattice((0, 1, 2), (), planes))
+        return _hull(den, [vadd(u, v) for u in P for v in Q])
+    chart, normals = plane
+    loop = ring_sum(ring2(P, chart), ring2(Q, chart), *chart)
+    eqs = tuple((w, vdot(w, loop[0])) for w in normals)
+    return _carried(den, loop, Lattice(chart, eqs, tuple(ring_planes(loop, eqs))))
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:

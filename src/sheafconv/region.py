@@ -68,6 +68,10 @@ class Region:
         keys = [(k, t.mode) for k, t in zip(verts, self.terms)]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("region terms not in canonical form")
+        object.__setattr__(self, "_hash", hash((self.dim, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def make_region(dim: int, items) -> Region:

@@ -5,7 +5,8 @@ by the polytope itself, whose identity is its canonical integer form,
 and orders them by their vertices over one common denominator.  The
 fraction_* functions are the paths those replaced: they key and sort by
 the Fraction vertex tuples, and a Minkowski sum hulls the Fraction
-vertex sums.
+vertex sums.  `hull_minkowski_sum` is the integer hull of the vertex
+sums that the library's Minkowski sum replaced.
 
 The library reads a polytope's faces off its vertex-facet incidence
 table and measures every term in its own chart; `search_faces` is the
@@ -19,10 +20,12 @@ The seeded random polytopes and regions the tests draw close the file.
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from sheafconv.linalg import vadd, vdot
 from sheafconv.polytope import (
     Polytope,
+    _hull,
     convex_hull,
     open_indicator_expansion,
     polytope_volume,
@@ -60,6 +63,14 @@ def fraction_closed_expansion(r: Region) -> list:
 
 def fraction_minkowski_sum(p, q):
     return convex_hull([vadd(a, b) for a in p.verts for b in q.verts])
+
+
+def hull_minkowski_sum(p, q):
+    """The hull of all the vertex sums, added as integers over lcm(dp, dq),
+    with the lattice form that hulling them builds."""
+    den = lcm(p.den, q.den)
+    P, Q = ([tuple(c * (den // a.den) for c in v) for v in a.ints] for a in (p, q))
+    return _hull(den, [vadd(u, v) for u in P for v in Q])
 
 
 def fraction_conv_terms(fr: Region, gr: Region) -> tuple:

@@ -83,6 +83,22 @@ def test_convolution_is_commutative_and_additive_on_samples():
             assert h1.evaluate(t) == h2.evaluate(t)
 
 
+def test_swapped_probe_hits_the_cache_entry_of_the_pair():
+    # the benchmark harness reads the hit and miss counters of this cache
+    assert callable(cfun._conv_terms.cache_info) and callable(cfun._conv_terms.cache_clear)
+    f = ConstructibleFunction(make_region(2, [(Polytope(((0, 0), (2, 0), (0, 1))), CLOSED, 1),
+                                              (Polytope(((1, 1), (3, 2))), CLOSED, -1)]))
+    g = ConstructibleFunction(make_region(2, [(Polytope(((0, 0), (1, 0), (0, 1), (1, 1))), RELINT, 2)]))
+    cfun._conv_terms.cache_clear()
+    h = euler_convolve(f, g)
+    before = cfun._conv_terms.cache_info()
+    t = (Fraction(1, 2), Fraction(3, 4))
+    assert euler_convolve_at(g, f, t) == evaluate_region(h.region, t)
+    after = cfun._conv_terms.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert euler_convolve(g, f) == h
+
+
 def test_minkowski_identity_for_convex_pairs():
     rng = random.Random(32)
     for _ in range(8):

@@ -509,6 +509,19 @@ def test_cli_region_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_empty_region_has_one_message(tmp_path, capsys):
+    # check and sweep validate the region before any geometry
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dimension": 2, "terms": []}))
+    errors = []
+    for sub in ("check", "sweep"):
+        assert cli.main(["region", sub, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(json.loads(err)["error"])
+    assert errors[0] == errors[1] and "empty region" in errors[0]
+
+
 def _region_doc(**term):
     return json.dumps({"dimension": 2, "terms": [dict(SQ["terms"][0], **term)]}).encode()
 

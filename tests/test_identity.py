@@ -111,6 +111,15 @@ def test_expansion_and_convolution_match_fraction_oracle(pair):
     assert conv == fraction_make_region(n, [(p, CLOSED, w) for p, w in want])
 
 
+@given(st.sampled_from((2, 3)).flatmap(_pairs))
+@settings(max_examples=40)
+def test_conv_terms_commute(pair):
+    # f * g = g * f term for term, so one cache entry serves both orders
+    fr, gr = (make_region(items[0][0].n, items) for items in pair)
+    fg, gf = _conv_terms.__wrapped__(fr, gr), _conv_terms.__wrapped__(gr, fr)
+    assert listed(fg) == listed(gf) and fg == gf
+
+
 @given(st.sampled_from((1, 2, 3)).flatmap(polytopes))
 @settings(max_examples=200)
 def test_reflection_negates_the_lattice_form(p):
