@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
@@ -39,15 +39,16 @@ from .region import (
     RELINT,
     Region,
     closed_expansion,
-    euler_char_c,
     evaluate_region,
     indicator_normal_form,
     indicator_polys,
     is_convex_region,
     make_region,
-    slice_region,
 )
 from .rational import rat
+
+# an input bound: closed-face pairs, each a Minkowski sum, in one convolution
+MAX_CONV_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,12 @@ def _terms(fr: Region, gr: Region) -> tuple:
 def _conv_terms(fr: Region, gr: Region) -> tuple:
     if fr.dim != gr.dim:
         raise InputError("convolution needs a common ambient dimension")
+    fe, ge = closed_expansion(fr), closed_expansion(gr)
+    if len(fe) * len(ge) > MAX_CONV_PAIRS:
+        raise InputError(f"convolution of {len(fe)} by {len(ge)} closed faces: "
+                         f"more than {MAX_CONV_PAIRS} face pairs")
     acc: dict = {}
-    for (a, wa), (b, wb) in product(closed_expansion(fr), closed_expansion(gr)):
+    for (a, wa), (b, wb) in product(fe, ge):
         m = minkowski_sum(a, b)
         acc[m] = acc.get(m, 0) + wa * wb
     return tuple(sort_by_vertices([(m, w) for m, w in acc.items() if w]))
@@ -215,33 +220,28 @@ def direction_sweep(r: Region, directions=None, max_coeff: int = 5) -> dict:
 
 
 def _perp_directions(d, r: Region):
-    """Candidate primitive covectors orthogonal to d."""
-    n = r.dim
-    if n == 2:
-        return [primitive((-d[1], d[0]))]
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    seeds = list(axes)
-    for u, v in combinations(_vertices(r), 2):
-        seeds.append(vsub(v, u))
-    out = []
+    """Candidate primitive covectors orthogonal to d, one per line, made
+    as they are asked for: in 3D, d crossed with the axes, then with the
+    differences of the terms' vertices."""
+    if r.dim == 2:
+        yield primitive((-d[1], d[0]))
+        return
     seen = set()
-    for s in seeds:
-        nu = cross3(d, s)
-        if all(c == 0 for c in nu):
-            continue
-        nu = primitive(nu)
-        if nu not in seen:
+    diffs = (vsub(v, u) for u, v in combinations(_vertices(r), 2))
+    for nu in (cross3(d, s) for s in chain(((1, 0, 0), (0, 1, 0), (0, 0, 1)), diffs)):
+        if any(nu) and (nu := primitive(nu)) not in seen:
             seen.add(nu)
-            out.append(nu)
-    return out
+            yield nu
 
 
 def invertibility_check_cf(r: Region) -> dict:
     """Exact invertibility verdict for the indicator of a union of
     closed polytopes, with the convex hull's Euler inverse on success
     and a witness (point pair, exit point, separating direction with a
-    slice of Euler characteristic >= 2) on failure.  The certificate
-    slices the union's normal form that the decision already built."""
+    slice of Euler characteristic >= 2, when one is found) on failure.
+    The certificate reads each slice's Euler characteristic off the
+    pushforward of the union's normal form that the decision already
+    built; it never slices."""
     hull = convex_hull([v for p in indicator_polys(r) for v in p.verts])
     ok, wit, nf = is_convex_region(r, hull)
     if ok:
@@ -258,15 +258,15 @@ def invertibility_check_cf(r: Region) -> dict:
         # gap itself, already part of the witness
         out["direction"] = (1,)
         return out
-    d = primitive(vsub(wit["y"], wit["x"]), keep_sign=True)
-    for xi in _perp_directions(d, r):
+    # the slice <xi, x> = t has the Euler characteristic of the pushforward at t
+    f = ConstructibleFunction(nf)
+    for xi in _perp_directions(vsub(wit["y"], wit["x"]), r):
         t = vdot(xi, wit["x"])
-        chi = euler_char_c(slice_region(nf, xi, t))
+        chi = pushforward_linear(f, xi)(t)
         if chi >= 2:
             out.update(direction=xi, slice_at=t, slice_chi=chi)
             return out
     # fall back to scanning shadow plateaus along the default directions
-    f = ConstructibleFunction(nf)
     for xi in default_directions(r, 3):
         cf = pushforward_linear(f, xi)
         for i, v in enumerate(cf.point_values):

@@ -3,11 +3,12 @@ ambient dimension 1..3.
 
 Integers only, no Fractions and no Polytopes: `polytope` scales rational
 points to integers over one denominator and builds its Polytopes on this.
-The pivot chart and the affine-hull equalities come from fraction-free
-elimination (Bareiss 1968); a planar hull is a monotone chain, and one
-exact 3D gift-wrapping hull (Chand & Kapur 1970) gives the extreme points
-and the facet planes.  Minkowski sums merge planar rings or push out a
-solid's facets along a segment (Fukuda 2004).
+The pivot chart and the affine-hull equalities are read off the span of
+the difference rows in closed form, by cross and triple products; a
+planar hull is a monotone chain, and one exact 3D gift-wrapping hull
+(Chand & Kapur 1970) gives the extreme points and the facet planes.
+Minkowski sums merge planar rings or push out a solid's facets along a
+segment (Fukuda 2004).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ def lattice_form(X: list) -> tuple[Lattice, list]:
     """The lattice form of the hull of the sorted distinct integer
     points X, and the hull's extreme points, sorted."""
     x0 = X[0]
-    n = len(x0)
-    chart, basis = _echelon([vsub(p, x0) for p in X[1:]], n)
-    eqs = tuple((w, vdot(w, x0)) for w in _kernel(basis, chart, n))
+    chart, normals = span([vsub(p, x0) for p in X[1:]], len(x0))
+    eqs = tuple((w, vdot(w, x0)) for w in normals)
     ext, planes = [x0], []
     if len(chart) == 1:
         d = _primitive(vsub(X[-1], x0))
@@ -39,7 +39,32 @@ def lattice_form(X: list) -> tuple[Lattice, list]:
         planes, ext = ring_planes(loop, eqs), sorted(loop)
     elif chart:
         planes, ext = hull3(X)
-    return Lattice(tuple(chart), eqs, tuple(planes)), ext
+    return Lattice(chart, eqs, tuple(planes)), ext
+
+
+def span(rows: list, n: int) -> tuple[tuple[int, ...], list]:
+    """The pivot chart and the normals of the span of integer rows of
+    length n <= 3, as reduced echelon form has them: one normal per free
+    coordinate, ascending, primitive and positive there.  Read off the
+    first nonzero row u, the first nonzero u x r and one triple-product
+    scan; a plane's free coordinate is the last its normal is nonzero in."""
+    u = next((r for r in rows if any(r)), None)
+    if u is None:
+        return (), [tuple(int(i == f) for i in range(n)) for f in range(n)]
+    if n == 3:
+        w = next((w for w in (cross3(u, r) for r in rows) if any(w)), None)
+        if w is not None:
+            if any(vdot(w, r) for r in rows):
+                return (0, 1, 2), []
+            f = 2 if w[2] else 1 if w[1] else 0
+            return tuple(i for i in range(3) if i != f), [_primitive(w if w[f] > 0 else vneg(w))]
+    elif n == 2 and any(u[0] * r[1] != u[1] * r[0] for r in rows):
+        return (0, 1), []
+    # a line: pivot p, and u[p] e_f - u[f] e_p per free coordinate f
+    p = next(i for i, c in enumerate(u) if c)
+    s = 1 if u[p] > 0 else -1
+    return (p,), [_primitive([s * (u[p] if i == f else -u[f] if i == p else 0) for i in range(n)])
+                  for f in range(n) if f != p]
 
 
 def ring_planes(loop: list, eqs) -> list:
@@ -54,22 +79,6 @@ def ring_planes(loop: list, eqs) -> list:
             nu, c = vneg(nu), -c
         planes.append((nu, c))
     return planes
-
-
-def sum_plane(P: list, Q: list):
-    """The chart and equality normals of the plane P + Q spans, else None,
-    for 2 <= len(P) <= len(Q) points in convex position: two directions of
-    Q, or one of each, if both lie in it.  The chart drops the last entry
-    its normal w is nonzero in, w > 0 there, as elimination does."""
-    u, v = vsub(Q[1], Q[0]), vsub(Q[2], Q[0]) if len(Q) > 2 else vsub(P[1], P[0])
-    if len(u) < 3:  # on a line, u[0] * v[-1] == u[-1] * v[0] holds trivially
-        return ((0, 1), []) if u[0] * v[-1] != u[-1] * v[0] else None
-    w = cross3(u, v)
-    if not any(w) or any(vdot(w, x) != vdot(w, X[0]) for X in (P, Q) for x in X[1:]):
-        return None
-    f = 2 if w[2] else 1 if w[1] else 0
-    g = gcd(*w) if w[f] > 0 else -gcd(*w)
-    return tuple(i for i in range(3) if i != f), [tuple(c // g for c in w)]
 
 
 def ring_sum(A: list, B: list, i: int, j: int) -> list:
@@ -118,40 +127,6 @@ def segment_sum(X: list, planes, k: int, inc, edges, a, b) -> tuple[list, tuple]
 def _primitive(v) -> tuple[int, ...]:
     g = gcd(*v)
     return tuple(c // g for c in v)
-
-
-def _echelon(rows: list, n: int) -> tuple[list[int], list]:
-    """Pivot columns and echelon rows of an integer matrix with n
-    columns, by fraction-free elimination (Bareiss 1968): each entry
-    stays an integer minor, so every division is exact.  The pivots are
-    those of the reduced row echelon form."""
-    pivots, basis, prev = [], [], 1
-    for c in range(n):
-        top = next((r for r in rows if r[c]), None)
-        if top is not None:
-            rows.remove(top)
-            p = top[c]
-            rows = [e for e in ([(p * x - r[c] * y) // prev for x, y in zip(r, top)]
-                                for r in rows) if any(e)]
-            pivots.append(c)
-            basis.append(top)
-            prev = p
-    return pivots, basis
-
-
-def _kernel(basis: list, pivots: list[int], n: int) -> list:
-    """The nullspace basis of the reduced echelon form, one vector per
-    free coordinate with 1 there, scaled to primitive integers: back
-    substitution through the echelon rows, scaling instead of dividing."""
-    out = []
-    for f in (j for j in range(n) if j not in pivots):
-        w = [int(j == f) for j in range(n)]
-        for row, p in zip(reversed(basis), reversed(pivots)):
-            s = vdot(row, w)
-            w = [x * row[p] for x in w]
-            w[p] = -s
-        out.append(_primitive(w if w[f] > 0 else vneg(w)))
-    return out
 
 
 def ring2(X: list, chart) -> list:

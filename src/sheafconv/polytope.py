@@ -6,8 +6,8 @@ denominators, so gcd(den, X) = 1 and equal polytopes have equal forms.
 Scaling by den > 0 keeps the order, so X is sorted as the Fraction
 vertices are; those, `verts`, are a view built on first use for JSON,
 the public API and witnesses.  The predicates run on one integer lattice
-form of the same points: the affine chart (fraction-free elimination,
-Bareiss 1968), the affine-hull equalities <w, X> = C and the outward
+form of the same points: the affine chart (the pivots of the span of the
+difference rows), the affine-hull equalities <w, X> = C and the outward
 facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
 read off the same integers.  A probe scaled the same way, P = L*x, is
 inside when den*<nu, P> <= C*L.  Intersections, slices and projections
@@ -15,11 +15,12 @@ make integer points over one denominator and hand them to one hull
 entry.  A Minkowski sum is read off its summands' points and lattice
 forms: a translate when one is a point, merged edge rings when it is
 planar, a solid's facets pushed out and banded by a segment, else the
-hull of the vertex sums; a reflection negates the lattice form.  Faces are subsets of the parent's
-points read off each vertex's mask of the facet planes it lies on:
-vertices, edges, facets and the polytope, each with the dimension it was
-built with.  The lattice form and the hulls are built on integers alone
-in `lattice`.
+hull of the vertex sums; a reflection negates the lattice form.  Faces
+are read off each point's mask of the facet planes it lies on: the
+vertices are the points on at least adim of them (a Polytope given a
+cloud keeps its other points), and edges, facets and the polytope
+follow, each with the dimension it was built with.  The lattice form and
+the hulls are built on integers alone in `lattice`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 
 from .errors import InputError
 from .lattice import (Lattice, lattice_form, ring2, ring_on, ring_planes, ring_sum,
-                      segment_sum, sum_plane)
+                      segment_sum, span)
 from .linalg import cross3, vadd, vdot, vneg, vsub
 from .rational import lattice_point, rat
 
@@ -153,18 +154,22 @@ class Polytope:
         return tuple(sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
                      for p in self.ints)
 
-    def _on_plane(self, k: int) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self._incidence) if m >> k & 1)
+    @cached_property
+    def _extreme(self) -> tuple[int, ...]:
+        """Indices of the extreme points: the points on at least adim
+        facet planes."""
+        d = self.adim
+        return tuple(i for i, m in enumerate(self._incidence) if m.bit_count() >= d)
 
     def _face(self, idx) -> "Polytope":
         return Polytope.from_ints(self.den, [self.ints[i] for i in idx])
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs of the edges' endpoints: the vertex pairs on
+        """Index pairs of the edges' endpoints: the extreme point pairs on
         adim - 1 common facet planes."""
         masks, d = self._incidence, self.adim
-        return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
+        return tuple((i, j) for i, j in combinations(self._extreme, 2)
                      if (masks[i] & masks[j]).bit_count() >= d - 1)
 
     @cached_property
@@ -173,12 +178,13 @@ class Polytope:
         the vertices, edges, facets (below dimension 3 those are vertices
         or edges) and the polytope.  Index tuples into the sorted points
         sort as the vertices do."""
-        d = self.adim
-        keys = [(0, (i,)) for i in range(len(self.ints))] if d else []
+        d, ext, masks = self.adim, self._extreme, self._incidence
+        keys = [(0, (i,)) for i in ext] if d else []
         if d >= 2:
             keys += [(1, e) for e in self.edges]
         if d == 3:
-            keys += sorted((2, self._on_plane(k)) for k in range(len(self.lattice.planes)))
+            keys += sorted((2, tuple(i for i in ext if masks[i] >> k & 1))
+                           for k in range(len(self.lattice.planes)))
         return tuple((self._face(idx), k) for k, idx in keys) + ((self, d),)
 
     def reflect(self) -> "Polytope":
@@ -277,13 +283,12 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         V, k, (chart, *parts) = P[0], den // q.den, q.lattice
         eqs, planes = (tuple((w, c * k + vdot(w, V)) for w, c in part) for part in parts)
         return _carried(den, [vadd(V, v) for v in Q], Lattice(chart, eqs, planes))
-    plane = sum_plane(P, Q)
-    if plane is None:
+    chart, normals = span([vsub(x, X[0]) for X in (P, Q) for x in X[1:]], p.n)
+    if len(chart) != 2:
         if len(P) == 2 and q.adim == 3:
             pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q._incidence, q.edges, *P)
             return _carried(den, pts, Lattice((0, 1, 2), (), planes))
         return _hull(den, [vadd(u, v) for u in P for v in Q])
-    chart, normals = plane
     loop = ring_sum(ring2(P, chart), ring2(Q, chart), *chart)
     eqs = tuple((w, vdot(w, loop[0])) for w in normals)
     return _carried(den, loop, Lattice(chart, eqs, tuple(ring_planes(loop, eqs))))

@@ -37,6 +37,9 @@ from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat
 
 CLOSED = "closed"
 RELINT = "relint"
+# an input bound: the live terms of one inclusion-exclusion, 2^k - 1 for
+# k terms around a common core
+MAX_IE_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def indicator_polys(r: Region) -> list[Polytope]:
 
 def indicator_normal_form(r: Region) -> Region:
     """The honest indicator function of the union of an indicator
-    region's terms, via inclusion-exclusion (overlaps counted once)."""
+    region's terms, via inclusion-exclusion (overlaps counted once).
+    Raises InputError once the live terms pass MAX_IE_TERMS."""
     polys = indicator_polys(r)
     live: list[tuple[int, Polytope]] = []
     for p in polys:
@@ -236,6 +240,8 @@ def indicator_normal_form(r: Region) -> Region:
             cap = intersect_polytopes(q, p)
             if cap is not None:
                 fresh.append((size + 1, cap))
+            if len(live) + len(fresh) > MAX_IE_TERMS:
+                raise InputError(f"inclusion-exclusion over more than {MAX_IE_TERMS} terms")
         live.extend(fresh)
     return make_region(
         r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live]

@@ -29,7 +29,8 @@ from sheafconv.errors import InputError
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vsub
 from sheafconv.polytope import Polytope, convex_hull, minkowski_sum
 from sheafconv.randgen import rand_rat
-from sheafconv.region import CLOSED, RELINT, evaluate_region, is_convex_region, make_region
+from sheafconv.region import (CLOSED, RELINT, euler_char_c, evaluate_region, is_convex_region,
+                              make_region, slice_region)
 from sheafconv.sheaf1 import convolve, kc, kco, ko
 
 from region_oracles import rand_box, rand_point, rand_polytope, rand_union_region
@@ -432,6 +433,48 @@ def test_invertibility_check_hulls_the_terms_once(monkeypatch):
     assert res["invertible"] and res["hull"] == box2(0, 3, 0, 2)
     # the decision's hull of the eight term vertices is the certificate's
     assert sizes.count(8) == 1
+
+
+def _nonconvex_regions(seed, n, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rand_union_region(rng, n, max_terms=3, span=3)
+        if not is_convex_region(r)[0]:
+            out.append(r)
+    return out
+
+
+def test_certificate_slice_chi_is_the_sliced_euler_characteristic():
+    # the pushforward along xi at t is chi_c of the slice <xi, x> = t
+    found = 0
+    for n in (2, 3):
+        for r in [L_shape()] * (n == 2) + _nonconvex_regions(150 + n, n, 12):
+            res = invertibility_check_cf(r)
+            assert not res["invertible"]
+            if res["direction"] is not None:
+                sliced = slice_region(indicator_normal_form(r), res["direction"], res["slice_at"])
+                assert res["slice_chi"] == euler_char_c(sliced) >= 2, r
+                found += 1
+    assert found >= 20
+
+
+def test_invertibility_check_never_slices(monkeypatch):
+    calls = []
+    for name in ("slice_region", "slice_polytope", "euler_char_c"):
+        real = getattr(region, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for mod in (polytope, region, cfun):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    certified = 0
+    for r in [L_shape()] + _nonconvex_regions(152, 2, 4) + _nonconvex_regions(153, 3, 4):
+        certified += invertibility_check_cf(r)["slice_chi"] is not None
+    assert calls == [] and certified >= 6
 
 
 def test_invertibility_check_convex():

@@ -13,13 +13,15 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 import sheafconv
-from sheafconv import cli, microlocal, sheaf1
+from sheafconv import cfun, cli, microlocal, region, sheaf1
 from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_to_text
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
@@ -562,6 +564,61 @@ def test_cli_region_integer_digit_bound(tmp_path, capsys, where):
             assert out == "" and "1000 digits" in json.loads(err)["error"]
         else:
             assert err == "" and json.loads(out)
+
+
+def _box_term(lo, hi, mode="closed"):
+    return {"vertices": [[str(c) for c in v] for v in product(*zip(lo, hi))],
+            "mode": mode, "weight": 1}
+
+
+def _run_module(*argv):
+    """Exit code, stdout, stderr and wall seconds of `python -m sheafconv`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sheafconv.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sheafconv", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("sub", ["check", "sweep"])
+def test_cli_inclusion_exclusion_past_bound_is_exit_2(tmp_path, sub):
+    # 16 boxes around the core [-1, 1] x [-2, 2]: 2^16 - 1 live terms,
+    # refused once the live set passes the bound, at the 13th box
+    boxes = [_box_term((-1 - i, -2 - i % 3), (1 + i % 5, 2 + i)) for i in range(16)]
+    path = write(tmp_path, "core.json", {"dimension": 2, "terms": boxes})
+    assert 2**13 - 1 > region.MAX_IE_TERMS >= 2**12 - 1
+    rc, out, err, seconds = _run_module("region", sub, path)
+    assert (rc, out) == (2, "") and seconds < 10
+    assert f"more than {region.MAX_IE_TERMS} terms" in json.loads(err)["error"]
+
+
+def test_cli_convolution_past_face_pair_bound_is_exit_2(tmp_path):
+    # 13 disjoint relint cubes expand into 13 * 27 = 351 closed faces each
+    cubes = [_box_term((2 * i, 0, 0), (2 * i + 1, 1, 1), "relint") for i in range(13)]
+    path = write(tmp_path, "cubes.json", {"dimension": 3, "terms": cubes})
+    assert 351 * 351 > cfun.MAX_CONV_PAIRS
+    rc, out, err, seconds = _run_module("region", "conv", path, path, "--at", "0,0,0")
+    assert (rc, out) == (2, "") and seconds < 10
+    assert "351 by 351 closed faces" in json.loads(err)["error"]
+
+
+def test_cli_hollow_cube_has_a_witness_and_no_separating_slice(tmp_path, capsys):
+    # six slabs of [0, 3]^3 around the open cube ]1, 2[^3: every slice
+    # through the hole is a square less an open cell, of Euler
+    # characteristic 0, so neither certificate tier finds a slice
+    slabs = []
+    for axis in range(3):
+        for a, b in ((0, 1), (2, 3)):
+            lo, hi = [0, 0, 0], [3, 3, 3]
+            lo[axis], hi[axis] = a, b
+            slabs.append(_box_term(lo, hi))
+    path = write(tmp_path, "shell.json", {"dimension": 3, "terms": slabs})
+    assert cli.main(["region", "check", path]) == 1
+    body = out_json(capsys)
+    assert body["invertible"] is False
+    assert (body["direction"], body["slice_at"], body["slice_chi"]) == (None, None, None)
+    outside = [Fraction(c) for c in body["witness"]["outside"]]
+    assert all(1 < c < 2 for c in outside)
 
 
 def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):

@@ -14,10 +14,17 @@ through convex_hull.
 import operator
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, lcm
 
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
+
+from sheafconv.cfun import euler_convolve_at, indicator
+from sheafconv.lattice import span
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import Polytope, convex_hull
+from sheafconv.region import RELINT
 
 from linalg_oracles import nullspace, rref, vscale
 from test_geometry import brute_hull3
@@ -168,3 +175,67 @@ def test_contains_matches_fraction_oracle():
                 verdicts[strict, want] = verdicts.get((strict, want), 0) + 1
     # every outcome shows up many times: boundary, interior and outside
     assert min(verdicts.values()) >= 1000, verdicts
+
+
+@st.composite
+def direction_rows(draw):
+    """(n, rows): up to six integer combinations of up to three base rows
+    of length n, so zero, repeated and parallel rows all occur, with
+    entries from small to past 10^12."""
+    n = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+    base = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=3))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)),
+                           max_size=6))
+    return n, [tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(n)) for cs in combos]
+
+
+def scaled(w):
+    """A rational vector scaled to primitive integers, its signs kept."""
+    ints = [int(c * lcm(*(x.denominator for x in w))) for c in w]
+    return tuple(c // gcd(*ints) for c in ints)
+
+
+@given(direction_rows())
+@example((3, []))
+@example((2, [(0, 0), (0, 0)]))
+@example((3, [(0, 2, -4), (0, -1, 2)]))
+@example((3, [(1, 0, 0), (0, 0, 1), (1, 0, 1)]))
+@example((3, [(0, 1, 0), (0, 0, 2), (0, 3, -1)]))
+@example((3, [(10**12, -1, 0), (10**12 + 1, 7, -3), (0, 0, 5)]))
+@settings(max_examples=400)
+def test_span_is_the_echelon_chart_and_scaled_nullspace(case):
+    n, rows = case
+    chart = rref(rows)[1]
+    normals = [scaled(w) for w in nullspace(rows, n)]
+    assert span(rows, n) == (tuple(chart), normals)
+
+
+def cloud_with_edge_and_interior_points(rng, n):
+    """Integer points of [0, 3]^n whose hull is n-dimensional, together
+    with the midpoints of the hull's edges and its vertex centroid."""
+    while True:
+        pts = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n + 3)}
+        hull = convex_hull(pts)
+        if hull.adim == n:
+            break
+    X = hull.verts
+    pts |= {tuple((a + b) / 2 for a, b in zip(X[i], X[j])) for i, j in hull.edges}
+    pts.add(tuple(sum(c) / len(X) for c in zip(*X)))
+    return sorted(pts)
+
+
+def test_faces_of_a_cloud_are_the_faces_of_its_hull():
+    line = Polytope([(0, 0), (1, 0), (2, 0)])
+    assert euler_convolve_at(indicator(line, RELINT), indicator(Polytope([(0, 0)])), (1, 0)) == 1
+    rng = random.Random(15)
+    half = [Fraction(k, 2) for k in range(7)]
+    for n in (2, 2, 3, 3):
+        cloud = cloud_with_edge_and_interior_points(rng, n)
+        given_, hull = Polytope(cloud), convex_hull(cloud)
+        assert len(given_.ints) > len(hull.ints)
+        assert given_.faces[:-1] == hull.faces[:-1]  # the proper faces
+        for g in (Polytope([(0,) * n]), Polytope([(0,) * n, (1,) + (0,) * (n - 1)])):
+            for t in product(half, repeat=n):
+                assert (euler_convolve_at(indicator(given_, RELINT), indicator(g), t)
+                        == euler_convolve_at(indicator(hull, RELINT), indicator(g), t)), (cloud, t)
