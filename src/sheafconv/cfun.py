@@ -28,10 +28,10 @@ from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
 from .polytope import (
     Polytope,
-    convex_hull,
     lattice_point,
     minkowski_sum,
     sort_by_vertices,
+    union_hull,
     vertex_keys,
 )
 from .region import (
@@ -242,7 +242,7 @@ def invertibility_check_cf(r: Region) -> dict:
     The certificate reads each slice's Euler characteristic off the
     pushforward of the union's normal form that the decision already
     built; it never slices."""
-    hull = convex_hull([v for p in indicator_polys(r) for v in p.verts])
+    hull = union_hull(indicator_polys(r))
     ok, wit, nf = is_convex_region(r, hull)
     if ok:
         return {

@@ -14,17 +14,10 @@ import json
 import sys
 
 from . import microlocal, sheaf1
-from .cfun import (
-    ConstructibleFunction,
-    direction_sweep,
-    euler_convolve_at,
-    invertibility_check_cf,
-)
 from .dsl import eval_text
 from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
 from .rational import fmt_rat, fmt_ratio, parse_rat
-from .region import region_from_json, region_to_json
 
 # JSON closure name -> Closure and back, and Closure -> expression-language atom
 _CLOSURES = {c.name.lower(): c for c in sheaf1.ATOM_CLOSURES.values()}
@@ -206,6 +199,8 @@ def _cmd_table(args) -> int:
 
 
 def _load_region(path: str):
+    # region handlers import the geometry stack, so 1D commands never load it
+    from .region import region_from_json
     try:
         with open(path, "rb") as fh:
             data = json.load(fh)
@@ -219,6 +214,8 @@ def _load_region(path: str):
 
 
 def _cmd_region_check(args) -> int:
+    from .cfun import invertibility_check_cf
+    from .region import region_to_json
     res = invertibility_check_cf(_load_region(args.file))
     if res["invertible"]:
         _emit(
@@ -244,6 +241,7 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_region_conv(args) -> int:
+    from .cfun import ConstructibleFunction, euler_convolve_at
     f = ConstructibleFunction(_load_region(args.file_f))
     g = ConstructibleFunction(_load_region(args.file_g))
     coords = args.at.split(",")
@@ -254,6 +252,7 @@ def _cmd_region_conv(args) -> int:
 
 
 def _cmd_region_sweep(args) -> int:
+    from .cfun import direction_sweep
     report = direction_sweep(_load_region(args.file), max_coeff=args.max_coeff)
     _emit(report)
     return 0 if report["all_pass"] else 1

@@ -10,17 +10,17 @@ form of the same points: the affine chart (the pivots of the span of the
 difference rows), the affine-hull equalities <w, X> = C and the outward
 facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
 read off the same integers.  A probe scaled the same way, P = L*x, is
-inside when den*<nu, P> <= C*L.  Intersections, slices and projections
-make integer points over one denominator and hand them to one hull
-entry.  A Minkowski sum is read off its summands' points and lattice
-forms: a translate when one is a point, merged edge rings when it is
-planar, a solid's facets pushed out and banded by a segment, else the
-hull of the vertex sums; a reflection negates the lattice form.  Faces
-are read off each point's mask of the facet planes it lies on: the
-vertices are the points on at least adim of them (a Polytope given a
-cloud keeps its other points), and edges, facets and the polytope
-follow, each with the dimension it was built with.  The lattice form and
-the hulls are built on integers alone in `lattice`.
+inside when den*<nu, P> <= C*L.  Every Polytope is a hull: the
+constructor hulls the points it is given, as convex_hull does.  An
+intersection or a slice reads one slack table, each constraint's slack
+at each vertex, keeps the vertices and edge crossings that hold every
+constraint, with their slacks combined in closed form, and hulls them
+over one denominator.  A Minkowski sum is read off its summands' points
+and lattice forms: a translate when one is a point, merged edge rings
+when it is planar, a solid's facets pushed out and banded by a segment,
+else the hull of the vertex sums; a reflection negates the lattice form.
+Faces are read off each vertex's mask of the facet planes it lies on.
+The lattice form and the hulls are built on integers alone in `lattice`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .rational import lattice_point, rat
 
 
 class Polytope:
-    """A compact convex polytope, given by its extreme points.
+    """A compact convex polytope: Polytope(points) is convex_hull(points).
 
     Its identity is its canonical integer form (den, ints): ints holds
     the sorted distinct vertices scaled by den, the lcm of their
@@ -48,8 +48,7 @@ class Polytope:
     """
 
     def __init__(self, verts):
-        den, X = _integer_points(verts, "a polytope needs at least one vertex")
-        self._put(den, tuple(sorted(set(X))))
+        self.__dict__.update(convex_hull(verts).__dict__)
 
     @classmethod
     def from_ints(cls, den: int, points) -> "Polytope":
@@ -61,13 +60,9 @@ class Polytope:
             den //= g
             X = [tuple(c // g for c in p) for p in X]
         self = object.__new__(cls)
-        self._put(den, tuple(X))
+        self.den, self.ints = den, tuple(X)
+        self._hash = hash((den, self.ints))
         return self
-
-    def _put(self, den: int, X: tuple) -> None:
-        self.den = den
-        self.ints = X
-        self._hash = hash((den, X))
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.den == other.den and self.ints == other.ints
@@ -129,17 +124,6 @@ class Polytope:
             return all(den * vdot(nu, P) < c * L for nu, c in planes)
         return all(den * vdot(nu, P) <= c * L for nu, c in planes)
 
-    def crossings(self, U, D, L: int):
-        """(r, s) with s > 0 for each affine-hull or facet plane that the
-        line (U + t*D)/L crosses, at t = r/s; U and D are integer."""
-        den = self.den
-        _, eqs, planes = self.lattice
-        for w, c in eqs + planes:
-            s = den * vdot(w, D)
-            if s:
-                r = c * L - den * vdot(w, U)
-                yield (r, s) if s > 0 else (-r, -s)
-
     def extent(self, a, L: int) -> tuple[Fraction, Fraction]:
         """The least and the greatest value of <a, x>/L on the polytope,
         for an integer covector a and L > 0."""
@@ -155,37 +139,34 @@ class Polytope:
                      for p in self.ints)
 
     @cached_property
-    def _extreme(self) -> tuple[int, ...]:
-        """Indices of the extreme points: the points on at least adim
-        facet planes."""
-        d = self.adim
-        return tuple(i for i, m in enumerate(self._incidence) if m.bit_count() >= d)
-
-    def _face(self, idx) -> "Polytope":
-        return Polytope.from_ints(self.den, [self.ints[i] for i in idx])
-
-    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs of the edges' endpoints: the extreme point pairs on
-        adim - 1 common facet planes."""
+        """Index pairs of the edges' endpoints: the vertex pairs on adim - 1
+        common facet planes."""
         masks, d = self._incidence, self.adim
-        return tuple((i, j) for i, j in combinations(self._extreme, 2)
+        return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
                      if (masks[i] & masks[j]).bit_count() >= d - 1)
 
     @cached_property
-    def faces(self) -> tuple[tuple["Polytope", int], ...]:
-        """Every face with its dimension, by dimension and then vertices:
-        the vertices, edges, facets (below dimension 3 those are vertices
-        or edges) and the polytope.  Index tuples into the sorted points
-        sort as the vertices do."""
-        d, ext, masks = self.adim, self._extreme, self._incidence
-        keys = [(0, (i,)) for i in ext] if d else []
+    def face_indices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every face as (dimension, its vertex indices), by dimension and
+        then vertices: the vertices, edges, facets (below dimension 3 those
+        are vertices or edges) and the polytope; indices sort as vertices."""
+        d, idx = self.adim, range(len(self.ints))
+        keys = [(0, (i,)) for i in idx] if d else []
         if d >= 2:
             keys += [(1, e) for e in self.edges]
         if d == 3:
-            keys += sorted((2, tuple(i for i in ext if masks[i] >> k & 1))
+            masks = self._incidence
+            keys += sorted((2, tuple(i for i in idx if masks[i] >> k & 1))
                            for k in range(len(self.lattice.planes)))
-        return tuple((self._face(idx), k) for k, idx in keys) + ((self, d),)
+        return tuple(keys) + ((d, tuple(idx)),)
+
+    @cached_property
+    def faces(self) -> tuple[tuple["Polytope", int], ...]:
+        """Every face with its dimension, in the order of face_indices."""
+        X = self.ints
+        return tuple((Polytope.from_ints(self.den, [X[i] for i in idx]), k)
+                     for k, idx in self.face_indices[:-1]) + ((self, self.adim),)
 
     def reflect(self) -> "Polytope":
         """The polytope -P; its lattice form is the negated one: equalities
@@ -213,27 +194,27 @@ def sort_by_vertices(pairs: list) -> list:
     return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
 
 
-def _integer_points(points, empty: str) -> tuple[int, list]:
-    """(den, the points scaled by den) for rational points of one ambient
-    dimension 1..3, den the lcm of their coordinates' denominators."""
+# ---------------------------------------------------------------------------
+# hull construction
+
+
+def convex_hull(points) -> Polytope:
+    """The hull of rational points of one ambient dimension 1..3."""
     pts = [tuple(rat(c) for c in p) for p in points]
     if not pts:
-        raise InputError(empty)
+        raise InputError("convex hull of an empty point set")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise InputError("mixed coordinate dimensions")
     if not 1 <= n <= 3:
         raise InputError(f"ambient dimension {n} out of range 1..3")
     den = lcm(*(c.denominator for p in pts for c in p))
-    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
+    return _hull(den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts])
 
 
-# ---------------------------------------------------------------------------
-# hull construction
-
-
-def convex_hull(points) -> Polytope:
-    return _hull(*_integer_points(points, "convex hull of an empty point set"))
+def union_hull(polys) -> Polytope:
+    """The hull of the union of polytopes, from their points over one denominator."""
+    return _hull(lcm(*(p.den for p in polys)), [v for k in vertex_keys(polys) for v in k])
 
 
 def _hull(den: int, points) -> Polytope:
@@ -256,10 +237,10 @@ def _carried(den: int, points, lattice: Lattice) -> Polytope:
 def _hull_of_ratios(points) -> Polytope:
     """The hull of the points P/L, from (P, L) pairs with P integer and
     L > 0, over the lcm of their reduced denominators."""
-    reduced = []
+    reduced = set()
     for P, L in points:
         g = gcd(L, *P)
-        reduced.append((tuple(c // g for c in P), L // g) if g > 1 else (P, L))
+        reduced.add((tuple(c // g for c in P), L // g) if g > 1 else (P, L))
     den = lcm(*(L for _, L in reduced))
     return _hull(den, [tuple(c * (den // L) for c in P) for P, L in reduced])
 
@@ -295,72 +276,72 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
-    """Closed intersection, or None when empty: the hull of the vertices
-    of each polytope inside the other and of the points where an edge of
-    one crosses a plane of the other inside the other."""
+    """Closed intersection, or None when empty: the hull of what _cut keeps
+    of each polytope against the other's equalities and facet planes."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
-    cands = []
+    cands = set()
     for a, b in ((p, q), (q, p)):
-        den, X = a.den, a.ints
-        cands.extend((V, den) for V in X if b.contains_scaled(V, den))
-        for i, j in a.edges:
-            U = X[i]
-            D = vsub(X[j], U)
-            for r, s in b.crossings(U, D, den):
-                if 0 <= r <= s:
-                    P = tuple(u * s + r * d for u, d in zip(U, D))
-                    if b.contains_scaled(P, den * s):
-                        cands.append((P, den * s))
-    if not cands:
-        return None
-    return _hull_of_ratios(cands)
+        _, eqs, planes = b.lattice
+        part = _cut(a, [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes],
+                    len(eqs))
+        if part is None:
+            return None
+        cands |= part
+    return _hull_of_ratios(cands) if cands else None
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
     coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
     a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
-    den, X = p.den, p.ints
-    side = [vdot(a, V) - b * den for V in X]
-    cands = [(V, den) for V, s in zip(X, side) if s == 0]
-    for i, j in p.edges:
-        su, sw = side[i], side[j]
-        if su * sw < 0:
-            if su > 0:
-                su, sw, i, j = sw, su, j, i
-            cands.append((tuple(u * sw - w * su for u, w in zip(X[i], X[j])), den * (sw - su)))
-    if not cands:
+    cands = _cut(p, [[b * p.den - vdot(a, V) for V in p.ints]], 1)
+    return _hull_of_ratios(cands) if cands else None
+
+
+def _cut(a: Polytope, rows: list, k: int) -> Optional[set]:
+    """(P, L) pairs, P/L the vertices of a and its edges' crossings with the
+    constraints, that hold every constraint; None when a row is all < 0 or
+    an equality's row all > 0.  rows holds each constraint's slacks at a's
+    vertices V, c*den_a - den_b*<w, V> for (w, c) over den_b: k equalities
+    (held at 0), then planes (held at >= 0).  Slacks u, v of opposite signs
+    at the ends of an edge V_i V_j put a crossing at (|v| V_i + |u| V_j) /
+    (den_a (|u| + |v|)), where its slacks are |v| s_i + |u| s_j, scaled."""
+    if any(max(s) < 0 or i < k and min(s) > 0 for i, s in enumerate(rows)):
         return None
-    return _hull_of_ratios(cands)
+    X, den, cols = a.ints, a.den, list(zip(*rows))
+    cands = [(s, V, den) for s, V in zip(cols, X)]
+    for i, j in a.edges:
+        si, sj = cols[i], cols[j]
+        for u, v in zip(si, sj):
+            if u * v < 0:
+                u, v = abs(u), abs(v)
+                cands.append(([v * x + u * y for x, y in zip(si, sj)],
+                              tuple(v * x + u * y for x, y in zip(X[i], X[j])), den * (u + v)))
+    return {(P, L) for s, P, L in cands if not any(s[:k]) and all(x >= 0 for x in s[k:])}
 
 
 # ---------------------------------------------------------------------------
 # measure and Euler data
 
 
-def polytope_volume(p: Polytope) -> Fraction:
-    """Volume of p in its own affine hull (counting measure for points),
-    measured in its chart."""
-    d, chart, X, den = p.adim, p.chart, p.ints, p.den
-    if d == 0:
-        return Fraction(1)
-    if d == 1:
-        return Fraction(X[-1][chart[0]] - X[0][chart[0]], den)
-    if d == 2:
+def scaled_volume(p: Polytope, D: int) -> int:
+    """d! D^d times the volume of p in its affine hull, in its chart (1 for
+    a point), d = p.adim, for a multiple D of p.den: an integer."""
+    d, chart, X = p.adim, p.chart, p.ints
+    if d < 2:
+        v = X[-1][chart[0]] - X[0][chart[0]] if d else 1
+    elif d == 2:
         ring = [(q[chart[0]], q[chart[1]]) for q in ring2(X, chart)]
-        twice = sum(
-            a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])
-        )
-        return Fraction(abs(twice), 2 * den**2)
-    v0 = X[0]
-    total = 0
-    for plane in p.lattice.planes:
-        ring = ring_on(X, plane)
-        a = vsub(ring[0], v0)
-        for b, c in zip(ring[1:], ring[2:]):
-            total += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))
-    return Fraction(total, 6 * den**3)
+        v = abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])))
+    else:
+        v0, v = X[0], 0
+        for plane in p.lattice.planes:
+            ring = ring_on(X, plane)
+            a = vsub(ring[0], v0)
+            for b, c in zip(ring[1:], ring[2:]):
+                v += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))
+    return v * (D // p.den) ** d
 
 
 def open_indicator_expansion(p: Polytope) -> list[tuple[Polytope, int]]:

@@ -6,8 +6,9 @@ positive denominator, value equality).  Floats are rejected everywhere
 at construction time so no rounding can sneak in.  The wire format is
 the compact string "p" or "p/q", read by one ASCII literal grammar.
 Fast paths scale a group of rationals once to integers over their
-common denominator (lattice_point), or take them as integer pairs
-(ratio), compute on the ints, and write each output position from its
+common denominator (lattice_point), or read them as integer pairs
+(ratio; an int or a literal, as region files are read, makes no
+Fraction), compute on the ints, and write each output position from its
 integer pair with one gcd (fmt_ratio).
 """
 
@@ -62,7 +63,12 @@ def ratio(value) -> tuple[int, int]:
     """(p, q) in lowest terms with q > 0 for an int, a Fraction, a "p/q"
     string, or an integer pair (p, q) with q > 0, which the DSL's
     literals are."""
-    if not isinstance(value, tuple):
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        p, _, q = _checked(value).partition("/")
+        value = int(p), int(q or 1)
+    elif not isinstance(value, tuple):
         value = rat(value)
         return value.numerator, value.denominator
     if len(value) != 2 or not all(type(v) is int for v in value) or value[1] < 1:
@@ -83,11 +89,15 @@ def lattice_point(x) -> tuple[tuple[int, ...], int]:
 
 
 def parse_rat(text: str) -> Fraction:
+    return Fraction(_checked(text))
+
+
+def _checked(text: str) -> str:
     if not RAT_LITERAL.match(text):
         raise InputError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
     if too_many_digits(text):
         raise InputError(f"rational literal longer than {MAX_LITERAL_DIGITS} digits")
-    return Fraction(text)
+    return text
 
 
 def fmt_rat(value: Fraction) -> str:

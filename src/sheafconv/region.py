@@ -1,17 +1,17 @@
 """Weighted regions: integer combinations of closed or relatively open
-polytope terms in a fixed ambient dimension.
+polytope terms in a fixed ambient dimension.  A region file's coordinate,
+a JSON int or a literal, is read to an integer pair, and each term is
+hulled on the integers over the lcm of its denominators.
 
 The union of an indicator region's terms has one normal form, its
 honest indicator written by inclusion-exclusion over the terms'
 intersections; this is the package's one inclusion-exclusion.  The
-convexity decision compares exact volumes: the support of an indicator
-region equals its convex hull iff the hull volume matches the union's
-volume, read off the normal form term by term (volume is additive).
-Each term is measured in its own chart, which for a term of the hull's
-dimension is the hull's chart; lower-dimensional terms have measure
-zero.  A nonempty difference is open in the hull and therefore has
-positive volume, so the comparison is a real decision procedure, not a
-heuristic.
+convexity decision compares exact volumes as integers over one
+denominator: the support equals its convex hull iff the hull volume
+matches the union's, read off the normal form term by term, each in its
+own chart (the hull's, for a term of the hull's dimension; a lower one
+has measure zero).  A nonempty difference is open in the hull, so it has
+positive volume: the comparison is a decision procedure, not a heuristic.
 """
 
 from __future__ import annotations
@@ -19,21 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd, lcm
 
 from .errors import InputError, InvariantViolation
-from .linalg import vsub
+from .linalg import vdot, vsub
 from .polytope import (
     Polytope,
-    convex_hull,
+    _hull,
     intersect_polytopes,
     lattice_point,
     open_indicator_expansion,
-    polytope_volume,
+    scaled_volume,
     slice_polytope,
     sort_by_vertices,
+    union_hull,
     vertex_keys,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat
+from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat, ratio
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -113,6 +115,8 @@ def region_from_json(data) -> Region:
         raise InputError(f"region document missing field: {exc}") from None
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputError("dimension must be an integer")
+    if not 1 <= dim <= 3:
+        raise InputError(f"ambient dimension {dim} out of range 1..3")
     if not isinstance(raw_terms, list):
         raise InputError("terms must be a list")
     items = []
@@ -129,14 +133,15 @@ def region_from_json(data) -> Region:
             raise InputError("vertices must be a list of coordinate lists")
         if any(map(int_too_long, (c for v in verts for c in v))) or int_too_long(weight):
             raise InputError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
-        pts = [tuple(rat(c) for c in v) for v in verts]
+        pts = [tuple(map(ratio, v)) for v in verts]
         if any(len(p) != dim for p in pts):
             raise InputError("vertex length disagrees with dimension")
         if not isinstance(weight, int) or isinstance(weight, bool):
             raise InputError("term weight must be an integer")
         if mode not in (CLOSED, RELINT):
             raise InputError(f"unknown face-selection mode {mode!r}")
-        items.append((convex_hull(pts), mode, weight))
+        L = lcm(*{q for p in pts for _, q in p})
+        items.append((_hull(L, [tuple(c * (L // q) for c, q in p) for p in pts]), mode, weight))
     return make_region(dim, items)
 
 
@@ -248,28 +253,25 @@ def indicator_normal_form(r: Region) -> Region:
     )
 
 
-def _segment_exit(polys, x, y):
-    """A point of the open segment ]x, y[ outside every polytope, or None;
-    the segment is (X + s*D)/L, X and D integer, 0 < s < 1."""
-    P, L = lattice_point(x + y)
-    X = P[:len(x)]
-    D = vsub(P[len(x):], X)
-    cuts = {Fraction(0), Fraction(1)}
+def _segment_exit(polys, X, Y, M: int):
+    """A point of the open segment ]X/M, Y/M[ outside every polytope, or
+    None: the first midpoint of two neighbouring crossings of its planes."""
+    cuts = set()  # reduced (r, s): the crossing at X + (r/s)(Y - X)
     for p in polys:
-        cuts.update(Fraction(r, s) for r, s in p.crossings(X, D, L) if 0 < r < s)
-    grid = sorted(cuts)
+        _, eqs, planes = p.lattice
+        for w, c in eqs + planes:
+            u, v = (c * M - p.den * vdot(w, V) for V in (X, Y))
+            if u * v < 0:
+                g = gcd(u, v)
+                cuts.add((abs(u) // g, abs(u - v) // g))
+    S = lcm(*(s for _, s in cuts))
+    grid = [0, *sorted(r * (S // s) for r, s in cuts), S]
+    D, K = vsub(Y, X), 2 * S * M
     for a, b in zip(grid, grid[1:]):
-        m = (a + b) / 2
-        M = L * m.denominator
-        Q = tuple(u * m.denominator + m.numerator * d for u, d in zip(X, D))
-        if not any(p.contains_scaled(Q, M) for p in polys):
-            return tuple(Fraction(c, M) for c in Q)
+        Q = tuple(2 * S * x + (a + b) * d for x, d in zip(X, D))
+        if not any(p.contains_scaled(Q, K) for p in polys):
+            return tuple(Fraction(c, K) for c in Q)
     return None
-
-
-def _barycenter(poly: Polytope):
-    M = len(poly.ints) * poly.den
-    return tuple(Fraction(sum(c), M) for c in zip(*poly.ints))
 
 
 def is_convex_region(r: Region, hull: Polytope | None = None):
@@ -280,30 +282,38 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
     points whose open segment leaves the support, plus the exit point
     itself.  The decision is the exact volume comparison; the witness
     search scans term vertices first and face barycenters after (vertex
-    pairs alone cannot certify shapes like a triangle boundary).  hull
-    is the terms' convex hull, when the caller has already built it.
+    pairs alone cannot certify shapes like a triangle boundary), both on
+    integers over one denominator.  hull is the terms' convex hull, when
+    the caller has already built it.
     """
     nf = indicator_normal_form(r)
     polys = [t.poly for t in r.terms]
     if hull is None:
-        hull = convex_hull([v for p in polys for v in p.verts])
+        hull = union_hull(polys)
     if hull.adim == 0:
         return True, None, nf
     # exact: a term of the hull's dimension spans the hull's affine hull,
     # echelon pivots depend only on that span, so its chart is the hull's
     # chart; a term of lower dimension has measure zero
-    vol = sum(t.weight * polytope_volume(t.poly) for t in nf.terms if t.poly.adim == hull.adim)
-    if vol == polytope_volume(hull):
+    full = [t for t in nf.terms if t.poly.adim == hull.adim]
+    D = lcm(hull.den, *(t.poly.den for t in full))
+    if sum(t.weight * scaled_volume(t.poly, D) for t in full) == scaled_volume(hull, D):
         return True, None, nf
     # vertex pairs, then every pair with a barycenter of a face above a vertex
-    verts = sorted({v for p in polys for v in p.verts})
-    pool = verts + sorted({_barycenter(f) for p in polys for f, k in p.faces if k} - set(verts))
+    faces = [(k > 0, len(idx) * p.den, [p.ints[i] for i in idx])
+             for p in polys for k, idx in p.face_indices]
+    M = lcm(*(q for _, q, _ in faces))
+    tiers = (set(), set())  # the vertices, the faces above a vertex; over M
+    for above, q, V in faces:
+        tiers[above].add(tuple(M // q * sum(c) for c in zip(*V)))
+    verts = sorted(tiers[0])
+    pool = verts + sorted(tiers[1] - tiers[0])
     m, n = len(verts), len(pool)
     pairs = chain(combinations(range(m), 2),
                   ((i, j) for i in range(n) for j in range(max(i + 1, m), n)))
     for i, j in pairs:
-        x, y = pool[i], pool[j]
-        z = _segment_exit(polys, x, y)
+        z = _segment_exit(polys, pool[i], pool[j], M)
         if z is not None:
+            x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
             return False, {"x": x, "y": y, "outside": z}, nf
     raise InvariantViolation("volume defect found but no segment witness")

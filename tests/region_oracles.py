@@ -14,13 +14,18 @@ breadth-first search over facets that found the faces before, and
 `chart_volume` the projection hull that measured a term in the hull's
 chart.
 
+`brute_intersection` intersects two polytopes by brute force, sharing
+no code with the library's slack-table intersection.  `polytope_volume`
+is the Fraction volume that the convexity decision
+read before it compared integer volumes over one denominator.
+
 The seeded random polytopes and regions the tests draw close the file.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
+from math import factorial, lcm
 
 from sheafconv.linalg import vadd, vdot
 from sheafconv.polytope import (
@@ -28,7 +33,7 @@ from sheafconv.polytope import (
     _hull,
     convex_hull,
     open_indicator_expansion,
-    polytope_volume,
+    scaled_volume,
     vertex_keys,
 )
 from sheafconv.randgen import rand_rat
@@ -107,6 +112,39 @@ def search_faces(p) -> tuple:
 def euler_from_faces(p: Polytope) -> int:
     """Alternating face count; equals chi_c of the closed polytope (= 1)."""
     return sum(-1 if k % 2 else 1 for _, k in p.faces)
+
+
+def polytope_volume(p) -> Fraction:
+    """Volume of p in its own affine hull (counting measure for points),
+    measured in its chart."""
+    return Fraction(scaled_volume(p, p.den), factorial(p.adim) * p.den**p.adim)
+
+
+def det(m) -> Fraction:
+    """Determinant by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def brute_intersection(p, q):
+    """p meet q, or None when empty, on Fractions: every point where n of
+    the two polytopes' equality and facet planes meet, solved by Cramer's
+    rule and kept when it satisfies every constraint of both, hulled."""
+    eqs = p.equalities + q.equalities
+    planes = p.inequalities + q.inequalities
+    pts = set()
+    for rows in combinations(eqs + planes, p.n):
+        A = [tuple(w) for w, _ in rows]
+        d = det(A)
+        if d == 0:
+            continue
+        x = tuple(det([a[:i] + (c,) + a[i + 1:] for a, (_, c) in zip(A, rows)]) / d
+                  for i in range(p.n))
+        if all(vdot(w, x) == c for w, c in eqs) and all(vdot(nu, x) <= c for nu, c in planes):
+            pts.add(x)
+    return convex_hull(pts) if pts else None
 
 
 def chart_volume(p, idxs: tuple[int, ...], dim: int) -> Fraction:

@@ -418,16 +418,16 @@ def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
 
 def test_invertibility_check_hulls_the_terms_once(monkeypatch):
     sizes = []
-    real = polytope.convex_hull
+    real = polytope._hull
 
-    def counting(points):
+    def counting(den, points):
         points = list(points)
         sizes.append(len(points))
-        return real(points)
+        return real(den, points)
 
     for mod in (polytope, region, cfun):
-        if getattr(mod, "convex_hull", None) is real:
-            monkeypatch.setattr(mod, "convex_hull", counting)
+        if getattr(mod, "_hull", None) is real:
+            monkeypatch.setattr(mod, "_hull", counting)
     overlapping = make_region(2, [(box2(0, 2, 0, 2), CLOSED, 1), (box2(1, 3, 0, 2), CLOSED, 1)])
     res = invertibility_check_cf(overlapping)
     assert res["invertible"] and res["hull"] == box2(0, 3, 0, 2)

@@ -9,6 +9,7 @@ import doctest
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -26,7 +27,7 @@ from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_t
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
 from sheafconv.oracle import MAX_TRIALS
-from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat
+from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
 F = Fraction
@@ -524,8 +525,12 @@ def test_cli_empty_region_has_one_message(tmp_path, capsys):
     assert errors[0] == errors[1] and "empty region" in errors[0]
 
 
-def _region_doc(**term):
-    return json.dumps({"dimension": 2, "terms": [dict(SQ["terms"][0], **term)]}).encode()
+def _region_doc(dimension=2, **term):
+    return json.dumps({"dimension": dimension, "terms": [dict(SQ["terms"][0], **term)]}).encode()
+
+
+def _coordinate_doc(c):
+    return _region_doc(vertices=[[0, 0], [1, 0], [0, c]])
 
 
 @pytest.mark.parametrize("content", [
@@ -535,14 +540,54 @@ def _region_doc(**term):
     _region_doc(mode={"closed": 1}),
     _region_doc(vertices=[5]),
     _region_doc(vertices=[[0, 0], [1, 0], [0, "BIG"]]).replace(b'"BIG"', b"1" * 5000),
+    _coordinate_doc(0.5),
+    _coordinate_doc(True),
+    _coordinate_doc("1/0"),
+    _coordinate_doc("+1"),
+    _coordinate_doc(" 1"),
+    _coordinate_doc("1/02"),
+    _coordinate_doc("\u0663"),
+    _coordinate_doc("1" * 1001),
+    _coordinate_doc("1/" + "1" * 1001),
+    _region_doc(vertices=[[0, 0], [1], [0, 1]]),
+    _region_doc(dimension=0, vertices=[[]]),
+    _region_doc(dimension=4, vertices=[[0, 0, 0, 0], [1, 0, 0, 0]]),
 ], ids=["not-utf8", "deep-nesting", "mode-list", "mode-object", "vertex-not-list",
-        "integer-past-digit-limit"])
+        "integer-past-digit-limit", "float", "bool", "zero-denominator", "plus-sign",
+        "leading-space", "denominator-leading-zero", "non-ascii-digit", "1001-digit-literal",
+        "1001-digit-denominator", "ragged-vertex", "dimension-0", "dimension-4"])
 def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert cli.main(["region", "check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"]
+
+
+def _literal_corpus(rng):
+    """Seeded strings over digits, '-', '/', '+', space and a non-ASCII
+    digit, near-miss literals among them, and literals at the digit bound."""
+    out = ["0", "-0", "007", "0/5", "-6/4", "3/1", "1/0", "1/02", "-", "/2", "1//2", "1/-2"]
+    for _ in range(3000):
+        out.append("".join(rng.choice("0123456789--//+ \u0663") for _ in range(rng.randint(1, 7))))
+    for k in (MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1):
+        big = str(rng.randint(1, 9)) * k
+        out += [big, "-" + big, f"{big}/7", f"7/{big}", "0" * k + "1"]
+    return out
+
+
+def test_literal_ratio_matches_parse_rat():
+    # a region file's string coordinate reads to the lowest-terms integer
+    # pair of the Fraction parse_rat makes, or fails with its message
+    for text in _literal_corpus(random.Random(47)):
+        try:
+            want = parse_rat(text)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                ratio(text)
+            assert str(got.value) == str(exc), text
+        else:
+            assert ratio(text) == (want.numerator, want.denominator), text
 
 
 @pytest.mark.parametrize("where", ["vertex", "weight"])

@@ -22,13 +22,14 @@ from sheafconv.polytope import (
     intersect_polytopes,
     minkowski_sum,
     open_indicator_expansion,
-    polytope_volume,
     slice_polytope,
 )
 
 from linalg_oracles import rref
 from region_oracles import (
+    brute_intersection,
     chart_volume,
+    polytope_volume,
     euler_from_faces,
     rand_box,
     rand_point,
@@ -336,6 +337,45 @@ def test_intersect_touching_is_a_face():
     assert r == Polytope(((1, 0), (1, 1)))
 
 
+def intersection_pairs(rng):
+    """Seeded 2D and 3D pairs, by kind: random hulls and boxes; the second
+    moved past a box along some axes (disjoint) or by exactly its widths
+    (touching in a facet, an edge or a vertex); the hull of some vertices
+    of the first (nested); and points, segments and polygons against
+    either (lower-dimensional)."""
+    out = []
+    for i in range(180):
+        n, kind = 2 + i % 2, i // 2 % 5
+        p = rand_box(rng, n) if i % 3 or kind in (1, 2) else rand_polytope(rng, n)
+        if kind == 0:
+            q = rand_box(rng, n) if rng.random() < 0.5 else rand_polytope(rng, n)
+        elif kind in (1, 2):
+            width = [max(v[j] for v in p.verts) - min(v[j] for v in p.verts) for j in range(n)]
+            axes = rng.sample(range(n), rng.randint(1, n))
+            gap = F(rng.randint(1, 4), 2) if kind == 1 else 0
+            q = Polytope([vadd(v, tuple(width[j] + gap if j in axes else 0 for j in range(n)))
+                          for v in p.verts])
+        elif kind == 3:
+            q = convex_hull(rng.sample(p.verts, rng.randint(1, len(p.verts))))
+        else:
+            q = rand_polytope(rng, n, npts=rng.randint(1, n), span=3)
+            if rng.random() < 0.3:
+                p = rand_polytope(rng, n, npts=rng.randint(1, n), span=3)
+        out.append((kind, p, q))
+    return out
+
+
+def test_intersection_matches_brute_force_oracle():
+    seen = set()
+    for i, (kind, p, q) in enumerate(intersection_pairs(random.Random(77))):
+        want = brute_intersection(p, q)
+        assert intersect_polytopes(p, q) == want == intersect_polytopes(q, p), (i, p, q)
+        seen.add((kind, None if want is None else want.adim < p.n))
+    # every kind met, disjoint pairs empty, touching ones nonempty and flat
+    assert {(1, None), (2, True), (3, False), (3, True), (4, True), (0, None)} <= seen
+    assert (1, False) not in seen and (1, True) not in seen and (2, None) not in seen
+
+
 def test_slice_cube_diagonal():
     s = slice_polytope(cube(), (1, 1, 1), F(3, 2))
     assert s is not None and s.adim == 2
@@ -455,6 +495,14 @@ def test_region_json_round_trip():
         (Polytope(((0, 0), (1, 1))), RELINT, -1),
     ])
     assert region_from_json(region_to_json(r)) == r
+    # seeded regions of every dimension, with relint terms and weights
+    rng = random.Random(45)
+    for i in range(60):
+        n = 1 + i % 3
+        r = rand_union_region(rng, n, max_terms=3, span=3)
+        r = make_region(n, [(t.poly, rng.choice([CLOSED, RELINT]), rng.choice([-2, 1, 3]))
+                            for t in r.terms])
+        assert region_from_json(region_to_json(r)) == r, i
 
 
 def test_region_json_rejects_garbage():
@@ -535,14 +583,14 @@ def test_convexity_random_unions_agree_with_sampling():
 
 def ie_union_volume(polys, chart, dim) -> Fraction:
     """Inclusion-exclusion volume of a union, measured in the given
-    chart: every nonempty intersection of terms is kept apart, with no
-    merging or cancelling of equal pieces."""
+    chart: every nonempty intersection of terms, by the brute-force
+    oracle, is kept apart, with no merging or cancelling of equal pieces."""
     total = Fraction(0)
     live: list[tuple[tuple[int, ...], Polytope]] = []
     for i, p in enumerate(polys):
         new_live = [((i,), p)]
         for idxs, q in live:
-            cap = intersect_polytopes(q, p)
+            cap = brute_intersection(q, p)
             if cap is not None:
                 new_live.append((idxs + (i,), cap))
         live.extend(new_live)
@@ -589,3 +637,33 @@ def test_normal_form_volume_matches_inclusion_exclusion_oracle():
         assert sum(t.weight * chart_volume(t.poly, chart, d) for t in nf.terms) == expect, i
         assert ok == (expect == chart_volume(hull, chart, d)), i
     assert cancelled >= 50
+
+
+def test_region_check_makes_fractions_only_for_the_witness(monkeypatch):
+    """From the region file's JSON to is_convex_region's verdict, the only
+    Fractions made are the returned witness's coordinates: x, y and the
+    exit point."""
+    rng = random.Random(46)
+    regions = [r for _, r, _ in region_corpus()] + nested_union_regions(rng, 60)
+    docs = [region_to_json(r) for r in regions]
+    for doc in docs[::2]:  # JSON ints where a coordinate is integral
+        for term in doc["terms"]:
+            term["vertices"] = [[int(c) if "/" not in c else c for c in v] for v in term["vertices"]]
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    nonconvex = 0
+    for i, (r, doc) in enumerate(zip(regions, docs)):
+        calls.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        parsed = region_from_json(doc)
+        ok, wit, _ = is_convex_region(parsed)
+        monkeypatch.undo()
+        assert parsed == r, i
+        assert len(calls) == (0 if ok else 3 * r.dim), (i, calls)
+        nonconvex += not ok
+    assert nonconvex >= 15

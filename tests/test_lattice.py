@@ -11,7 +11,9 @@ mixed and large (up to 10^6) denominators, built both directly and
 through convex_hull.
 """
 
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -230,10 +232,12 @@ def test_faces_of_a_cloud_are_the_faces_of_its_hull():
     assert euler_convolve_at(indicator(line, RELINT), indicator(Polytope([(0, 0)])), (1, 0)) == 1
     rng = random.Random(15)
     half = [Fraction(k, 2) for k in range(7)]
-    for n in (2, 2, 3, 3):
+    for n in (1, 2, 2, 3, 3):
         cloud = cloud_with_edge_and_interior_points(rng, n)
         given_, hull = Polytope(cloud), convex_hull(cloud)
-        assert len(given_.ints) > len(hull.ints)
+        # the constructor hulls its points: one canonical polytope per set
+        assert given_ == hull and len(given_.ints) < len(cloud)
+        assert copy.deepcopy(given_) == given_ == pickle.loads(pickle.dumps(given_))
         assert given_.faces[:-1] == hull.faces[:-1]  # the proper faces
         for g in (Polytope([(0,) * n]), Polytope([(0,) * n, (1,) + (0,) * (n - 1)])):
             for t in product(half, repeat=n):
