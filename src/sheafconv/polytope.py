@@ -35,7 +35,7 @@ from .errors import InputError
 from .lattice import (Lattice, lattice_form, ring2, ring_on, ring_planes, ring_sum,
                       segment_sum, span)
 from .linalg import cross3, vadd, vdot, vneg, vsub
-from .rational import lattice_point, rat
+from .rational import lattice_point, rat, ratio
 
 
 class Polytope:
@@ -199,8 +199,9 @@ def sort_by_vertices(pairs: list) -> list:
 
 
 def convex_hull(points) -> Polytope:
-    """The hull of rational points of one ambient dimension 1..3."""
-    pts = [tuple(rat(c) for c in p) for p in points]
+    """The hull of rational points of one ambient dimension 1..3, each
+    coordinate read by ratio (an int, a Fraction or a literal)."""
+    pts = [tuple(map(ratio, p)) for p in points]
     if not pts:
         raise InputError("convex hull of an empty point set")
     n = len(pts[0])
@@ -208,8 +209,8 @@ def convex_hull(points) -> Polytope:
         raise InputError("mixed coordinate dimensions")
     if not 1 <= n <= 3:
         raise InputError(f"ambient dimension {n} out of range 1..3")
-    den = lcm(*(c.denominator for p in pts for c in p))
-    return _hull(den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts])
+    den = lcm(*(q for p in pts for _, q in p))
+    return _hull(den, [tuple(c * (den // q) for c, q in p) for p in pts])
 
 
 def union_hull(polys) -> Polytope:

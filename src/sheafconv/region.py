@@ -25,7 +25,7 @@ from .errors import InputError, InvariantViolation
 from .linalg import vdot, vsub
 from .polytope import (
     Polytope,
-    _hull,
+    convex_hull,
     intersect_polytopes,
     lattice_point,
     open_indicator_expansion,
@@ -35,7 +35,7 @@ from .polytope import (
     union_hull,
     vertex_keys,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat, ratio
+from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -133,15 +133,14 @@ def region_from_json(data) -> Region:
             raise InputError("vertices must be a list of coordinate lists")
         if any(map(int_too_long, (c for v in verts for c in v))) or int_too_long(weight):
             raise InputError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
-        pts = [tuple(map(ratio, v)) for v in verts]
-        if any(len(p) != dim for p in pts):
+        if any(len(v) != dim for v in verts):
             raise InputError("vertex length disagrees with dimension")
+        poly = convex_hull(verts)
         if not isinstance(weight, int) or isinstance(weight, bool):
             raise InputError("term weight must be an integer")
         if mode not in (CLOSED, RELINT):
             raise InputError(f"unknown face-selection mode {mode!r}")
-        L = lcm(*{q for p in pts for _, q in p})
-        items.append((_hull(L, [tuple(c * (L // q) for c, q in p) for p in pts]), mode, weight))
+        items.append((poly, mode, weight))
     return make_region(dim, items)
 
 
