@@ -215,14 +215,14 @@ def _load_region(path: str):
 
 def _cmd_region_check(args) -> int:
     from .cfun import invertibility_check_cf
-    from .region import region_to_json
+    from .region import region_to_json, vertices_json
     res = invertibility_check_cf(_load_region(args.file))
     if res["invertible"]:
         _emit(
             {
                 "invertible": True,
                 "d": res["d"],
-                "hull": [_vec_json(v) for v in res["hull"].verts],
+                "hull": vertices_json(res["hull"]),
                 "inverse": region_to_json(res["inverse"].region),
             }
         )

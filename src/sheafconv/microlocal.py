@@ -19,17 +19,19 @@ characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
 Manifolds, ch. IX): a closed end carries +1 on its outward conormal ray,
 an open end -1 on its inward one, and a point is closed at both ends.
 An invertible f has inverse D(a f), the dual of its antipodal object,
-whose transform is B(f) with every position negated (b_reflect); so the
-necessary check multiplies B(f) by its reflection and never builds a
-second sheaf.
+whose transform is B(f) with every position negated (b_reflect); so
+B(f) * B(D(a f)) = 1 is necessary.  That product is never built: each
+family P times its reflection carries the sum of the squared
+multiplicities at position 0, and a sum of squares of nonzero integers
+is 1 only for a single ray of multiplicity +-1, the unit's shape.  The
+necessary check reads the families once and decides in closed form.
 
 The ray families are read off the object's integer keys over its own
 denominator and kept sorted by position, so a negation reads a family
-backwards.  Products run on integer positions through one kernel; the
-necessary check's product P * P-bar is symmetric about 0, so it sums
-only the pairs at t >= 0, mirrors them, and writes its detail straight
-from the integer positions.  Public transforms hold Fraction positions,
-each made once.
+backwards.  Products run on integer positions over one common
+denominator; the necessary check writes its detail straight from the
+integer positions.  Public transforms hold Fraction positions, each
+made once.
 """
 
 from __future__ import annotations
@@ -163,14 +165,6 @@ def b_one() -> BTransform:
     return BTransform(((z, 1),), ((z, 1),), 1)
 
 
-def _add_row(out: dict[int, int], y: int, n: int, items) -> None:
-    """The product kernel: out[x + y] += m * n for each (x, m) in items."""
-    get = out.get
-    for x, m in items:
-        k = x + y
-        out[k] = get(k, 0) + m * n
-
-
 def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     """Additive convolution of two ray families on integer positions.
 
@@ -182,22 +176,11 @@ def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     X, den = lattice_point([x for x, _ in a + b])
     scaled_a = list(zip(X[:len(a)], (m for _, m in a)))
     out: dict[int, int] = {}
+    get = out.get
     for y, (_, n) in zip(X[len(a):], b):
-        _add_row(out, y, n, scaled_a)
+        for x, m in scaled_a:
+            out[x + y] = get(x + y, 0) + m * n
     return tuple((Fraction(p, den), m) for p, m in _int_items(out))
-
-
-def _ray_square(items: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """A sorted int family P times its reflection: c(t) is the sum of
-    m_i * m_j over x_i - x_j = t.  It is symmetric, c(t) = c(-t), so only
-    the pairs i > j (t > 0) are summed and mirrored; c(0) is the sum of
-    the squares."""
-    half: dict[int, int] = {}
-    for j, (y, n) in enumerate(items):
-        _add_row(half, -y, n, items[j + 1:])
-    right = _int_items(half)
-    centre = ((0, sum(m * m for _, m in items)),) if items else ()
-    return tuple((-t, c) for t, c in reversed(right)) + centre + right
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:
@@ -233,28 +216,31 @@ def b_dual(b: BTransform) -> BTransform:
 def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
     """Necessary condition for invertibility at the B level.
 
-    Checks that (a) the product of B(f) with its reflection, which is
-    B(dual(antipodal(f))), the transform an inverse must have, is the
-    unit transform, and (b) the scalar Euler square is 1.  Invertible
-    objects always pass; the converse fails in general, so a pass is not
-    a certificate.
+    An inverse must have transform B(f) reflected, so B(f) times its
+    reflection must be the unit transform.  Each ray family P times its
+    reflection carries sum(m * m) at position 0, and that sum over
+    nonzero multiplicities is 1 only for one ray of multiplicity +-1,
+    whose product is the unit; the zero entry multiplies to z * z.  So
+    the check passes exactly when each family is a single ray of
+    multiplicity +-1 and z * z = 1, read in one pass over the families.
+    Invertible objects always pass; the converse fails in general, so a
+    pass is not a certificate.  The detail holds B(f) as `btrans` writes
+    it and the product's value at 0, its "norm".
     """
     den, z = f.den, euler_c(f)
-    plus, minus = (_ray_square(items) for items in _int_families(f))
-    unit = ((0, 1),)
+    families = _int_families(f)
+    plus, minus = ([[fmt_ratio(p, den), str(m)] for p, m in items] for items in families)
+    norm_plus, norm_minus = (sum(m * m for _, m in items) for items in families)
     scalar_ok = z * z == 1
-    refined_ok = plus == unit and minus == unit and scalar_ok
+    refined_ok = norm_plus == norm_minus == 1 and scalar_ok
     detail = {
-        "product": {
-            "plus": [[fmt_ratio(t, den), str(c)] for t, c in plus],
-            "minus": [[fmt_ratio(t, den), str(c)] for t, c in minus],
-            "zero": z * z,
-        },
+        "transform": {"plus": plus, "minus": minus, "zero": z},
+        "norm": {"plus": norm_plus, "minus": norm_minus, "zero": z * z},
         "zero": z,
         "refined_ok": refined_ok,
         "scalar_ok": scalar_ok,
     }
-    return refined_ok and scalar_ok, detail
+    return refined_ok, detail
 
 
 def ss_convolution_bound_check(f: Sheaf1, g: Sheaf1) -> tuple[bool, tuple | None]:

@@ -4,8 +4,8 @@ A Polytope is its canonical integer form (den, X): X holds its sorted
 distinct extreme points scaled by den, the lcm of their coordinates'
 denominators, so gcd(den, X) = 1 and equal polytopes have equal forms.
 Scaling by den > 0 keeps the order, so X is sorted as the Fraction
-vertices are; those, `verts`, are a view built on first use for JSON,
-the public API and witnesses.  The predicates run on one integer lattice
+vertices are; those, `verts`, are a view built on first use for the
+public API (JSON reads X).  The predicates run on one integer lattice
 form of the same points: the affine chart (the pivots of the span of the
 difference rows), the affine-hull equalities <w, X> = C and the outward
 facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are

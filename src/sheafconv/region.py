@@ -35,7 +35,7 @@ from .polytope import (
     union_hull,
     vertex_keys,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_rat, int_too_long, rat
+from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -91,12 +91,18 @@ def make_region(dim: int, items) -> Region:
     return Region(dim, tuple(Term(poly, mode, acc[poly, mode]) for poly, mode in live))
 
 
+def vertices_json(p: Polytope) -> list:
+    """The vertices of p, each coordinate written from its integer over p.den."""
+    den = p.den
+    return [[fmt_ratio(c, den) for c in v] for v in p.ints]
+
+
 def region_to_json(r: Region) -> dict:
     return {
         "dimension": r.dim,
         "terms": [
             {
-                "vertices": [[fmt_rat(c) for c in v] for v in t.poly.verts],
+                "vertices": vertices_json(t.poly),
                 "mode": t.mode,
                 "weight": t.weight,
             }

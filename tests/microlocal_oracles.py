@@ -9,6 +9,11 @@ code with the end rule, so a test that compares the two checks both.
 The library multiplies ray families on integer positions over one
 common denominator; ``fraction_ray_convolve`` is the same product keyed
 by the Fraction positions themselves, as it was first written.
+
+The library decides B(f) * B(f reflected) = 1 in closed form, from the
+sum of the squared multiplicities; ``ray_square`` builds that product
+for one family, as the library once did, so the closed form can be
+checked against it.
 """
 
 from fractions import Fraction
@@ -66,3 +71,17 @@ def fraction_ray_convolve(a, b):
         for y, n in b:
             out[x + y] = out.get(x + y, 0) + m * n
     return tuple(sorted((x, m) for x, m in out.items() if m))
+
+
+def ray_square(items):
+    """A sorted family P times its reflection: c(t) is the sum of
+    m_i * m_j over x_i - x_j = t.  It is symmetric, c(t) = c(-t), so only
+    the pairs i > j (t > 0) are summed and mirrored; c(0) is the sum of
+    the squares.  Zero entries dropped, sorted by position."""
+    half = {}
+    for j, (y, n) in enumerate(items):
+        for x, m in items[j + 1:]:
+            half[x - y] = half.get(x - y, 0) + m * n
+    right = tuple(sorted((t, c) for t, c in half.items() if c))
+    centre = ((0, sum(m * m for _, m in items)),) if items else ()
+    return tuple((-t, c) for t, c in reversed(right)) + centre + right

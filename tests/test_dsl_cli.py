@@ -30,6 +30,8 @@ from sheafconv.oracle import MAX_TRIALS
 from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
+from test_integer_paths import large_check_expr
+
 F = Fraction
 
 CORPUS = [
@@ -417,7 +419,8 @@ def test_cli_output_past_digit_limit_is_exit_2(capsys, argv):
 # common denominator of all of them about 5000, so the integer paths of
 # the 1D layers scale every position to 5000 digits.  The digests are
 # those of the outputs the Fraction-keyed layers wrote, which the
-# integer paths must reproduce byte for byte.
+# integer paths must reproduce byte for byte; the check's is that of its
+# closed-form detail, B(F) and the norms.
 _D = [10**999 + a for a in (1, 3, 7, 9, 13)]
 HOSTILE = (f"conv(sum(kc(1/{_D[0]},1),ko(-1/{_D[1]},2),kco(1/{_D[2]},3),"
            f"koc(-1/{_D[3]},1),dirac(1/{_D[4]})),"
@@ -426,7 +429,7 @@ HOSTILE = (f"conv(sum(kc(1/{_D[0]},1),ko(-1/{_D[1]},2),kco(1/{_D[2]},3),"
 
 
 @pytest.mark.parametrize("cmd, code, size, digest", [
-    ("check", 1, 1281504, "4d0947852dee9a44390443b11e0132df9d867f569e5778980f2c7fb637a69451"),
+    ("check", 1, 55607, "bf754482af28969f08a801cc8cd98fd35e23565391741305ec9eccfc4f1dcfbc"),
     ("btrans", 0, 55373, "10723f6d5d467da86121876f7c0adafd4ea86b3a7a8801d3e48a2e21555a1003"),
     ("cc", 0, 104670, "b51b96ac235060fa93ebf7f4bbd9acc600b0006c41f410cf27b45ad3eb0ea1f3"),
     ("eval", 0, 76327, "a3f6b7a752ca2761f03752ddf05df56ad833bad021d04981d797b0c869fcce13"),
@@ -436,6 +439,15 @@ def test_cli_hostile_denominators_keep_their_output(capsys, cmd, code, size, dig
     out, err = capsys.readouterr()
     assert err == "" and len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("expr", [large_check_expr(), HOSTILE], ids=["large", "hostile"])
+def test_cli_check_transform_is_what_btrans_prints(capsys, expr):
+    assert cli.main(["check", "-e", expr]) == 1
+    detail = out_json(capsys)["detail"]
+    assert cli.main(["btrans", "-e", expr]) == 0
+    assert detail["transform"] == out_json(capsys)
+    assert len(detail["transform"]["plus"]) > 10
 
 
 SQ = {
@@ -462,6 +474,30 @@ def test_cli_region_check_and_conv(tmp_path, capsys):
     assert out_json(capsys)["value"] == 1
     assert cli.main(["region", "conv", sq, neg, "--at", "1/2,1/2"]) == 0
     assert out_json(capsys)["value"] == 0
+
+
+def test_cli_convex_region_check_makes_no_fraction(tmp_path, capsys, monkeypatch):
+    # two overlapping boxes: the hull and the inverse are written from
+    # their integer vertices, never through Fraction views
+    doc = {"dimension": 2, "terms": [_box_term((0, 0), (F(3, 2), F(1, 2))),
+                                     _box_term((1, 0), (3, F(1, 2)))]}
+    path = write(tmp_path, "two.json", doc)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert cli.main(["region", "check", path]) == 0
+    monkeypatch.undo()
+    assert calls == []
+    body = out_json(capsys)
+    assert body["hull"] == [["0", "0"], ["0", "1/2"], ["3", "0"], ["3", "1/2"]]
+    assert body["inverse"]["terms"] == [{"vertices": [["-3", "-1/2"], ["-3", "0"],
+                                                      ["0", "-1/2"], ["0", "0"]],
+                                         "mode": "relint", "weight": 1}]
 
 
 def test_cli_region_nonconvex_and_sweep(tmp_path, capsys):

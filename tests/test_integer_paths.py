@@ -7,9 +7,10 @@ normal form and every operation on objects against the Fraction
 operations of tests/sheaf1_oracles.py, the shadows against the pointwise
 oracles and the Fraction sweep of tests/shadow_oracles.py, the ray
 families against the per-closure tables of tests/microlocal_oracles.py,
-the symmetric product of the necessary check against the full product,
-and the negations against a re-sort.  Counting guards keep the large ops
-free of Fraction hashing, and the large check free of Fractions.
+the closed-form necessary check against the product of each family with
+its reflection, and the negations against a re-sort.  Counting guards
+keep the large ops free of Fraction hashing, and the large check free of
+Fractions.
 """
 
 import json
@@ -21,11 +22,13 @@ from hypothesis import example, given, settings
 
 from sheafconv import cli
 from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf
+from sheafconv.dsl import eval_text
 from sheafconv.microlocal import (
     BTransform,
     _ray_families,
     b_antipodal,
     b_necessary_check,
+    b_one,
     b_reflect,
     b_transform,
     bullet,
@@ -40,6 +43,7 @@ from sheafconv.sheaf1 import (
     antipodal,
     convolve,
     dual,
+    euler_c,
     inverse,
     normalize,
     rescale,
@@ -48,7 +52,7 @@ from sheafconv.sheaf1 import (
     translate,
 )
 
-from microlocal_oracles import table_cc_families
+from microlocal_oracles import ray_square, table_cc_families
 from shadow_oracles import brute_cf1_convolve, build_cf1, fraction_sweep, stalk_shadow
 from sheaf1_oracles import (
     fraction_antipodal,
@@ -228,15 +232,64 @@ def test_ray_families_match_tables(f):
     assert _ray_families(f) == table_cc_families(f)
 
 
+def at_zero(family) -> int:
+    """The multiplicity of a sorted family at position 0."""
+    return dict(family).get(0, 0)
+
+
 @given(wide_sheaves)
 @example(Sheaf1())
 @example(Sheaf1(fraction_normalize(_CANCELLING)))
 @settings(max_examples=150)
 def test_symmetric_product_matches_full_product(f):
-    # the necessary check sums half of B(f) times its reflection on ints
+    # the oracle's symmetric product is B(f) times its reflection; the
+    # check's detail is B(f) and that product's value at 0, and it passes
+    # exactly when the product is the unit
     b = b_transform(f)
-    _, detail = b_necessary_check(f)
-    assert detail["product"] == bullet(b, b_reflect(b)).to_json()
+    full = bullet(b, b_reflect(b))
+    assert (full.plus, full.minus) == (ray_square(b.plus), ray_square(b.minus))
+    ok, detail = b_necessary_check(f)
+    assert detail["transform"] == b.to_json()
+    assert detail["norm"] == {"plus": at_zero(full.plus), "minus": at_zero(full.minus),
+                              "zero": full.zero}
+    assert ok == detail["refined_ok"] == (full == b_one())
+
+
+_UNIT_LIKE = Sheaf1(fraction_normalize([Generator(Interval(_I.lo, _I.hi, Closure.CC))]))
+# kc(0,1) plus kco(2,3) or koc(2,3): chi = 1 and one family is a single
+# ray of multiplicity 1, but the other family has three rays
+_HALF_UNITS = [
+    Sheaf1(fraction_normalize([Generator(Interval(Fraction(0), Fraction(1), Closure.CC)),
+                               Generator(Interval(Fraction(2), Fraction(3), c))]))
+    for c in (Closure.CO, Closure.OC)
+]
+# passes the check without being invertible
+_ONE_SIDED = Sheaf1(fraction_normalize([
+    Generator(Interval(Fraction(0), Fraction(1), Closure.CO)),
+    Generator(Interval(Fraction(0), Fraction(1, 2), Closure.CC), 1)]))
+
+
+@given(st.one_of(wide_sheaves, sheaf_pairs().map(lambda fgt: convolve(fgt[0], fgt[1]))))
+@example(Sheaf1())
+@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@example(Sheaf1(fraction_normalize(_CANCELLING + _CANCELLING[:1])))
+@example(_UNIT_LIKE)
+@example(_ONE_SIDED)
+@example(_HALF_UNITS[0])
+@example(_HALF_UNITS[1])
+@example(convolve(_UNIT_LIKE, _ONE_SIDED))
+@settings(max_examples=200)
+def test_necessary_check_matches_ray_square_oracle(f):
+    # each family of the per-closure tables times its reflection, built
+    # pair by pair: the closed form passes exactly when both are the unit
+    # and chi^2 = 1, and its norm is their value at 0
+    squares = [ray_square(family) for family in table_cc_families(f)]
+    z = euler_c(f)
+    ok, detail = b_necessary_check(f)
+    assert ok == detail["refined_ok"] == (squares == [((0, 1),)] * 2 and z * z == 1)
+    assert detail["scalar_ok"] == (z * z == 1) and detail["zero"] == z
+    assert detail["norm"] == {"plus": at_zero(squares[0]), "minus": at_zero(squares[1]),
+                              "zero": z * z}
 
 
 def resorted(items) -> tuple:
@@ -303,9 +356,15 @@ def _sum_expr(rng) -> str:
     return "sum(" + ",".join(parts) + ")"
 
 
-def test_large_check_makes_no_fraction(monkeypatch, capsys):
+def large_check_expr() -> str:
+    """The shape of the line workload's large check: two sums of three
+    generators per closure, up to 144 generators after the convolution."""
     rng = random.Random(1013)
-    argv = ["check", "-e", f"conv({_sum_expr(rng)},{_sum_expr(rng)})"]
+    return f"conv({_sum_expr(rng)},{_sum_expr(rng)})"
+
+
+def test_large_check_makes_no_fraction(monkeypatch, capsys):
+    expr = large_check_expr()
     calls = []
     real = Fraction.__new__
 
@@ -314,8 +373,15 @@ def test_large_check_makes_no_fraction(monkeypatch, capsys):
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    assert cli.main(argv) == 1
+    assert cli.main(["check", "-e", expr]) == 1
     monkeypatch.undo()
-    detail = json.loads(capsys.readouterr().out)["detail"]
-    assert len(detail["product"]["plus"]) > 50
     assert calls == []
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    # B(h) times its reflection, which the check does not build
+    b = b_transform(eval_text(expr))
+    full = bullet(b, b_reflect(b))
+    assert len(full.plus) > 50
+    assert detail["transform"] == b.to_json()
+    assert detail["norm"] == {"plus": at_zero(full.plus), "minus": at_zero(full.minus),
+                              "zero": full.zero}
+    assert not detail["refined_ok"]
