@@ -13,12 +13,13 @@ read off the same integers.  A probe scaled the same way, P = L*x, is
 inside when den*<nu, P> <= C*L.  Every Polytope is a hull: the
 constructor hulls the points it is given, as convex_hull does.  An
 intersection or a slice reads one slack table, each constraint's slack
-at each vertex, keeps the vertices and edge crossings that hold every
-constraint, with their slacks combined in closed form, and hulls them
-over one denominator.  A Minkowski sum is read off its summands' points
-and lattice forms: a translate when one is a point, merged edge rings
-when it is planar, a solid's facets pushed out and banded by a segment,
-else the hull of the vertex sums; a reflection negates the lattice form.
+at each vertex; a side whose vertices hold every constraint is the
+intersection, else the vertices and edge crossings that do, their slacks
+combined in closed form, are hulled over one denominator.  A Minkowski
+sum is read off its summands' points and lattice forms: a translate when
+one is a point, merged edge rings when it is planar, a solid's facets
+pushed out and banded by a segment, else the hull of the vertex sums; a
+reflection negates the lattice form.
 Faces are read off each vertex's mask of the facet planes it lies on.
 The lattice form and the hulls are built on integers alone in `lattice`.
 """
@@ -277,15 +278,18 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
-    """Closed intersection, or None when empty: the hull of what _cut keeps
-    of each polytope against the other's equalities and facet planes."""
+    """Closed intersection, or None when empty: either polytope when it
+    lies in the other, else the hull of what _cut keeps of each polytope
+    against the other's equalities and facet planes."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
     cands = set()
     for a, b in ((p, q), (q, p)):
         _, eqs, planes = b.lattice
-        part = _cut(a, [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes],
-                    len(eqs))
+        rows = [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes]
+        if not any(map(any, rows[:len(eqs)])) and all(min(s) >= 0 for s in rows[len(eqs):]):
+            return a  # every vertex of a holds b's constraints: a lies in b
+        part = _cut(a, rows, len(eqs))
         if part is None:
             return None
         cands |= part

@@ -3,9 +3,9 @@ polytope terms in a fixed ambient dimension.  A region file's coordinate,
 a JSON int or a literal, is read to an integer pair, and each term is
 hulled on the integers over the lcm of its denominators.
 
-The union of an indicator region's terms has one normal form, its
-honest indicator written by inclusion-exclusion over the terms'
-intersections; this is the package's one inclusion-exclusion.  The
+The union of an indicator region's terms has one normal form, its honest
+indicator written by inclusion-exclusion over the terms' intersections,
+equal ones merged; this is the package's one inclusion-exclusion.  The
 convexity decision compares exact volumes as integers over one
 denominator: the support equals its convex hull iff the hull volume
 matches the union's, read off the normal form term by term, each in its
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, lcm
 
@@ -39,9 +40,13 @@ from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat
 
 CLOSED = "closed"
 RELINT = "relint"
-# an input bound: the live terms of one inclusion-exclusion, 2^k - 1 for
-# k terms around a common core
+# an input bound: the merged live terms of one inclusion-exclusion, one
+# per distinct intersection; 2^k - 1 for k terms whose intersections are
+# all distinct, such as tangent cuts of a square, so 12 of those fit
 MAX_IE_TERMS = 4096
+# input bounds of a region file: its terms, and the vertices given per term
+MAX_REGION_TERMS = 256
+MAX_TERM_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ def region_from_json(data) -> Region:
         raise InputError(f"ambient dimension {dim} out of range 1..3")
     if not isinstance(raw_terms, list):
         raise InputError("terms must be a list")
+    if len(raw_terms) > MAX_REGION_TERMS:
+        raise InputError(f"region file with more than {MAX_REGION_TERMS} terms")
     items = []
     for entry in raw_terms:
         try:
@@ -137,6 +144,8 @@ def region_from_json(data) -> Region:
             raise InputError("region term needs at least one vertex")
         if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
             raise InputError("vertices must be a list of coordinate lists")
+        if len(verts) > MAX_TERM_VERTICES:
+            raise InputError(f"region term with more than {MAX_TERM_VERTICES} vertices")
         if any(map(int_too_long, (c for v in verts for c in v))) or int_too_long(weight):
             raise InputError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
         if any(len(v) != dim for v in verts):
@@ -240,22 +249,23 @@ def indicator_polys(r: Region) -> list[Polytope]:
 
 def indicator_normal_form(r: Region) -> Region:
     """The honest indicator function of the union of an indicator
-    region's terms, via inclusion-exclusion (overlaps counted once).
-    Raises InputError once the live terms pass MAX_IE_TERMS."""
-    polys = indicator_polys(r)
-    live: list[tuple[int, Polytope]] = []
-    for p in polys:
-        fresh = [(1, p)]
-        for size, q in live:
+    region's terms, via inclusion-exclusion (overlaps counted once),
+    merged as it is built: after each term, equal intersections merge
+    and zero weights drop.  Raises InputError once that live set passes
+    MAX_IE_TERMS."""
+    live: dict[Polytope, int] = {}
+    for p in indicator_polys(r):
+        # the union with p: 1_U + 1_p - the sum of w 1_{q meet p} over live (q, w)
+        acc = dict(live)
+        acc[p] = acc.get(p, 0) + 1
+        for q, w in live.items():
             cap = intersect_polytopes(q, p)
             if cap is not None:
-                fresh.append((size + 1, cap))
-            if len(live) + len(fresh) > MAX_IE_TERMS:
-                raise InputError(f"inclusion-exclusion over more than {MAX_IE_TERMS} terms")
-        live.extend(fresh)
-    return make_region(
-        r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live]
-    )
+                acc[cap] = acc.get(cap, 0) - w
+        live = {q: w for q, w in acc.items() if w}
+        if len(live) > MAX_IE_TERMS:
+            raise InputError(f"inclusion-exclusion over more than {MAX_IE_TERMS} terms")
+    return make_region(r.dim, [(q, CLOSED, w) for q, w in live.items()])
 
 
 def _segment_exit(polys, X, Y, M: int):
@@ -288,8 +298,8 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
     itself.  The decision is the exact volume comparison; the witness
     search scans term vertices first and face barycenters after (vertex
     pairs alone cannot certify shapes like a triangle boundary), both on
-    integers over one denominator.  hull is the terms' convex hull, when
-    the caller has already built it.
+    integers over one denominator, and skips a pair that one term holds.
+    hull is the terms' convex hull, when the caller has already built it.
     """
     nf = indicator_normal_form(r)
     polys = [t.poly for t in r.terms]
@@ -316,9 +326,12 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
     m, n = len(verts), len(pool)
     pairs = chain(combinations(range(m), 2),
                   ((i, j) for i in range(n) for j in range(max(i + 1, m), n)))
+    # a segment in one term stays in the union: per point, the bit mask of
+    # the terms that hold it, made on first use
+    held = cache(lambda i: sum(1 << k for k, p in enumerate(polys)
+                               if p.contains_scaled(pool[i], M)))
     for i, j in pairs:
-        z = _segment_exit(polys, pool[i], pool[j], M)
-        if z is not None:
+        if not held(i) & held(j) and (z := _segment_exit(polys, pool[i], pool[j], M)):
             x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
             return False, {"x": x, "y": y, "outside": z}, nf
     raise InvariantViolation("volume defect found but no segment witness")

@@ -19,12 +19,19 @@ no code with the library's slack-table intersection.  `polytope_volume`
 is the Fraction volume that the convexity decision
 read before it compared integer volumes over one denominator.
 
+`list_indicator_normal_form` is the inclusion-exclusion that kept every
+subset's intersection as its own live term, 2^k - 1 of them for k terms
+around a common core, before the library merged equal intersections as
+it builds them.  `unfiltered_witness` is the witness scan that tried
+every pair of pool points, before the library skipped the pairs that one
+term holds.
+
 The seeded random polytopes and regions the tests draw close the file.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, lcm
 
 from sheafconv.linalg import vadd, vdot
@@ -32,12 +39,13 @@ from sheafconv.polytope import (
     Polytope,
     _hull,
     convex_hull,
+    intersect_polytopes,
     open_indicator_expansion,
     scaled_volume,
     vertex_keys,
 )
 from sheafconv.randgen import rand_rat
-from sheafconv.region import CLOSED, Region, Term, make_region
+from sheafconv.region import CLOSED, Region, Term, _segment_exit, indicator_polys, make_region
 
 
 def fraction_make_region(dim: int, items) -> Region:
@@ -147,6 +155,44 @@ def brute_intersection(p, q):
     return convex_hull(pts) if pts else None
 
 
+def list_indicator_normal_form(r: Region) -> Region:
+    """The union's indicator with one live term per nonempty subset of
+    terms, its intersection, signed by the subset's size."""
+    live: list[tuple[int, Polytope]] = []
+    for p in indicator_polys(r):
+        fresh = [(1, p)]
+        for size, q in live:
+            cap = intersect_polytopes(q, p)
+            if cap is not None:
+                fresh.append((size + 1, cap))
+        live.extend(fresh)
+    return make_region(r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live])
+
+
+def unfiltered_witness(r: Region):
+    """The first pair of pool points, vertices and then face barycenters
+    over one denominator M, whose open segment leaves the union, with the
+    exit point, as Fraction tuples {x, y, outside}; None when no pair has
+    one.  Every pair is tried."""
+    polys = [t.poly for t in r.terms]
+    faces = [(k > 0, len(idx) * p.den, [p.ints[i] for i in idx])
+             for p in polys for k, idx in p.face_indices]
+    M = lcm(*(q for _, q, _ in faces))
+    tiers = (set(), set())
+    for above, q, V in faces:
+        tiers[above].add(tuple(M // q * sum(c) for c in zip(*V)))
+    verts = sorted(tiers[0])
+    pool = verts + sorted(tiers[1] - tiers[0])
+    m, n = len(verts), len(pool)
+    for i, j in chain(combinations(range(m), 2),
+                      ((i, j) for i in range(n) for j in range(max(i + 1, m), n))):
+        z = _segment_exit(polys, pool[i], pool[j], M)
+        if z is not None:
+            x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
+            return {"x": x, "y": y, "outside": z}
+    return None
+
+
 def chart_volume(p, idxs: tuple[int, ...], dim: int) -> Fraction:
     """dim-volume of the projection of p onto the given coordinates."""
     proj = convex_hull([tuple(v[i] for i in idxs) for v in p.verts])
@@ -185,3 +231,14 @@ def rand_union_region(rng: random.Random, n: int, max_terms: int = 3, span: int 
         p = rand_box(rng, n, span) if rng.random() < 0.5 else rand_polytope(rng, n, span=span)
         polys[p] = p
     return make_region(n, [(p, CLOSED, 1) for p in polys.values()])
+
+
+def core_boxes(rng: random.Random, n: int, k: int) -> list:
+    """k distinct boxes around the core [-1, 1]^n, each side pushed out by
+    a seeded half-integer in [0, 2]."""
+    boxes: dict = {}
+    while len(boxes) < k:
+        lo = [-1 - rand_rat(rng, 0, 2, 2) for _ in range(n)]
+        hi = [1 + rand_rat(rng, 0, 2, 2) for _ in range(n)]
+        boxes.setdefault(tuple(lo + hi), Polytope(tuple(product(*zip(lo, hi)))))
+    return list(boxes.values())

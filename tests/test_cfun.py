@@ -33,7 +33,7 @@ from sheafconv.region import (CLOSED, RELINT, euler_char_c, evaluate_region, is_
                               make_region, slice_region)
 from sheafconv.sheaf1 import convolve, kc, kco, ko
 
-from region_oracles import rand_box, rand_point, rand_polytope, rand_union_region
+from region_oracles import core_boxes, rand_box, rand_point, rand_polytope, rand_union_region
 from shadow_oracles import brute_cf1_convolve, build_cf1, sliced_pushforward, stalk_shadow
 from sheaf1_oracles import rand_sheaf
 
@@ -399,7 +399,8 @@ def test_sweep_failure_implies_nonconvex():
             assert not is_convex_region(r)[0]
 
 
-def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
+def count_intersections(monkeypatch) -> list:
+    """The (p, q) of every intersect_polytopes call from here on."""
     calls = []
     real = polytope.intersect_polytopes
 
@@ -410,10 +411,25 @@ def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
     for mod in (polytope, region, cfun):
         if getattr(mod, "intersect_polytopes", None) is real:
             monkeypatch.setattr(mod, "intersect_polytopes", counting)
+    return calls
+
+
+def test_invertibility_check_runs_one_inclusion_exclusion(monkeypatch):
+    calls = count_intersections(monkeypatch)
     res = invertibility_check_cf(L_shape())
     assert not res["invertible"] and res["slice_chi"] >= 2
     # one inclusion-exclusion over two terms intersects them once
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_boxes_around_a_core_merge_their_intersections(monkeypatch, n):
+    calls = count_intersections(monkeypatch)
+    boxes = core_boxes(random.Random(7), n, 12)
+    res = invertibility_check_cf(make_region(n, [(p, CLOSED, 1) for p in boxes]))
+    assert not res["invertible"]
+    # 2^12 - 12 - 1 = 4083 when every subset's intersection is kept apart
+    assert len(calls) <= 100
 
 
 def test_invertibility_check_hulls_the_terms_once(monkeypatch):

@@ -661,16 +661,51 @@ def _run_module(*argv):
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
+def _tangent_cut(a, s=64):
+    """The square [-s, s]^2 above the tangent y = 2ax - a^2 of y = x^2: its
+    corners on or above the line, and the line's crossings with its sides."""
+    line = [(x, 2 * a * x - a * a) for x in (-s, s)]
+    if a:
+        line += [(Fraction(y + a * a, 2 * a), y) for y in (-s, s)]
+    corners = [(x, y) for x in (-s, s) for y in (-s, s) if y >= 2 * a * x - a * a]
+    return {"vertices": [[str(c) for c in v] for v in corners + line
+                         if all(abs(c) <= s for c in v)],
+            "mode": "closed", "weight": 1}
+
+
 @pytest.mark.parametrize("sub", ["check", "sweep"])
 def test_cli_inclusion_exclusion_past_bound_is_exit_2(tmp_path, sub):
-    # 16 boxes around the core [-1, 1] x [-2, 2]: 2^16 - 1 live terms,
-    # refused once the live set passes the bound, at the 13th box
-    boxes = [_box_term((-1 - i, -2 - i % 3), (1 + i % 5, 2 + i)) for i in range(16)]
-    path = write(tmp_path, "core.json", {"dimension": 2, "terms": boxes})
+    # 16 cuts of a square by tangents of y = x^2 at a = -8..7: each subset
+    # of cuts meets in its own polygon, whose edges are its tangents, so
+    # no intersection merges, and 2^k - 1 live terms after k cuts are
+    # refused once the live set passes the bound, at the 13th cut
+    cuts = [_tangent_cut(a) for a in range(-8, 8)]
+    path = write(tmp_path, "cuts.json", {"dimension": 2, "terms": cuts})
     assert 2**13 - 1 > region.MAX_IE_TERMS >= 2**12 - 1
     rc, out, err, seconds = _run_module("region", sub, path)
     assert (rc, out) == (2, "") and seconds < 10
     assert f"more than {region.MAX_IE_TERMS} terms" in json.loads(err)["error"]
+
+
+def _intervals_doc(terms, verts):
+    """terms disjoint unit-spaced intervals, each given by verts points."""
+    return {"dimension": 1, "terms": [
+        {"vertices": [[str(i + Fraction(j, verts))] for j in range(verts)], "mode": "closed",
+         "weight": 1} for i in range(terms)]}
+
+
+@pytest.mark.parametrize("cap, what, doc", [
+    (region.MAX_REGION_TERMS, "terms", lambda k: _intervals_doc(k, 2)),
+    (region.MAX_TERM_VERTICES, "vertices", lambda k: _intervals_doc(1, k)),
+], ids=["terms", "vertices"])
+def test_region_file_caps_are_exit_2(tmp_path, capsys, cap, what, doc):
+    assert region.region_from_json(doc(cap)).terms
+    with pytest.raises(InputError, match=f"more than {cap} {what}"):
+        region.region_from_json(doc(cap + 1))
+    path = write(tmp_path, "past.json", doc(cap + 1))
+    assert cli.main(["region", "check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"more than {cap} {what}" in json.loads(err)["error"]
 
 
 def test_cli_convolution_past_face_pair_bound_is_exit_2(tmp_path):

@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from sheafconv import lattice, polytope
+from sheafconv import lattice, polytope, region
 from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
@@ -24,11 +24,14 @@ from sheafconv.polytope import (
     open_indicator_expansion,
     slice_polytope,
 )
+from sheafconv.randgen import rand_rat
 
 from linalg_oracles import rref
 from region_oracles import (
     brute_intersection,
     chart_volume,
+    core_boxes,
+    list_indicator_normal_form,
     polytope_volume,
     euler_from_faces,
     rand_box,
@@ -36,6 +39,7 @@ from region_oracles import (
     rand_polytope,
     rand_union_region,
     search_faces,
+    unfiltered_witness,
 )
 from test_acceptance import region_corpus
 from sheafconv.region import (
@@ -376,6 +380,30 @@ def test_intersection_matches_brute_force_oracle():
     assert (1, False) not in seen and (1, True) not in seen and (2, None) not in seen
 
 
+def test_contained_intersection_is_returned_as_it_is():
+    """A polytope that lies in the other comes back as the same object:
+    an equal copy, a point inside, a vertex, an edge midpoint and up to
+    three lower-dimensional faces; the brute-force oracle agrees."""
+    rng = random.Random(79)
+    seen = set()
+    for i in range(24):
+        n = 2 + i % 2
+        b = rand_box(rng, n) if i % 3 else rand_polytope(rng, n)
+        if b.adim < n:
+            continue
+        inner = tuple(sum(c) / len(b.verts) for c in zip(*b.verts))
+        u, v = (b.verts[k] for k in rng.choice(b.edges))
+        inside = [Polytope(b.verts), Polytope([inner]), Polytope([rng.choice(b.verts)]),
+                  Polytope([tuple((x + y) / 2 for x, y in zip(u, v))])]
+        faces = [f for f, k in b.faces if 0 < k < b.adim]
+        for a in inside + rng.sample(faces, min(3, len(faces))):
+            assert brute_intersection(a, b) == a, (i, a, b)
+            assert intersect_polytopes(a, b) is a, (i, a, b)
+            assert intersect_polytopes(b, a) is (b if a == b else a), (i, a, b)
+            seen.add((n, a.adim))
+    assert seen == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
+
+
 def test_slice_cube_diagonal():
     s = slice_polytope(cube(), (1, 1, 1), F(3, 2))
     assert s is not None and s.adim == 2
@@ -637,6 +665,118 @@ def test_normal_form_volume_matches_inclusion_exclusion_oracle():
         assert sum(t.weight * chart_volume(t.poly, chart, d) for t in nf.terms) == expect, i
         assert ok == (expect == chart_volume(hull, chart, d)), i
     assert cancelled >= 50
+
+
+def touching_union_regions(rng, size):
+    """Seeded unions in 2D and 3D whose terms meet in lower dimensions: a
+    box, copies moved by exactly its widths along some axes (touching in a
+    facet, an edge or a vertex), and points and segments spanned by
+    vertices of the terms."""
+    out = []
+    for i in range(size):
+        n = 2 + i % 2
+        b = rand_box(rng, n, span=3)
+        width = [b.verts[-1][j] - b.verts[0][j] for j in range(n)]
+        polys = {b: None}
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                axes = rng.sample(range(n), rng.randint(1, n))
+                shift = tuple(width[j] * rng.choice((-1, 1)) if j in axes else 0
+                              for j in range(n))
+                polys.setdefault(Polytope([vadd(v, shift) for v in b.verts]))
+            else:
+                host = rng.choice(list(polys))
+                polys.setdefault(convex_hull(rng.sample(host.verts, rng.randint(1, 2))))
+        out.append(make_region(n, [(p, CLOSED, 1) for p in polys]))
+    return out
+
+
+def poly_subset_regions(rng, size):
+    """A seeded polytope with hulls of subsets of its vertices: every term
+    lies in the first, so the intersections repeat."""
+    out = []
+    for i in range(size):
+        n = 2 + i % 2
+        host = rand_polytope(rng, n, npts=n + 5) if i % 4 else rand_box(rng, n)
+        polys = {host: None}
+        for _ in range(rng.randint(1, 4)):
+            polys.setdefault(convex_hull(rng.sample(host.verts, rng.randint(1, len(host.verts)))))
+        out.append(make_region(n, [(p, CLOSED, 1) for p in polys]))
+    return out
+
+
+def test_merged_normal_form_matches_list_oracle():
+    """The merged inclusion-exclusion equals the one that keeps every
+    subset's intersection as its own term, after the final merge."""
+    rng = random.Random(45)
+    cores = [make_region(n, [(p, CLOSED, 1) for p in core_boxes(rng, n, k)])
+             for n in (2, 3) for k in range(2, 9)]
+    regions = (cores + nested_union_regions(rng, 60) + poly_subset_regions(rng, 40)
+               + touching_union_regions(rng, 60))
+    flat = 0
+    for i, r in enumerate(regions):
+        nf = indicator_normal_form(r)
+        assert nf == list_indicator_normal_form(r), i
+        flat += any(t.poly.adim < r.dim for t in nf.terms)
+    assert flat >= 40
+
+
+def nonconvex_corpus(rng):
+    """Seeded L-shapes, separated boxes, staircase chains and random
+    unions of up to three boxes or polytopes, in 2D and 3D."""
+    def box(lo, hi):
+        return Polytope(tuple(product(*zip(lo, hi))))
+
+    out = []
+    for i in range(64):
+        n, kind = 2 + i % 2, i // 2 % 4
+        lo = [rand_rat(rng, -3, 1, 2) for _ in range(n)]
+        hi = [a + rand_rat(rng, 1, 3, 2) for a in lo]
+        if kind == 0:
+            first, second = list(hi), list(hi)
+            first[1] = (lo[1] + hi[1]) / 2
+            second[0] = (lo[0] + hi[0]) / 2
+            polys = [box(lo, first), box(lo, second)]
+        elif kind == 1:
+            polys, x = [], lo[0]
+            for _ in range(rng.randint(2, 3)):
+                polys.append(box([x] + lo[1:], [x + rand_rat(rng, 1, 2, 2)] + hi[1:]))
+                x = polys[-1].verts[-1][0] + rand_rat(rng, 1, 2, 4)
+        elif kind == 2:
+            side = rand_rat(rng, 1, 2, 2)
+            polys = [box([a + k * side * 2 / 3 for a in lo], [a + k * side * 2 / 3 + side for a in lo])
+                     for k in range(rng.randint(2, 3))]
+        else:
+            polys = [t.poly for t in rand_union_region(rng, n, max_terms=3, span=3).terms]
+        out.append(make_region(n, [(p, CLOSED, 1) for p in polys]))
+    return out
+
+
+def test_filtered_witness_matches_unfiltered_scan():
+    """Skipping the pairs that one term holds returns the witness that the
+    scan over every pair finds first."""
+    nonconvex = {2: 0, 3: 0}
+    for i, r in enumerate(nonconvex_corpus(random.Random(47))):
+        ok, wit, _ = is_convex_region(r)
+        assert wit == unfiltered_witness(r), i
+        nonconvex[r.dim] += not ok
+    assert nonconvex[2] >= 30 and nonconvex[3] >= 25
+
+
+def test_l_shape_witness_tests_few_segments(monkeypatch):
+    calls = []
+    real = region._segment_exit
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(region, "_segment_exit", counting)
+    L3 = make_region(3, [(Polytope(tuple(product((0, 2), (0, 1), (0, 2)))), CLOSED, 1),
+                         (Polytope(tuple(product((0, 1), (0, 2), (0, 2)))), CLOSED, 1)])
+    assert not is_convex_region(L3)[0]
+    # 54 at the scan over every pair: 51 of them lie in one box
+    assert len(calls) <= 3
 
 
 def test_region_check_makes_fractions_only_for_the_witness(monkeypatch):
