@@ -8,16 +8,17 @@ both adjacent gap values).  These functions are the Euler-characteristic
 shadows of interval sheaves and the 1-D targets of linear pushforwards;
 they carry an exact Euler convolution.
 
-Every function here is built from atoms, point masses {x: c} and open
-plateaus c on ]u, v[, by one sorted difference sweep over their ends:
-the running sum of plateaus opened minus plateaus closed is the gap
+Every function here is built one way, by cf1_from_atoms: atoms, point
+masses {x: c} and open plateaus c on ]u, v[, at integer positions over
+one denominator, summed by one sorted difference sweep over their ends.
+The running sum of plateaus opened minus plateaus closed is the gap
 value, and a breakpoint takes the gap value on its left, less the
 plateaus closing there, plus its point mass.  O(m log m) for m atoms,
-with no pointwise evaluation.  The sweep runs on integer positions:
-Fraction atoms and breakpoints are scaled once over their common
-denominator, a sheaf's shadow reads the sheaf's own integer ends and
-denominator as they are, and each surviving breakpoint becomes a
-Fraction once.
+with no pointwise evaluation.  A convolution scales both operands'
+breakpoints once over their common denominator, a sheaf's shadow reads
+the sheaf's own integer ends and denominator as they are, a pushforward
+reads its terms' extents over theirs (cfun), and each surviving
+breakpoint becomes a Fraction once.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Cf1:
         }
 
 
-def _sweep(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) -> Cf1:
+def cf1_from_atoms(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) -> Cf1:
     """Canonical Cf1 of sum c_x 1_{x/den} + sum c 1_{]u/den, v/den[} (every
     u < v) from integer positions over den > 0, by one sorted difference
     sweep; removable breakpoints are stripped, and each surviving one
@@ -90,17 +91,6 @@ def _sweep(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) 
         breaks.append(x)
         pv.append(at)
     return Cf1(tuple(Fraction(x, den) for x in breaks), tuple(pv), tuple(gv))
-
-
-def cf1_from_atoms(points: dict[Fraction, int],
-                   opens: list[tuple[Fraction, Fraction, int]]) -> Cf1:
-    """Canonical Cf1 of sum c_x 1_{x} + sum c 1_{]u, v[} (every u < v):
-    the positions scaled once over their common denominator, then swept."""
-    ends, den = lattice_point([*points, *(e for u, v, _ in opens for e in (u, v))])
-    k = len(points)
-    return _sweep(dict(zip(ends[:k], points.values())),
-                  [(u, v, c) for u, v, (_, _, c) in zip(ends[k::2], ends[k + 1::2], opens)],
-                  den)
 
 
 def _atoms(f: Cf1, X: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
@@ -136,7 +126,7 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
             opens.append((u + y, v + y, cv * dv))
         for u2, v2, dv in gg:
             opens.append((u + u2, v + v2, -cv * dv))
-    return _sweep(points, opens, den)
+    return cf1_from_atoms(points, opens, den)
 
 
 def cf1_reflect(f: Cf1) -> Cf1:
@@ -160,7 +150,7 @@ def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
         if not closure & RIGHT_OPEN:
             points[hi] = points.get(hi, 0) + c
         opens.append((lo, hi, c))
-    return _sweep(points, opens, f.den)
+    return cf1_from_atoms(points, opens, f.den)
 
 
 def invertible_shadow(f: Cf1) -> bool:

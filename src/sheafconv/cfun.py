@@ -14,7 +14,9 @@ a relint term of affine dimension d to w (-1)^(d-1) on the open interval
 ]min, max[, or to w (-1)^d at the point when xi is constant on it
 (Schapira, Operations on constructible functions, 1991; Curry, Ghrist &
 Robinson, Euler calculus with applications to signals and sensing,
-2012).  The terms' intervals are then summed by the cf1 atom sweep.
+2012).  The extremes are integers over the terms' common denominator
+(region.extents), and the terms' intervals are summed on them by the
+one cf1 atom sweep.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .region import (
     Region,
     closed_expansion,
     evaluate_region,
+    extents,
     indicator_normal_form,
     indicator_polys,
     is_convex_region,
@@ -135,10 +138,10 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
     if all(c == 0 for c in xi):
         raise InputError("projection direction must be nonzero")
     a, L = lattice_point(xi)
+    ext, D = extents(f.region, a)
     points: dict = {}
     opens = []
-    for term in f.region.terms:
-        lo, hi = term.poly.extent(a, L)
+    for term, (lo, hi) in zip(f.region.terms, ext):
         w = term.weight
         if term.mode == CLOSED:
             points[lo] = points.get(lo, 0) + w
@@ -149,7 +152,7 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
             points[lo] = points.get(lo, 0) + (-w if term.poly.adim % 2 else w)
         else:
             opens.append((lo, hi, w if term.poly.adim % 2 else -w))
-    return cf1_from_atoms(points, opens)
+    return cf1_from_atoms(points, opens, D * L)
 
 
 def _vertices(r: Region) -> list:
@@ -177,21 +180,13 @@ def default_directions(r: Region, max_coeff: int = 5) -> list[tuple[int, ...]]:
     return sorted(dirs)
 
 
-def direction_sweep(r: Region, directions=None, max_coeff: int = 5) -> dict:
+def direction_sweep(r: Region, max_coeff: int = 5) -> dict:
     """Push the union's indicator along each direction and classify the
     shadow.  A failing direction certifies non-invertibility; an
     all-pass sweep certifies nothing (the exact decision is
     is_convex_region)."""
     indicator_polys(r)
-    if directions is None:
-        dirs = default_directions(r, max_coeff)
-    else:
-        raw = list(directions)
-        if not raw:
-            raise InputError("direction sweep needs at least one direction")
-        if any(all(rat(c) == 0 for c in d) for d in raw):
-            raise InputError("directions must be nonzero")
-        dirs = sorted({primitive(tuple(rat(c) for c in d)) for d in raw})
+    dirs = default_directions(r, max_coeff)
     f = ConstructibleFunction(indicator_normal_form(r))
     entries = []
     failing = []

@@ -17,7 +17,7 @@ from . import microlocal, sheaf1
 from .dsl import eval_text
 from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
-from .rational import fmt_rat, fmt_ratio, parse_rat
+from .rational import fmt_rat, fmt_ratio, parse_rat, ratio
 
 # JSON closure name -> Closure and back, and Closure -> expression-language atom
 _CLOSURES = {c.name.lower(): c for c in sheaf1.ATOM_CLOSURES.values()}
@@ -61,8 +61,8 @@ def sheaf_from_json(obj) -> sheaf1.Sheaf1:
             if not isinstance(item[key], int) or isinstance(item[key], bool):
                 raise InputError(f"{key} must be an integer")
         parts.append(
-            sheaf1.interval_sheaf(_CLOSURES[item["closure"]], parse_rat(item["lo"]),
-                                  parse_rat(item["hi"]), item["shift"], item["mult"])
+            sheaf1.interval_sheaf(_CLOSURES[item["closure"]], item["lo"], item["hi"],
+                                  item["shift"], item["mult"])
         )
     return sheaf1.direct_sum(*parts)
 
@@ -164,8 +164,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_stalk(args) -> int:
     f = eval_text(args.expr)
-    t = parse_rat(args.at)
-    _emit({"at": fmt_rat(t), "stalk": _graded_json(sheaf1.stalk(f, t))})
+    t = ratio(args.at)
+    _emit({"at": fmt_ratio(*t), "stalk": _graded_json(sheaf1.stalk(f, t))})
     return 0
 
 

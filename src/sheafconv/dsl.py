@@ -2,11 +2,13 @@
 
 Grammar: expr := 'zero' | name '(' arg {',' arg} ')' where leaf calls
 take rational literals ('p', '-p', 'p/q') and combinators take
-subexpressions.  The grammar is ASCII: any other character is a parse
-error with only ASCII before it, so error positions are byte offsets
-into the input.  Arities and argument kinds are checked while parsing,
-and each rational literal becomes an integer pair (p, q), which the
-atoms scale onto their integer keys with no Fraction in between.
+subexpressions.  One scan reads the tokens, and the grammar is ASCII:
+any other character is a parse error with only ASCII before it, so
+error positions are byte offsets into the input.  Arities and argument
+kinds are checked while parsing.  Each literal passes rational's one
+check, whose message the error carries, and becomes an integer pair
+(p, q), which the atoms scale onto their integer keys with no Fraction
+in between.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import functools
 import re
 
-from .errors import ParseError
-from .rational import MAX_LITERAL_DIGITS, RAT_LITERAL, too_many_digits
+from .errors import InputError, ParseError
+from .rational import check_literal
 from . import sheaf1
 
-_TOKEN = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),]))", re.ASCII)
-_SPACE = re.compile(r"\s*", re.ASCII)
+# a number, a name, a punctuation mark, or any other non-space character,
+# which is an error
+_TOKEN = re.compile(r"(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),])|(\S)", re.ASCII)
 
 RAT, INT, EXPR = "rat", "int", "expr"
 
@@ -43,24 +46,12 @@ _SIGNATURES = {
 
 
 def _tokens(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            at = _SPACE.match(text, pos).end()
-            if at == len(text):
-                break
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        num, name, punct = m.groups()
-        start = m.start(1) if num else m.start(2) if name else m.start(3)
-        if num:
-            out.append(("num", num, start))
-        elif name:
-            out.append(("name", name, start))
-        else:
-            out.append((punct, punct, start))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        num, name, punct, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        out.append(("num" if num else "name" if name else punct, m[0], m.start()))
     out.append(("end", "", len(text)))
     return out
 
@@ -105,22 +96,18 @@ class _Parser:
     def arg(self, kind):
         if kind == EXPR:
             return self.expr()
-        tok_kind, value, at = self.peek()
-        if tok_kind != "num":
-            raise ParseError(f"expected a number, found {value!r}", at)
+        _, value, at = self.peek()
+        if kind == INT and "/" in value:
+            raise ParseError("expected an integer", at)
+        # any token in a literal's place, a name or a mark too, is read by
+        # the one literal check, so a bad one reads as it does elsewhere
+        try:
+            check_literal(value)
+        except InputError as exc:
+            raise ParseError(str(exc), at) from None
         self.i += 1
-        if too_many_digits(value):
-            raise ParseError(f"literal longer than {MAX_LITERAL_DIGITS} digits", at)
-        if kind == INT:
-            if "/" in value:
-                raise ParseError("expected an integer", at)
-            return int(value)
-        if not RAT_LITERAL.match(value):
-            if not value.partition("/")[2].strip("0"):
-                raise ParseError("zero denominator", at)
-            raise ParseError(f"malformed rational {value!r}; expected 'p' or 'p/q'", at)
         p, _, q = value.partition("/")
-        return int(p), int(q or 1)
+        return int(p) if kind == INT else (int(p), int(q or 1))
 
 
 def parse(text: str):

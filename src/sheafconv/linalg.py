@@ -35,19 +35,13 @@ def cross3(u, v) -> tuple:
     )
 
 
-def primitive(v, keep_sign: bool = False) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers.
-
-    Unless keep_sign is set the result is flipped so its first nonzero
-    entry is positive, giving one canonical representative per line.
-    """
+def primitive(v) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers, its first nonzero
+    entry positive: one canonical representative per line."""
     ints, _ = lattice_point(v)
     g = gcd(*ints)
     if g == 0:
         return ints
-    ints = [x // g for x in ints]
-    if not keep_sign:
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)

@@ -125,13 +125,6 @@ class Polytope:
             return all(den * vdot(nu, P) < c * L for nu, c in planes)
         return all(den * vdot(nu, P) <= c * L for nu, c in planes)
 
-    def extent(self, a, L: int) -> tuple[Fraction, Fraction]:
-        """The least and the greatest value of <a, x>/L on the polytope,
-        for an integer covector a and L > 0."""
-        vals = [vdot(a, p) for p in self.ints]
-        M = L * self.den
-        return Fraction(min(vals), M), Fraction(max(vals), M)
-
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
         """Per vertex, the bit mask of the facet planes it lies on."""

@@ -17,15 +17,11 @@ def rand_rat(rng: random.Random, lo: int = -16, hi: int = 16, max_den: int = 8) 
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def rand_closure(rng: random.Random) -> Closure:
-    return rng.choice(list(Closure))
-
-
-def rand_interval(rng: random.Random, allow_point: bool = True) -> Interval:
-    if allow_point and rng.random() < 0.15:
+def rand_interval(rng: random.Random) -> Interval:
+    if rng.random() < 0.15:
         a = rand_rat(rng)
         return Interval(a, a, Closure.CC)
-    closure = rand_closure(rng)
+    closure = rng.choice(list(Closure))
     a = rand_rat(rng)
     b = rand_rat(rng)
     while b == a:
@@ -35,9 +31,5 @@ def rand_interval(rng: random.Random, allow_point: bool = True) -> Interval:
     return Interval(a, b, closure)
 
 
-def rand_generator(rng: random.Random, max_shift: int = 3, max_mult: int = 3) -> Generator:
-    return Generator(
-        rand_interval(rng),
-        rng.randint(-max_shift, max_shift),
-        rng.randint(1, max_mult),
-    )
+def rand_generator(rng: random.Random) -> Generator:
+    return Generator(rand_interval(rng), rng.randint(-3, 3), rng.randint(1, 3))

@@ -4,7 +4,9 @@ Coordinates, endpoints and offsets at the API edge are fractions.Fraction
 values; Fraction already maintains the invariants we need (lowest terms,
 positive denominator, value equality).  Floats are rejected everywhere
 at construction time so no rounding can sneak in.  The wire format is
-the compact string "p" or "p/q", read by one ASCII literal grammar.
+the compact string "p" or "p/q", read by one ASCII literal grammar and
+checked in one place (check_literal), so the CLI, region files and the
+DSL report each fault with one message.
 Fast paths scale a group of rationals once to integers over their
 common denominator (lattice_point), or read them as integer pairs
 (ratio; an int or a literal, as region files are read, makes no
@@ -21,9 +23,10 @@ from math import gcd, lcm
 
 from .errors import InputError
 
-# The one grammar of a rational literal, for parse_rat and the DSL: 'p',
-# '-p' or 'p/q' in ASCII digits, the denominator without leading zeros.
+# The one grammar of a rational literal: 'p', '-p' or 'p/q' in ASCII
+# digits, the denominator without leading zeros.
 RAT_LITERAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z", re.ASCII)
+_ZERO_DENOMINATOR = re.compile(r"-?\d+/0+\Z", re.ASCII)
 
 # The most decimal digits a literal may spell in its numerator and in its
 # denominator, leading zeros included; a longer one is bad input, rejected
@@ -34,10 +37,19 @@ MAX_LITERAL_DIGITS = 1000
 _INT_BOUND = 10**MAX_LITERAL_DIGITS
 
 
-def too_many_digits(literal: str) -> bool:
-    """True when a 'p', '-p' or 'p/q' literal exceeds MAX_LITERAL_DIGITS."""
-    return len(literal) > MAX_LITERAL_DIGITS and any(
-        len(part) > MAX_LITERAL_DIGITS for part in literal.lstrip("-").split("/"))
+def check_literal(text: str) -> str:
+    """text, when it is a rational literal within the digit bound; else
+    InputError, one message per fault: the grammar first ("zero
+    denominator" for p/0...0, "malformed rational" for any other miss),
+    then the digit bound."""
+    if not RAT_LITERAL.match(text):
+        if _ZERO_DENOMINATOR.match(text):
+            raise InputError("zero denominator")
+        raise InputError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
+    if len(text) > MAX_LITERAL_DIGITS and any(
+            len(part) > MAX_LITERAL_DIGITS for part in text.lstrip("-").split("/")):
+        raise InputError(f"rational literal longer than {MAX_LITERAL_DIGITS} digits")
+    return text
 
 
 def int_too_long(value) -> bool:
@@ -66,7 +78,7 @@ def ratio(value) -> tuple[int, int]:
     if type(value) is int:
         return value, 1
     if isinstance(value, str):
-        p, _, q = _checked(value).partition("/")
+        p, _, q = check_literal(value).partition("/")
         value = int(p), int(q or 1)
     elif not isinstance(value, tuple):
         value = rat(value)
@@ -89,15 +101,7 @@ def lattice_point(x) -> tuple[tuple[int, ...], int]:
 
 
 def parse_rat(text: str) -> Fraction:
-    return Fraction(_checked(text))
-
-
-def _checked(text: str) -> str:
-    if not RAT_LITERAL.match(text):
-        raise InputError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
-    if too_many_digits(text):
-        raise InputError(f"rational literal longer than {MAX_LITERAL_DIGITS} digits")
-    return text
+    return Fraction(check_literal(text))
 
 
 def fmt_rat(value: Fraction) -> str:

@@ -195,6 +195,19 @@ def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
     return sort_by_vertices([(p, w) for p, w in acc.items() if w != 0])
 
 
+def extents(r: Region, a) -> tuple[list[tuple[int, int]], int]:
+    """Per term, the least and the greatest <a, x> on it, for an integer
+    covector a, as integers over D, the lcm of the terms' denominators;
+    and D.  Only the two extremes are scaled onto D, not the vertices."""
+    D = lcm(*(t.poly.den for t in r.terms))
+    out = []
+    for t in r.terms:
+        vals = [vdot(a, V) for V in t.poly.ints]
+        s = D // t.poly.den
+        out.append((min(vals) * s, max(vals) * s))
+    return out, D
+
+
 # ---------------------------------------------------------------------------
 # slicing
 
@@ -213,22 +226,23 @@ def slice_region(r: Region, xi, t) -> Region:
     drop = next(i for i, c in enumerate(xi) if c != 0)
     keep = [i for i in range(r.dim) if i != drop]
     a, L = lattice_point(xi)
+    ext, D = extents(r, a)
+    T = t * (D * L)  # t on the extents' scale
 
     def project(poly: Polytope) -> Polytope:
         return Polytope.from_ints(poly.den, [tuple(V[i] for i in keep) for V in poly.ints])
 
     items = []
-    for term in r.terms:
-        lo, hi = term.poly.extent(a, L)
+    for term, (lo, hi) in zip(r.terms, ext):
         if term.mode == CLOSED:
             sliced = slice_polytope(term.poly, xi, t)
             if sliced is not None:
                 items.append((project(sliced), CLOSED, term.weight))
         else:
             # relint meets the hyperplane iff it crosses or lies inside it
-            if lo == hi == t:
+            if lo == hi == T:
                 items.append((project(term.poly), RELINT, term.weight))
-            elif lo < t < hi:
+            elif lo < T < hi:
                 sliced = slice_polytope(term.poly, xi, t)
                 items.append((project(sliced), RELINT, term.weight))
     return make_region(r.dim - 1, items)

@@ -1,12 +1,20 @@
 """Fraction linear algebra, kept as an oracle for the integer lattice
-form of sheafconv.polytope: reduced row echelon form and nullspace, and
-the scaling of a vector the tests build points with."""
+form of sheafconv.polytope: reduced row echelon form and nullspace, the
+scaling of a vector the tests build points with, and its scaling to
+primitive integers with its signs kept."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def vscale(u, c) -> tuple:
     return tuple(a * c for a in u)
+
+
+def scaled(w):
+    """A rational vector scaled to primitive integers, its signs kept."""
+    ints = [int(c * lcm(*(Fraction(x).denominator for x in w))) for c in w]
+    return tuple(c // gcd(*ints) for c in ints)
 
 
 def rref(rows: list) -> tuple[list[list[Fraction]], list[int]]:

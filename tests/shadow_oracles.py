@@ -8,10 +8,12 @@ sweep or the closed form, so a test that compares the two checks both.
 
 The library's sweep runs on integer positions over one common
 denominator; ``fraction_sweep`` is the same sweep keyed by the Fraction
-positions themselves, as it was first written.
+positions themselves, as it was first written, and ``integer_atoms``
+scales Fraction atoms onto the library's integer entry.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from sheafconv import sheaf1
@@ -69,6 +71,15 @@ def fraction_sweep(points: dict, opens: list) -> Cf1:
         breaks.append(x)
         pv.append(at)
     return Cf1(tuple(breaks), tuple(pv), tuple(gv))
+
+
+def integer_atoms(points: dict, opens: list) -> tuple[dict, list, int]:
+    """Fraction point masses {x: c} and open plateaus (u, v, c) as the
+    integer atoms of cf1_from_atoms: positions times den, the lcm of
+    their denominators, and den."""
+    den = lcm(*(x.denominator for x in [*points, *(e for u, v, _ in opens for e in (u, v))]))
+    return ({int(x * den): c for x, c in points.items()},
+            [(int(u * den), int(v * den), c) for u, v, c in opens], den)
 
 
 def sliced_pushforward(f, xi) -> Cf1:

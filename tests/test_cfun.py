@@ -34,7 +34,8 @@ from sheafconv.region import (CLOSED, RELINT, euler_char_c, evaluate_region, is_
 from sheafconv.sheaf1 import convolve, kc, kco, ko
 
 from region_oracles import core_boxes, rand_box, rand_point, rand_polytope, rand_union_region
-from shadow_oracles import brute_cf1_convolve, build_cf1, sliced_pushforward, stalk_shadow
+from shadow_oracles import (brute_cf1_convolve, build_cf1, integer_atoms, sliced_pushforward,
+                            stalk_shadow)
 from sheaf1_oracles import rand_sheaf
 
 F = Fraction
@@ -311,6 +312,53 @@ def test_pushforward_matches_sliced_oracle():
     assert constant >= 60  # xi constant on a segment, polygon or polytope
 
 
+def _thirds_quarters_sixths(rng, n):
+    """A term whose vertices have coordinates over 3, 4 or 6, one per term."""
+    q = rng.choice((3, 4, 6))
+    pts = [tuple(F(rng.randint(-2 * q, 2 * q), q) for _ in range(n))
+           for _ in range(rng.randint(1, n + 2))]
+    return Polytope(pts), rng.choice([CLOSED, RELINT]), rng.choice([1, -1, 2, -2])
+
+
+def test_pushforward_over_mixed_denominators_matches_sliced_oracle():
+    # the closed form reads each term's extremes over the lcm of the terms'
+    # denominators; terms over 3, 4 and 6 scale differently onto it
+    rng = random.Random(3405)
+    mixed = 0
+    for i in range(90):
+        n = 1 + i % 3
+        f = ConstructibleFunction(make_region(
+            n, [_thirds_quarters_sixths(rng, n) for _ in range(rng.randint(2, 3))]))
+        xi = _rand_xi(rng, n)
+        assert pushforward_linear(f, xi) == sliced_pushforward(f, xi), (f, xi)
+        mixed += len({t.poly.den for t in f.region.terms}) > 1
+    assert mixed >= 45
+
+
+def test_pushforward_makes_one_fraction_per_breakpoint(monkeypatch):
+    # an integer covector's entries and each breakpoint of the result are
+    # the only Fractions: the terms' extremes stay integers
+    rng = random.Random(3406)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    for i in range(60):
+        n = 2 + i % 2
+        f = ConstructibleFunction(indicator_normal_form(rand_union_region(rng, n, span=3)))
+        xi = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not any(xi):
+            xi = (1,) + xi[1:]
+        calls.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        cf = pushforward_linear(f, xi)
+        monkeypatch.undo()
+        assert len(calls) == len(xi) + len(cf.breaks), (f, xi)
+
+
 def _rand_cf1(rng):
     if rng.random() < 0.1:
         return Cf1((), (), ())
@@ -358,7 +406,7 @@ def test_cf1_from_atoms_matches_pointwise_build():
             return points.get(t, 0) + sum(c for u, v, c in opens if u < t < v)
 
         want = build_cf1(list(points) + [e for u, v, _ in opens for e in (u, v)], value)
-        assert cf1_from_atoms(dict(points), list(opens)) == want, (points, opens)
+        assert cf1_from_atoms(*integer_atoms(points, opens)) == want, (points, opens)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +429,6 @@ def test_direction_sweep_L_fails_diagonal():
 
 
 def test_direction_sweep_rejects_bad_directions():
-    r = make_region(2, [(box2(0, 1, 0, 1), CLOSED, 1)])
-    with pytest.raises(InputError):
-        direction_sweep(r, directions=[])
-    with pytest.raises(InputError):
-        direction_sweep(r, directions=[(0, 0)])
     with pytest.raises(InputError):
         direction_sweep(make_region(2, [(box2(0, 1, 0, 1), CLOSED, 2)]))
 

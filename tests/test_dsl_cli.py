@@ -600,6 +600,32 @@ def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
     assert out == "" and json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1/0", "zero denominator"),
+    ("1/010", "malformed rational '1/010'; expected 'p' or 'p/q'"),
+    ("7" * (MAX_LITERAL_DIGITS + 1), f"rational literal longer than {MAX_LITERAL_DIGITS} digits"),
+    ("x", "malformed rational 'x'; expected 'p' or 'p/q'"),
+], ids=["zero-denominator", "leading-zero", "past-digit-bound", "name"])
+def test_literal_fault_reads_one_message_everywhere(tmp_path, capsys, literal, message):
+    # the DSL, --at, a sheaf JSON endpoint and a region-file coordinate
+    # share one literal check; the DSL's copy adds the byte offset
+    assert cli.main(["eval", "-e", f"dirac({literal})"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == f"{message} (at byte 6)"
+    assert cli.main(["stalk", "-e", "dirac(0)", "--at", literal]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == message
+    with pytest.raises(InputError) as exc:
+        sheaf_from_json({"generators": [
+            {"lo": "0", "hi": literal, "closure": "cc", "shift": 0, "mult": 1}]})
+    assert str(exc.value) == message
+    path = tmp_path / "r.json"
+    path.write_bytes(_coordinate_doc(literal))
+    assert cli.main(["region", "check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == message
+
+
 def _literal_corpus(rng):
     """Seeded strings over digits, '-', '/', '+', space and a non-ASCII
     digit, near-miss literals among them, and literals at the digit bound."""

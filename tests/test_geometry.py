@@ -15,7 +15,7 @@ import pytest
 
 from sheafconv import lattice, polytope, region
 from sheafconv.errors import InputError, InvariantViolation
-from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
+from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
     convex_hull,
@@ -26,7 +26,7 @@ from sheafconv.polytope import (
 )
 from sheafconv.randgen import rand_rat
 
-from linalg_oracles import rref
+from linalg_oracles import rref, scaled
 from region_oracles import (
     brute_intersection,
     chart_volume,
@@ -81,7 +81,7 @@ def brute_hull3_planes(pts) -> list:
         nu = cross3(vsub(b, a), vsub(c, a))
         if nu == (0, 0, 0):
             continue
-        nu = primitive(nu, keep_sign=True)
+        nu = scaled(nu)
         off = vdot(nu, a)
         above = below = False
         for p in pts:

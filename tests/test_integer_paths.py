@@ -53,7 +53,8 @@ from sheafconv.sheaf1 import (
 )
 
 from microlocal_oracles import ray_square, table_cc_families
-from shadow_oracles import brute_cf1_convolve, build_cf1, fraction_sweep, stalk_shadow
+from shadow_oracles import (brute_cf1_convolve, build_cf1, fraction_sweep, integer_atoms,
+                            stalk_shadow)
 from sheaf1_oracles import (
     fraction_antipodal,
     fraction_convolve,
@@ -221,7 +222,7 @@ def atoms(draw):
 @settings(max_examples=120)
 def test_cf1_from_atoms_matches_fraction_sweep(case):
     points, opens = case
-    assert cf1_from_atoms(points, opens) == fraction_sweep(points, opens)
+    assert cf1_from_atoms(*integer_atoms(points, opens)) == fraction_sweep(points, opens)
 
 
 @given(wide_sheaves)

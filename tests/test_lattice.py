@@ -17,18 +17,17 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from sheafconv.cfun import euler_convolve_at, indicator
 from sheafconv.lattice import span
-from sheafconv.linalg import cross3, primitive, vadd, vdot, vneg, vsub
+from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import Polytope, convex_hull
 from sheafconv.region import RELINT
 
-from linalg_oracles import nullspace, rref, vscale
+from linalg_oracles import nullspace, rref, scaled, vscale
 from test_geometry import brute_hull3
 
 F = Fraction
@@ -79,7 +78,7 @@ def same_plane(a, b) -> bool:
 
 def normalized(plane):
     nu, c = plane
-    prim = primitive(nu, keep_sign=True)
+    prim = scaled(nu)
     i = next(k for k, x in enumerate(nu) if x)
     return prim, c * prim[i] / nu[i]
 
@@ -190,12 +189,6 @@ def direction_rows(draw):
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)),
                            max_size=6))
     return n, [tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(n)) for cs in combos]
-
-
-def scaled(w):
-    """A rational vector scaled to primitive integers, its signs kept."""
-    ints = [int(c * lcm(*(x.denominator for x in w))) for c in w]
-    return tuple(c // gcd(*ints) for c in ints)
 
 
 @given(direction_rows())
