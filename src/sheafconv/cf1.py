@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .rational import fmt_rat, lattice_point, rat
+from .rational import fmt_rat, lattice_point, rat, signed_sum
 from . import sheaf1
 from .sheaf1 import LEFT_OPEN, RIGHT_OPEN
 
@@ -72,6 +72,7 @@ def cf1_from_atoms(points: dict[int, int], opens: list[tuple[int, int, int]], de
     u < v) from integer positions over den > 0, by one sorted difference
     sweep; removable breakpoints are stripped, and each surviving one
     becomes a Fraction once."""
+    # one pass fills both maps, at half the cost of two signed sums over opens
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
     for u, v, c in opens:
@@ -114,18 +115,10 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
     k = len(f.breaks)
     fp, fg = _atoms(f, X[:k])
     gp, gg = _atoms(g, X[k:])
-    points: dict[int, int] = {}
-    opens: list[tuple[int, int, int]] = []
-    for x, cv in fp:
-        for y, dv in gp:
-            points[x + y] = points.get(x + y, 0) + cv * dv
-        for u, v, dv in gg:
-            opens.append((x + u, x + v, cv * dv))
-    for u, v, cv in fg:
-        for y, dv in gp:
-            opens.append((u + y, v + y, cv * dv))
-        for u2, v2, dv in gg:
-            opens.append((u + u2, v + v2, -cv * dv))
+    points = signed_sum((x + y, cv * dv) for x, cv in fp for y, dv in gp)
+    opens = [(x + u, x + v, cv * dv) for x, cv in fp for u, v, dv in gg]
+    opens += [(u + y, v + y, cv * dv) for u, v, cv in fg for y, dv in gp]
+    opens += [(u + u2, v + v2, -cv * dv) for u, v, cv in fg for u2, v2, dv in gg]
     return cf1_from_atoms(points, opens, den)
 
 

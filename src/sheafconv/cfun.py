@@ -32,7 +32,6 @@ from .polytope import (
     Polytope,
     lattice_point,
     minkowski_sum,
-    sort_by_vertices,
     union_hull,
     vertex_keys,
 )
@@ -48,7 +47,7 @@ from .region import (
     is_convex_region,
     make_region,
 )
-from .rational import rat
+from .rational import rat, signed_sum
 
 # an input bound: closed-face pairs, each a Minkowski sum, in one convolution
 MAX_CONV_PAIRS = 100_000
@@ -84,11 +83,8 @@ def _conv_terms(fr: Region, gr: Region) -> tuple:
     if len(fe) * len(ge) > MAX_CONV_PAIRS:
         raise InputError(f"convolution of {len(fe)} by {len(ge)} closed faces: "
                          f"more than {MAX_CONV_PAIRS} face pairs")
-    acc: dict = {}
-    for (a, wa), (b, wb) in product(fe, ge):
-        m = minkowski_sum(a, b)
-        acc[m] = acc.get(m, 0) + wa * wb
-    return tuple(sort_by_vertices([(m, w) for m, w in acc.items() if w]))
+    acc = signed_sum((minkowski_sum(a, b), wa * wb) for (a, wa), (b, wb) in product(fe, ge))
+    return tuple((m, acc[m]) for m in sorted(acc))
 
 
 def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> ConstructibleFunction:

@@ -19,9 +19,8 @@ from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
 from .rational import fmt_rat, fmt_ratio, parse_rat, ratio
 
-# JSON closure name -> Closure and back, and Closure -> expression-language atom
-_CLOSURES = {c.name.lower(): c for c in sheaf1.ATOM_CLOSURES.values()}
-_NAMES = {c: name for name, c in _CLOSURES.items()}
+# JSON closure name (c.name.lower()) -> Closure, and Closure -> expression-language atom
+_CLOSURES = {c.name.lower(): c for c in sheaf1.Closure}
 _ATOMS = {c: name for name, c in sheaf1.ATOM_CLOSURES.items()}
 
 
@@ -37,7 +36,7 @@ def _ends(f: sheaf1.Sheaf1):
 def sheaf_to_json(f: sheaf1.Sheaf1) -> dict:
     return {
         "generators": [
-            {"lo": lo, "hi": hi, "closure": _NAMES[c], "shift": s, "mult": m}
+            {"lo": lo, "hi": hi, "closure": c.name.lower(), "shift": s, "mult": m}
             for lo, hi, c, s, m in _ends(f)
         ]
     }

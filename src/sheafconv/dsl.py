@@ -26,11 +26,6 @@ _TOKEN = re.compile(r"(-?\d+(?:/\d+)?)|([a-zA-Z_]\w*)|([(),])|(\S)", re.ASCII)
 
 RAT, INT, EXPR = "rat", "int", "expr"
 
-# combinator -> the sheaf1 function that evaluates it, looked up when
-# called; conv folds sheaf1.convolve over its arguments
-_COMBINATORS = {"sum": "direct_sum", "dual": "dual", "antipodal": "antipodal",
-                "inverse": "inverse", "shift": "shift", "translate": "translate"}
-
 # name -> (argument kinds, variadic tail allowed)
 _SIGNATURES = {
     **dict.fromkeys(sheaf1.ATOM_CLOSURES, ((RAT, RAT), False)),
@@ -133,7 +128,11 @@ def eval_expr(tree) -> sheaf1.Sheaf1:
             for a in args]
     if head == "conv":
         return functools.reduce(sheaf1.convolve, vals)
-    return getattr(sheaf1, _COMBINATORS[head])(*vals)
+    if head == "sum":
+        return sheaf1.direct_sum(*vals)
+    # any other combinator is the sheaf1 function of its own name, looked
+    # up when called
+    return getattr(sheaf1, head)(*vals)
 
 
 def eval_text(text: str) -> sheaf1.Sheaf1:

@@ -27,11 +27,11 @@ is 1 only for a single ray of multiplicity +-1, the unit's shape.  The
 necessary check reads the families once and decides in closed form.
 
 The ray families are read off the object's integer keys over its own
-denominator and kept sorted by position, so a negation reads a family
-backwards.  Products run on integer positions over one common
-denominator; the necessary check writes its detail straight from the
-integer positions.  Public transforms hold Fraction positions, each
-made once.
+denominator, merged by rational.signed_sum and kept sorted by position,
+so a negation reads a family backwards.  Products run on integer
+positions over one common denominator; the necessary check writes its
+detail straight from the integer positions.  Public transforms hold
+Fraction positions, each made once.
 """
 
 from __future__ import annotations
@@ -40,16 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
-from .rational import fmt_rat, fmt_ratio, lattice_point, rat
+from .rational import fmt_rat, fmt_ratio, lattice_point, rat, signed_sum
 from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1, convolve, euler_c
 
 PLUS = 1
 MINUS = -1
-
-
-def _int_items(rays: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The nonzero multiplicities of an int-keyed family, sorted."""
-    return tuple(sorted((p, m) for p, m in rays.items() if m))
 
 
 def _negated(items: tuple[tuple[Fraction, int], ...]) -> tuple[tuple[Fraction, int], ...]:
@@ -130,13 +125,12 @@ def _int_families(f: Sheaf1) -> tuple[tuple, tuple]:
     """Signed (plus, minus) ray multiplicities on the integer positions of
     f over f.den, sorted: the end rule times mult * (-1)^shift, summed
     over the generators."""
-    families: dict[int, dict[int, int]] = {PLUS: {}, MINUS: {}}
+    families: dict[int, list[tuple[int, int]]] = {PLUS: [], MINUS: []}
     for lo, hi, c, s, m in f.keys:
         m = -m if s % 2 else m
         for x, sign, weight in _end_rays(lo, hi, c):
-            target = families[sign]
-            target[x] = target.get(x, 0) + weight * m
-    return _int_items(families[PLUS]), _int_items(families[MINUS])
+            families[sign].append((x, weight * m))
+    return tuple(tuple(sorted(signed_sum(families[sign]).items())) for sign in (PLUS, MINUS))
 
 
 def _ray_families(f: Sheaf1) -> tuple[tuple, tuple]:
@@ -175,12 +169,8 @@ def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
     """
     X, den = lattice_point([x for x, _ in a + b])
     scaled_a = list(zip(X[:len(a)], (m for _, m in a)))
-    out: dict[int, int] = {}
-    get = out.get
-    for y, (_, n) in zip(X[len(a):], b):
-        for x, m in scaled_a:
-            out[x + y] = get(x + y, 0) + m * n
-    return tuple((Fraction(p, den), m) for p, m in _int_items(out))
+    out = signed_sum((x + y, m * n) for y, (_, n) in zip(X[len(a):], b) for x, m in scaled_a)
+    return tuple((Fraction(p, den), m) for p, m in sorted(out.items()))
 
 
 def bullet(a: BTransform, b: BTransform) -> BTransform:

@@ -5,21 +5,23 @@ distinct extreme points scaled by den, the lcm of their coordinates'
 denominators, so gcd(den, X) = 1 and equal polytopes have equal forms.
 Scaling by den > 0 keeps the order, so X is sorted as the Fraction
 vertices are; those, `verts`, are a view built on first use for the
-public API (JSON reads X).  The predicates run on one integer lattice
-form of the same points: the affine chart (the pivots of the span of the
-difference rows), the affine-hull equalities <w, X> = C and the outward
-facets <nu, X> <= C, nu primitive integer; rings, edges and volumes are
-read off the same integers.  A probe scaled the same way, P = L*x, is
-inside when den*<nu, P> <= C*L.  Every Polytope is a hull: the
-constructor hulls the points it is given, as convex_hull does.  An
-intersection or a slice reads one slack table, each constraint's slack
-at each vertex; a side whose vertices hold every constraint is the
-intersection, else the vertices and edge crossings that do, their slacks
-combined in closed form, are hulled over one denominator.  A Minkowski
-sum is read off its summands' points and lattice forms: a translate when
-one is a point, merged edge rings when it is planar, a solid's facets
-pushed out and banded by a segment, else the hull of the vertex sums; a
-reflection negates the lattice form.
+public API (JSON reads X).  Polytopes order themselves (<) as their
+`verts` do, by cross-multiplying two integer forms, so region and
+convolution terms sort with no common rescaling.  The predicates run on
+one integer lattice form of the same points: the affine chart (the
+pivots of the span of the difference rows), the affine-hull equalities
+<w, X> = C and the outward facets <nu, X> <= C, nu primitive integer;
+rings, edges and volumes are read off the same integers.  A probe scaled
+the same way, P = L*x, is inside when den*<nu, P> <= C*L.  Every
+Polytope is a hull: the constructor hulls the points it is given, as
+convex_hull does.  An intersection or a slice reads one slack table,
+each constraint's slack at each vertex; a side whose vertices hold every
+constraint is the intersection, else the vertices and edge crossings
+that do, their slacks combined in closed form, are hulled over one
+denominator.  A Minkowski sum is read off its summands' points and
+lattice forms: a translate when one is a point, merged edge rings when
+it is planar, a solid's facets pushed out and banded by a segment, else
+the hull of the vertex sums; a reflection negates the lattice form.
 Faces are read off each vertex's mask of the facet planes it lies on.
 The lattice form and the hulls are built on integers alone in `lattice`.
 """
@@ -45,7 +47,7 @@ class Polytope:
     Its identity is its canonical integer form (den, ints): ints holds
     the sorted distinct vertices scaled by den, the lcm of their
     coordinates' denominators, so gcd(den, every coordinate) = 1.
-    Equality and the hash, computed once, read that form.
+    Equality, the hash, computed once, and the order read that form.
     """
 
     def __init__(self, verts):
@@ -70,6 +72,19 @@ class Polytope:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: "Polytope") -> bool:
+        """The order of the sorted Fraction vertex tuples, read on the
+        integer forms: directly over one denominator, else each vertex
+        cross-multiplied by the other's denominator."""
+        a, b = self.den, other.den
+        if a == b:
+            return self.ints < other.ints
+        for u, v in zip(self.ints, other.ints):
+            for x, y in zip(u, v):
+                if x * b != y * a:
+                    return x * b < y * a
+        return len(self.ints) < len(other.ints)
 
     def __repr__(self) -> str:
         return f"Polytope(verts={self.verts!r})"
@@ -175,17 +190,11 @@ class Polytope:
 
 
 def vertex_keys(polys) -> list:
-    """Sort keys that order polytopes as their Fraction vertex tuples do:
-    their integer points over one common denominator."""
+    """Each polytope's vertices as integer points over one common
+    denominator, the lcm of theirs."""
     D = lcm(*(p.den for p in polys))
     return [p.ints if p.den == D else
             tuple(tuple(c * (D // p.den) for c in v) for v in p.ints) for p in polys]
-
-
-def sort_by_vertices(pairs: list) -> list:
-    """(polytope, x) pairs sorted by the polytopes' vertices, then by x."""
-    keys = [(k, x) for k, (_, x) in zip(vertex_keys([q for q, _ in pairs]), pairs)]
-    return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ common denominator (lattice_point), or read them as integer pairs
 (ratio; an int or a literal, as region files are read, makes no
 Fraction), compute on the ints, and write each output position from its
 integer pair with one gcd (fmt_ratio).
+Integer combinations, of polytope indicators, generators, stalk
+degrees, conormal rays or covector positions, are put in canonical form
+by one signed sum (signed_sum): equal keys merged, zero weights dropped;
+a caller that needs the canonical order sorts the result.
 """
 
 from __future__ import annotations
@@ -98,6 +102,17 @@ def lattice_point(x) -> tuple[tuple[int, ...], int]:
     L = lcm(*dens)
     q = {d: L // d for d in dens}
     return tuple(c.numerator * q[c.denominator] for c in x), L
+
+
+def signed_sum(pairs) -> dict:
+    """{key: weight} of (key, weight) pairs: the weights of equal keys
+    summed, in the order each key first appears, and zero sums dropped."""
+    acc: dict = {}
+    get = acc.get
+    for k, w in pairs:
+        acc[k] = get(k, 0) + w
+    # most sums cancel nothing: the scan for a zero is cheaper than a copy
+    return {k: w for k, w in acc.items() if w} if 0 in acc.values() else acc
 
 
 def parse_rat(text: str) -> Fraction:

@@ -1,7 +1,9 @@
 """Weighted regions: integer combinations of closed or relatively open
 polytope terms in a fixed ambient dimension.  A region file's coordinate,
 a JSON int or a literal, is read to an integer pair, and each term is
-hulled on the integers over the lcm of its denominators.
+hulled on the integers over the lcm of its denominators.  Terms merge by
+rational.signed_sum and sort by (polytope, mode), a polytope ordering
+itself by its vertices (Polytope.__lt__); no term is rescaled to sort.
 
 The union of an indicator region's terms has one normal form, its honest
 indicator written by inclusion-exclusion over the terms' intersections,
@@ -32,11 +34,9 @@ from .polytope import (
     open_indicator_expansion,
     scaled_volume,
     slice_polytope,
-    sort_by_vertices,
     union_hull,
-    vertex_keys,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat
+from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat, signed_sum
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -74,9 +74,8 @@ class Region:
             raise InputError(f"ambient dimension {self.dim} out of range 1..3")
         if any(t.poly.n != self.dim for t in self.terms):
             raise InputError("term dimension mismatch")
-        verts = vertex_keys([t.poly for t in self.terms])
-        keys = [(k, t.mode) for k, t in zip(verts, self.terms)]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        keys = [(t.poly, t.mode) for t in self.terms]
+        if not all(a < b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("region terms not in canonical form")
         object.__setattr__(self, "_hash", hash((self.dim, self.terms)))
 
@@ -89,11 +88,8 @@ def make_region(dim: int, items) -> Region:
 
     Equal (polytope, mode) entries merge; zero weights drop out.
     """
-    acc: dict = {}
-    for poly, mode, weight in items:
-        acc[poly, mode] = acc.get((poly, mode), 0) + weight
-    live = sort_by_vertices([key for key, w in acc.items() if w != 0])
-    return Region(dim, tuple(Term(poly, mode, acc[poly, mode]) for poly, mode in live))
+    acc = signed_sum(((poly, mode), weight) for poly, mode, weight in items)
+    return Region(dim, tuple(Term(poly, mode, acc[poly, mode]) for poly, mode in sorted(acc)))
 
 
 def vertices_json(p: Polytope) -> list:
@@ -184,15 +180,10 @@ def euler_char_c(r: Region) -> int:
 
 def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
     """Rewrite every term over closed polytopes (relint via its face sum)."""
-    acc: dict = {}
-    for t in r.terms:
-        if t.mode == CLOSED:
-            pieces = [(t.poly, 1)]
-        else:
-            pieces = open_indicator_expansion(t.poly)
-        for poly, sign in pieces:
-            acc[poly] = acc.get(poly, 0) + sign * t.weight
-    return sort_by_vertices([(p, w) for p, w in acc.items() if w != 0])
+    acc = signed_sum((poly, sign * t.weight) for t in r.terms
+                     for poly, sign in (open_indicator_expansion(t.poly) if t.mode == RELINT
+                                        else [(t.poly, 1)]))
+    return [(p, acc[p]) for p in sorted(acc)]
 
 
 def extents(r: Region, a) -> tuple[list[tuple[int, int]], int]:
@@ -270,13 +261,9 @@ def indicator_normal_form(r: Region) -> Region:
     live: dict[Polytope, int] = {}
     for p in indicator_polys(r):
         # the union with p: 1_U + 1_p - the sum of w 1_{q meet p} over live (q, w)
-        acc = dict(live)
-        acc[p] = acc.get(p, 0) + 1
-        for q, w in live.items():
-            cap = intersect_polytopes(q, p)
-            if cap is not None:
-                acc[cap] = acc.get(cap, 0) - w
-        live = {q: w for q, w in acc.items() if w}
+        caps = ((cap, -w) for q, w in live.items()
+                if (cap := intersect_polytopes(q, p)) is not None)
+        live = signed_sum(chain(live.items(), [(p, 1)], caps))
         if len(live) > MAX_IE_TERMS:
             raise InputError(f"inclusion-exclusion over more than {MAX_IE_TERMS} terms")
     return make_region(r.dim, [(q, CLOSED, w) for q, w in live.items()])

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InputError, InvariantViolation, NotInvertible
-from .rational import fmt_ratio, lattice_point, rat, ratio
+from .rational import fmt_ratio, lattice_point, rat, ratio, signed_sum
 
 # The most generator pairs one convolution may multiply, checked before
 # any pair is built: a conv of four random 12-term sums already holds
@@ -181,16 +181,11 @@ def _items(gens) -> tuple[int, list[tuple]]:
                  for g, lo, hi in zip(gens, ends[::2], ends[1::2])]
 
 
-def _normal(den: int, items: Iterable[tuple]) -> Sheaf1:
-    """The canonical object of (lo, hi, closure, shift, mult) items over
-    den: items that agree on all but mult are merged, the keys sorted and
-    den reduced by the gcd of all ends."""
-    merged: dict[tuple, int] = {}
-    get = merged.get
-    for lo, hi, c, s, m in items:
-        k = (lo, hi, c, s)
-        merged[k] = get(k, 0) + m
-    keys = [(*k, m) for k, m in sorted(merged.items())]
+def _normal(den: int, pairs: Iterable[tuple]) -> Sheaf1:
+    """The canonical object of ((lo, hi, closure, shift), mult) pairs over
+    den: the signed sum of the pairs, its keys sorted and den reduced by
+    the gcd of all ends."""
+    keys = [(*k, m) for k, m in sorted(signed_sum(pairs).items())]
     g = gcd(den, *(e for k in keys for e in k[:2])) if den > 1 else 1
     if g > 1:
         den //= g
@@ -216,7 +211,8 @@ def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
     """
     if isinstance(gens, Sheaf1):
         return gens
-    return _normal(*_items(list(gens)))
+    den, items = _items(list(gens))
+    return _normal(den, [(k[:4], k[4]) for k in items])
 
 
 # -- convenience constructors ------------------------------------------------
@@ -262,26 +258,27 @@ def zero() -> Sheaf1:
 
 def direct_sum(*sheaves: Sheaf1) -> Sheaf1:
     den = lcm(*(f.den for f in sheaves))
-    return _normal(den, [k for f in sheaves for k in _scaled(f, den)])
+    return _normal(den, [((lo, hi, c, s), m) for f in sheaves
+                         for lo, hi, c, s, m in _scaled(f, den)])
 
 
 # -- elementary operations ---------------------------------------------------
 
 def shift(f: Sheaf1, k: int) -> Sheaf1:
     _check_degree(k, 1)
-    return _normal(f.den, [(lo, hi, c, s + k, m) for lo, hi, c, s, m in f.keys])
+    return _normal(f.den, [((lo, hi, c, s + k), m) for lo, hi, c, s, m in f.keys])
 
 
 def translate(f: Sheaf1, x0) -> Sheaf1:
     p, q = ratio(x0)
     den = lcm(f.den, q)
     x = p * (den // q)
-    return _normal(den, [(lo + x, hi + x, c, s, m) for lo, hi, c, s, m in _scaled(f, den)])
+    return _normal(den, [((lo + x, hi + x, c, s), m) for lo, hi, c, s, m in _scaled(f, den)])
 
 
 def antipodal(f: Sheaf1) -> Sheaf1:
     """Pullback along x -> -x."""
-    return _normal(f.den, [(-hi, -lo, _REVERSED[c], s, m) for lo, hi, c, s, m in f.keys])
+    return _normal(f.den, [((-hi, -lo, _REVERSED[c], s), m) for lo, hi, c, s, m in f.keys])
 
 
 def dual(f: Sheaf1) -> Sheaf1:
@@ -294,7 +291,7 @@ def dual(f: Sheaf1) -> Sheaf1:
         D k_{[a,b[}[d] = k_{]a,b]}[1-d]      D k_{]a,b]}[d] = k_{[a,b[}[1-d]
         D delta_a[d]   = delta_a[-d]
     """
-    return _normal(f.den, [(lo, hi, c, -s, m) if lo == hi else (lo, hi, _FLIPPED[c], 1 - s, m)
+    return _normal(f.den, [((lo, hi, c, -s) if lo == hi else (lo, hi, _FLIPPED[c], 1 - s), m)
                            for lo, hi, c, s, m in f.keys])
 
 
@@ -362,7 +359,7 @@ def convolve(f: Sheaf1, g: Sheaf1) -> Sheaf1:
     den = lcm(f.den, g.den)
     gk = _scaled(g, den)
     return _normal(den, [
-        (lo, hi, c, s + t + extra, m * n)
+        ((lo, hi, c, s + t + extra), m * n)
         for a, b, ci, s, m in _scaled(f, den)
         for c2, d, cj, t, n in gk
         for lo, hi, c, extra in _convolve_ends(a, b, ci, c2, d, cj)
@@ -375,13 +372,10 @@ def stalk(f: Sheaf1, t) -> dict[int, int]:
     """Graded dimensions of the stalk at t; zero entries are dropped."""
     p, q = ratio(t)
     x = p * f.den  # t scaled by den * q, like every end below
-    dims: dict[int, int] = {}
-    for lo, hi, c, s, m in f.keys:
-        lo, hi = lo * q, hi * q
-        if ((lo < x or (lo == x and not c & LEFT_OPEN))
-                and (x < hi or (x == hi and not c & RIGHT_OPEN))):
-            dims[-s] = dims.get(-s, 0) + m
-    return {k: v for k, v in sorted(dims.items()) if v}
+    dims = signed_sum((-s, m) for lo, hi, c, s, m in f.keys
+                      if (lo * q < x or (lo * q == x and not c & LEFT_OPEN))
+                      and (x < hi * q or (x == hi * q and not c & RIGHT_OPEN)))
+    return dict(sorted(dims.items()))
 
 
 def global_sections_c(f: Sheaf1) -> dict[int, int]:
@@ -390,16 +384,9 @@ def global_sections_c(f: Sheaf1) -> dict[int, int]:
     A closed generator (including skyscrapers) contributes in degree -d,
     an open one in degree 1-d, a semi-open one contributes nothing.
     """
-    dims: dict[int, int] = {}
-    for _, _, c, s, m in f.keys:
-        if c is CC:
-            deg = -s
-        elif c is OO:
-            deg = 1 - s
-        else:
-            continue
-        dims[deg] = dims.get(deg, 0) + m
-    return {k: v for k, v in sorted(dims.items()) if v}
+    dims = signed_sum((-s if c is CC else 1 - s, m) for _, _, c, s, m in f.keys
+                      if c is CC or c is OO)
+    return dict(sorted(dims.items()))
 
 
 def euler_c(f: Sheaf1) -> int:
@@ -414,10 +401,10 @@ def rescale(f: Sheaf1, lam) -> Sheaf1:
     """
     p, q = ratio(lam)
     if p == 0:
-        return _normal(1, [(0, 0, CC, -deg, dim) for deg, dim in global_sections_c(f).items()])
+        return _normal(1, [((0, 0, CC, -deg), dim) for deg, dim in global_sections_c(f).items()])
     if p > 0:
-        return _normal(f.den * q, [(lo * p, hi * p, c, s, m) for lo, hi, c, s, m in f.keys])
-    return _normal(f.den * q, [(hi * p, lo * p, _REVERSED[c], s, m)
+        return _normal(f.den * q, [((lo * p, hi * p, c, s), m) for lo, hi, c, s, m in f.keys])
+    return _normal(f.den * q, [((hi * p, lo * p, _REVERSED[c], s), m)
                                for lo, hi, c, s, m in f.keys])
 
 

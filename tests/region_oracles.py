@@ -2,8 +2,10 @@
 
 The library keys region terms, closed expansions and convolution terms
 by the polytope itself, whose identity is its canonical integer form,
-and orders them by their vertices over one common denominator.  The
-fraction_* functions are the paths those replaced: they key and sort by
+merges them by rational.signed_sum, and sorts them by the polytopes'
+own order (Polytope.__lt__), which cross-multiplies two integer forms
+and rescales no term onto a common denominator.  The fraction_*
+functions are the paths those replaced: they key and sort by
 the Fraction vertex tuples, and a Minkowski sum hulls the Fraction
 vertex sums.  `hull_minkowski_sum` is the integer hull of the vertex
 sums that the library's Minkowski sum replaced.

@@ -466,6 +466,23 @@ def test_region_validation():
         Term(box2(0, 1, 0, 1), CLOSED, 0)
 
 
+def test_region_checks_the_canonical_term_order():
+    a, b = box2(0, 1, 0, 1), box2(2, 3, 0, 1)
+    # 2/5 < 1/2, though their integer forms over 5 and 2 read 2 > 1
+    half, two_fifths = convex_hull([("1/2",)]), convex_hull([("2/5",)])
+    good = [(2, [(a, CLOSED), (a, RELINT), (b, CLOSED)]),
+            (1, [(two_fifths, CLOSED), (half, CLOSED)])]
+    bad = [(2, [(b, CLOSED), (a, CLOSED)]),
+           (2, [(a, RELINT), (a, CLOSED)]),
+           (2, [(a, CLOSED), (b, CLOSED), (b, CLOSED)]),
+           (1, [(half, CLOSED), (two_fifths, CLOSED)])]
+    for dim, keys in good:
+        Region(dim, tuple(Term(p, m, 1) for p, m in keys))
+    for dim, keys in bad:
+        with pytest.raises(InvariantViolation, match="canonical form"):
+            Region(dim, tuple(Term(p, m, 1) for p, m in keys))
+
+
 def test_region_merges_duplicate_terms():
     p = box2(0, 1, 0, 1)
     r = make_region(2, [(p, CLOSED, 1), (p, CLOSED, 2), (p, RELINT, -1)])

@@ -75,6 +75,38 @@ def test_distinct_polytopes_are_unequal(p, q):
     assert (p == q) == (p.verts == q.verts)
 
 
+def _nested(n):
+    # a hull and the hull of a larger cloud share many of their vertices
+    return st.tuples(clouds(n), clouds(n), clouds(n)).map(
+        lambda cs: (convex_hull(cs[0]), convex_hull(cs[0] + cs[1]), convex_hull(cs[2])))
+
+
+@given(st.sampled_from((1, 2, 3)).flatmap(_nested))
+@settings(max_examples=300)
+def test_polytopes_order_as_their_fraction_vertices(polys):
+    for p in polys:
+        assert not p < p
+        for q in polys:
+            assert (p < q) == (p.verts < q.verts)
+    assert [p.verts for p in sorted(polys)] == sorted(p.verts for p in polys)
+
+
+def test_polytope_order_on_a_vertex_prefix():
+    # the sorted vertices of p are the first ones of q, so p comes first:
+    # over one denominator, and over two
+    cases = [([(0, 0), (1, 0)], [(1, 1)]),
+             ([("0", "0"), ("1/2", "0")], [("1/2", "1/3")]),
+             ([("0", "1/3"), ("1/2", "1/3")], [("1/2", "5/4")])]
+    dens = []
+    for pts, extra in cases:
+        p, q = convex_hull(pts), convex_hull(pts + extra)
+        assert p.verts == q.verts[:len(p.verts)] and len(p.verts) < len(q.verts)
+        assert p < q and not q < p and not p < p and not q < q
+        dens.append((p.den, q.den))
+    assert dens == [(1, 1), (2, 6), (6, 12)]
+    assert convex_hull([("1/2",)]) < convex_hull([(1,)]) < convex_hull([(1,), ("3/2",)])
+
+
 @given(st.sampled_from((2, 3)).flatmap(lambda n: term_items(n, 4)))
 @settings(max_examples=100)
 def test_make_region_orders_by_fraction_vertices(items):
