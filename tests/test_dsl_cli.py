@@ -387,7 +387,7 @@ def test_cli_table_zero_trials_is_exit_2(capsys):
 
 
 def test_cli_table_trials_past_bound_is_exit_2(capsys):
-    # only the first value past the bound: running the bound itself takes ~10 s
+    # only the first value past the bound: running the bound itself takes ~2.5 s
     assert cli.main(["table", "--trials", str(MAX_TRIALS + 1)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"at most {MAX_TRIALS} trials" in json.loads(err)["error"]

@@ -3,9 +3,13 @@
 The stalk oracle classifies I cap (t-J) from endpoint arithmetic; the
 sections oracle counts components of the excluded-face set of a
 partially closed rectangle.  Neither consults the table, which is what
-makes validate_table meaningful.
+makes validate_table meaningful.  Both run on integers over one scale;
+they and the driver are pinned equal to the Fraction oracles of
+tests/table_oracles.py, and a counting guard keeps the driver free of
+Fractions between the draws and the report.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from sheafconv import cli, oracle
 from sheafconv.errors import InputError
 from sheafconv.oracle import (
     conv_sections_oracle,
@@ -35,7 +40,10 @@ from sheafconv.sheaf1 import (
     koc,
     normalize,
     stalk,
+    translate,
 )
+
+import table_oracles
 
 
 def gen(f: Sheaf1) -> Generator:
@@ -138,21 +146,156 @@ def test_validate_table_rejects_zero_trials():
         validate_table(trials=0)
 
 
-def test_validate_table_catches_a_corrupted_entry():
-    # sabotage just the closed*closed cell of the table
-    def corrupted(g: Generator, h: Generator) -> Sheaf1:
-        out = normalize(list(convolve_generators(g, h)))
-        if (g.interval.closure, h.interval.closure) == (Closure.CC, Closure.CC):
-            out = normalize(
-                [Generator(Interval(x.interval.lo, x.interval.hi + 1, x.interval.closure),
-                           x.shift, x.mult) for x in out.gens]
-            )
-        return out
+def corrupted(g: Generator, h: Generator) -> Sheaf1:
+    """The real convolution with just the closed*closed cell sabotaged:
+    every right end one too far."""
+    out = normalize(list(convolve_generators(g, h)))
+    if (g.interval.closure, h.interval.closure) == (Closure.CC, Closure.CC):
+        out = normalize(
+            [Generator(Interval(x.interval.lo, x.interval.hi + 1, x.interval.closure),
+                       x.shift, x.mult) for x in out.gens]
+        )
+    return out
 
+
+# validate_table(trials=120, seed=3, conv_fn=corrupted), as the Fraction
+# driver reports it: (trial, kind, at, expected, got), in report order
+CORRUPTED_REPORT = [
+    (10, "stalk", "-49/8", {}, {-2: 4}),
+    (10, "stalk", "-53/8", {}, {-2: 4}),
+    (22, "stalk", "180/7", {}, {4: 2}),
+    (22, "stalk", "353/14", {}, {4: 2}),
+    (45, "stalk", "10/3", {}, {3: 6}),
+    (45, "stalk", "17/6", {}, {3: 6}),
+    (45, "sections", ("217/66", "973/198"), {}, {3: 6}),
+    (59, "stalk", "123/10", {}, {-1: 6}),
+    (59, "stalk", "59/5", {}, {-1: 6}),
+    (65, "stalk", "23/4", {}, {-2: 9}),
+    (65, "stalk", "21/4", {}, {-2: 9}),
+    (69, "stalk", "457/30", {}, {-3: 6}),
+    (69, "stalk", "221/15", {}, {-3: 6}),
+    (69, "sections", ("29/2", "559/30"), {}, {-3: 6}),
+    (69, "sections", ("91/6", "153/10"), {}, {-3: 6}),
+    (69, "sections", ("451/30", "153/10"), {}, {-3: 6}),
+    (69, "sections", ("431/30", "547/30"), {}, {-3: 6}),
+    (75, "stalk", "49/8", {}, {0: 3}),
+    (75, "stalk", "45/8", {}, {0: 3}),
+    (75, "sections", ("9937/1848", "8341/264"), {}, {0: 3}),
+    (76, "stalk", "-8/5", {}, {-2: 9}),
+    (76, "stalk", "-21/10", {}, {-2: 9}),
+    (76, "sections", ("-7/3", "343/165"), {}, {-2: 9}),
+    (76, "sections", ("-137/55", "-151/165"), {}, {-2: 9}),
+    (81, "stalk", "139/14", {}, {0: 3}),
+    (81, "stalk", "66/7", {}, {0: 3}),
+    (83, "stalk", "7", {}, {-2: 9}),
+    (83, "stalk", "13/2", {}, {-2: 9}),
+    (83, "sections", ("68/11", "93/11"), {}, {-2: 9}),
+    (86, "stalk", "17/4", {}, {-1: 3}),
+    (86, "stalk", "15/4", {}, {-1: 3}),
+    (86, "sections", ("151/44", "183/44"), {}, {-1: 3}),
+]
+
+
+def test_validate_table_catches_a_corrupted_entry():
     report = validate_table(trials=120, seed=3, conv_fn=corrupted)
-    assert report["count"] > 0
+    assert report["count"] == len(CORRUPTED_REPORT) == 32
     assert all(d["pair"] == "cc*cc" for d in report["discrepancies"])
-    assert {d["kind"] for d in report["discrepancies"]} <= {"stalk", "sections"}
+    at = lambda a: tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a)
+    assert [(d["trial"], d["kind"], d["at"], d["expected"], d["got"])
+            for d in report["discrepancies"]] == [
+        (trial, kind, at(a), want, got) for trial, kind, a, want, got in CORRUPTED_REPORT]
+    # the probe of a discrepancy is a Fraction, and every report field
+    # equals the Fraction driver's, the generators included
+    assert all(type(x) is Fraction for d in report["discrepancies"]
+               for x in (d["at"] if d["kind"] == "sections" else (d["at"],)))
+    assert report == table_oracles.fraction_validate_table(120, 3, conv_fn=corrupted)
+
+
+def test_cli_table_reports_a_corrupted_entry(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "convolve_generators", corrupted)
+    assert cli.main(["table", "--trials", "120", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 2932
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ad76c484f56c6e767318bf1526f0a5e61f291dd3a38ae54652770ca82b89b0ed")
+
+
+def test_validate_table_matches_fraction_driver_on_a_translated_table():
+    # every cell wrong, by a shift with a denominator the draws never have
+    def translated(g: Generator, h: Generator) -> Sheaf1:
+        return translate(convolve_generators(g, h), Fraction(1, 5))
+
+    report = validate_table(trials=150, seed=12345, conv_fn=translated)
+    assert report["count"] > 300
+    assert {d["kind"] for d in report["discrepancies"]} == {"stalk", "sections"}
+    assert report == table_oracles.fraction_validate_table(150, 12345, conv_fn=translated)
+
+
+def test_validate_table_makes_no_fraction_outside_the_draws(monkeypatch):
+    calls, drawn = [], []
+    drawing = []
+    real_new, real_draw = Fraction.__new__, oracle.rand_generator
+
+    def counting(cls, *args, **kwargs):
+        (drawn if drawing else calls).append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def draw(rng):
+        drawing.append(True)
+        try:
+            return real_draw(rng)
+        finally:
+            drawing.pop()
+
+    monkeypatch.setattr(oracle, "rand_generator", draw)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = validate_table(trials=50, seed=11)
+    monkeypatch.undo()
+    assert report["count"] == 0
+    assert calls == []
+    assert drawn  # the generators' ends are Fractions, made by the draws
+
+
+# ---------------------------------------------------------------------------
+# the integer oracles against the Fraction ones
+
+ends = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
+
+
+@st.composite
+def generators(draw) -> Generator:
+    a, b = sorted((draw(ends), draw(ends)))
+    closure = draw(st.sampled_from(list(Closure))) if a < b else Closure.CC
+    return Generator(Interval(a, b, closure), draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+
+def probe_points(g: Generator, h: Generator, f: Sheaf1) -> list[Fraction]:
+    """Every critical point of g * h and of f, every midpoint, and
+    points outside on both sides."""
+    pts = sorted({x + y for x in (g.interval.lo, g.interval.hi)
+                  for y in (h.interval.lo, h.interval.hi)}
+                 | {e for r in f.gens for e in (r.interval.lo, r.interval.hi)})
+    mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    return pts + mids + [pts[0] - 1, pts[0] - Fraction(1, 7), pts[-1] + Fraction(5, 3)]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(generators(), generators())
+def test_integer_oracles_match_fraction_oracles(g, h):
+    f = convolve_generators(g, h)
+    both = normalize([g, h])
+    probes = probe_points(g, h, f)
+    for t in probes:
+        assert conv_stalk_oracle(g, h, t) == table_oracles.conv_stalk_oracle(g, h, t), t
+    # slabs over every pair of probes, so their ends land on critical
+    # points, midpoints and outside, empty slabs included
+    for u in probes:
+        for v in probes:
+            assert (conv_sections_oracle(g, h, (u, v))
+                    == table_oracles.conv_sections_oracle(g, h, (u, v))), (u, v)
+            for obj in (f, both):
+                assert (sheaf_slab_sections(obj, u, v)
+                        == table_oracles.sheaf_slab_sections(obj, u, v)), (obj, u, v)
 
 
 def euler_from_stalk_samples(g: Generator, h: Generator) -> int:
