@@ -4,8 +4,8 @@ Convolution works through the closed-face presentation: every relint
 term is a signed sum of closed faces, and for closed compact convex A, B
 the Euler integral of 1_A(x) 1_B(t-x) over x is 1 exactly when t lies in
 the Minkowski sum A + B.  So f * g is a signed pile of Minkowski-sum
-indicators, cached once per unordered pair since f * g = g * f, and
-pointwise values are plain membership counts.
+indicators, cached once per unordered pair since f * g = g * f, and a
+value counts the sums that hold the probe, on integers over their lcm.
 
 Pushforward to the line is in closed form, with no slicing: Euler
 integration along the fibres of x -> <xi, x> sends a closed term of
@@ -24,17 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import gcd, lcm
 
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
-from .polytope import (
-    Polytope,
-    lattice_point,
-    minkowski_sum,
-    union_hull,
-    vertex_keys,
-)
+from .polytope import Polytope, _probe, lattice_point, minkowski_sum, union_hull, vertex_keys
 from .region import (
     CLOSED,
     RELINT,
@@ -75,8 +70,12 @@ def _terms(fr: Region, gr: Region) -> tuple:
     return _conv_terms(fr, gr) if hash(fr) <= hash(gr) else _conv_terms(gr, fr)
 
 
+class _Terms(tuple):
+    den: int  # the lcm of the terms' denominators, taken once per cache entry
+
+
 @lru_cache(maxsize=256)
-def _conv_terms(fr: Region, gr: Region) -> tuple:
+def _conv_terms(fr: Region, gr: Region) -> _Terms:
     if fr.dim != gr.dim:
         raise InputError("convolution needs a common ambient dimension")
     fe, ge = closed_expansion(fr), closed_expansion(gr)
@@ -84,7 +83,9 @@ def _conv_terms(fr: Region, gr: Region) -> tuple:
         raise InputError(f"convolution of {len(fe)} by {len(ge)} closed faces: "
                          f"more than {MAX_CONV_PAIRS} face pairs")
     acc = signed_sum((minkowski_sum(a, b), wa * wb) for (a, wa), (b, wb) in product(fe, ge))
-    return tuple((m, acc[m]) for m in sorted(acc))
+    terms = _Terms((m, acc[m]) for m in sorted(acc))
+    terms.den = lcm(*(m.den for m in acc))
+    return terms
 
 
 def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> ConstructibleFunction:
@@ -100,11 +101,11 @@ def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> Constr
 
 
 def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> int:
-    t = tuple(rat(c) for c in t)
-    if len(t) != f.n:
-        raise InputError("point dimension mismatch")
-    P, L = lattice_point(t)
-    return sum(w for p, w in _terms(f.region, g.region) if p.contains_scaled(P, L))
+    P, S = _probe(t, f.n, 1)  # the point is read and checked before any term is built
+    terms = _terms(f.region, g.region)
+    k = terms.den // gcd(S, terms.den)  # P/S onto the lcm of S and the terms' den
+    P = [c * k for c in P]
+    return sum(w for p, w in terms if p.contains_scaled(P, S * k))
 
 
 def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:

@@ -17,7 +17,7 @@ from . import microlocal, sheaf1
 from .dsl import eval_text
 from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
-from .rational import fmt_rat, fmt_ratio, parse_rat, ratio
+from .rational import fmt_rat, fmt_ratio, ratio
 
 # JSON closure name (c.name.lower()) -> Closure, and Closure -> expression-language atom
 _CLOSURES = {c.name.lower(): c for c in sheaf1.Closure}
@@ -100,10 +100,6 @@ def sheaf_to_text(f: sheaf1.Sheaf1) -> str:
 
 def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
-
-
-def _vec_json(v) -> list:
-    return [fmt_rat(c) for c in v]
 
 
 def _graded_json(dims: dict) -> dict:
@@ -230,7 +226,7 @@ def _cmd_region_check(args) -> int:
     _emit(
         {
             "invertible": False,
-            "witness": {k: _vec_json(v) for k, v in wit.items()},
+            "witness": {k: [fmt_rat(c) for c in v] for k, v in wit.items()},
             "direction": list(res["direction"]) if res["direction"] else None,
             "slice_at": fmt_rat(res["slice_at"]) if res["slice_at"] is not None else None,
             "slice_chi": res["slice_chi"],
@@ -243,10 +239,8 @@ def _cmd_region_conv(args) -> int:
     from .cfun import ConstructibleFunction, euler_convolve_at
     f = ConstructibleFunction(_load_region(args.file_f))
     g = ConstructibleFunction(_load_region(args.file_g))
-    coords = args.at.split(",")
-    t = tuple(parse_rat(c.strip()) for c in coords)
-    value = euler_convolve_at(f, g, t)
-    _emit({"at": _vec_json(t), "value": value})
+    t = [ratio(c.strip()) for c in args.at.split(",")]
+    _emit({"at": [fmt_ratio(*c) for c in t], "value": euler_convolve_at(f, g, t)})
     return 0
 
 

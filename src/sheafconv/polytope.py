@@ -11,19 +11,22 @@ convolution terms sort with no common rescaling.  The predicates run on
 one integer lattice form of the same points: the affine chart (the
 pivots of the span of the difference rows), the affine-hull equalities
 <w, X> = C and the outward facets <nu, X> <= C, nu primitive integer;
-rings, edges and volumes are read off the same integers.  A probe scaled
-the same way, P = L*x, is inside when den*<nu, P> <= C*L.  Every
-Polytope is a hull: the constructor hulls the points it is given, as
-convex_hull does.  An intersection or a slice reads one slack table,
-each constraint's slack at each vertex; a side whose vertices hold every
-constraint is the intersection, else the vertices and edge crossings
-that do, their slacks combined in closed form, are hulled over one
-denominator.  A Minkowski sum is read off its summands' points and
-lattice forms: a translate when one is a point, merged edge rings when
-it is planar, a solid's facets pushed out and banded by a segment, else
-the hull of the vertex sums; a reflection negates the lattice form.
-Faces are read off each vertex's mask of the facet planes it lies on.
-The lattice form and the hulls are built on integers alone in `lattice`.
+rings, edges, volumes and the bounding box (the least and greatest of X
+per coordinate) are read off the same integers.  A probe P/S, S = k*den,
+is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k.
+Every Polytope is a hull: the constructor hulls the points it is given,
+as convex_hull does.  Polytopes whose boxes are apart do not meet; else
+an intersection or a slice reads one slack table, each constraint's
+slack at each vertex, built up to the first row that no vertex holds; a
+side whose vertices hold every constraint is the intersection, else the
+vertices and edge crossings that do, their slacks combined in closed
+form, are hulled over one denominator.  A Minkowski sum is read off its
+summands' points and lattice forms: a translate when one is a point,
+merged edge rings when it is planar, a solid's facets pushed out and
+banded by a segment, else the hull of the vertex sums; a reflection
+negates the lattice form.  Faces are read off each vertex's mask of the
+facet planes it lies on.  The lattice form and the hulls are built on
+integers alone in `lattice`.
 """
 
 from __future__ import annotations
@@ -123,22 +126,33 @@ class Polytope:
         primitive integer normal."""
         return tuple((nu, Fraction(c, self.den)) for nu, c in self.lattice.planes)
 
+    @cached_property
+    def box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The least and the greatest of ints per coordinate, over den."""
+        return tuple(map(min, zip(*self.ints))), tuple(map(max, zip(*self.ints)))
+
     def contains(self, x, strict: bool = False) -> bool:
-        x = tuple(rat(c) for c in x)
-        if len(x) != self.n:
-            raise InputError("point dimension mismatch")
-        return self.contains_scaled(*lattice_point(x), strict)
+        return self.contains_scaled(*_probe(x, self.n, self.den), strict)
 
     def contains_scaled(self, P, L: int, strict: bool = False) -> bool:
-        """Whether the point P/L lies in the polytope (its relative
-        interior when strict), for an integer point P and L > 0."""
-        den = self.den
+        """Whether the point P/L, P integer and L > 0, lies in the polytope
+        (its relative interior when strict): box, equalities, then planes."""
+        k, r = divmod(L, self.den)
+        if r:
+            P, k = [c * self.den for c in P], L
+        lo, hi = self.box
+        for a, x, b in zip(lo, P, hi):
+            if not a * k <= x <= b * k:
+                return False
         _, eqs, planes = self.lattice
-        if any(den * vdot(w, P) != c * L for w, c in eqs):
-            return False
-        if strict:
-            return all(den * vdot(nu, P) < c * L for nu, c in planes)
-        return all(den * vdot(nu, P) <= c * L for nu, c in planes)
+        for w, c in eqs:
+            if vdot(w, P) != c * k:
+                return False
+        # slacks are integers: strict (1) asks for >= 1, else >= 0
+        for nu, c in planes:
+            if c * k - vdot(nu, P) < strict:
+                return False
+        return True
 
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
@@ -187,6 +201,16 @@ class Polytope:
 
     def support(self, nu) -> Fraction:
         return Fraction(max(vdot(nu, p) for p in self.ints)) / self.den
+
+
+def _probe(x, n: int, D: int) -> tuple[tuple[int, ...], int]:
+    """(S*x, S) for a point x of n coordinates, each read by ratio (no
+    Fraction is made), S the lcm of D and their denominators."""
+    pq = [ratio(c) for c in x]
+    if len(pq) != n:
+        raise InputError("point dimension mismatch")
+    S = lcm(D, *(q for _, q in pq))
+    return tuple(p * (S // q) for p, q in pq), S
 
 
 def vertex_keys(polys) -> list:
@@ -280,42 +304,53 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
-    """Closed intersection, or None when empty: either polytope when it
-    lies in the other, else the hull of what _cut keeps of each polytope
-    against the other's equalities and facet planes."""
+    """Closed intersection, or None when empty (at once when the boxes are
+    apart): either polytope when it lies in the other, else the hull of
+    what _cut keeps of each against the other's equalities and planes."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
+    dp, dq = p.den, q.den  # per coordinate, p's box spans [a, b]/dp and q's [c, d]/dq
+    if any(b * dq < c * dp or d * dp < a * dq for a, b, c, d in zip(*p.box, *q.box)):
+        return None
     cands = set()
     for a, b in ((p, q), (q, p)):
         _, eqs, planes = b.lattice
-        rows = [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes]
+        rows = _slacks(a, b.den, eqs + planes, len(eqs))
+        if rows is None:
+            return None
         if not any(map(any, rows[:len(eqs)])) and all(min(s) >= 0 for s in rows[len(eqs):]):
             return a  # every vertex of a holds b's constraints: a lies in b
-        part = _cut(a, rows, len(eqs))
-        if part is None:
-            return None
-        cands |= part
+        cands |= _cut(a, rows, len(eqs))
     return _hull_of_ratios(cands) if cands else None
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
-    coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
-    a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
-    cands = _cut(p, [[b * p.den - vdot(a, V) for V in p.ints]], 1)
+    *a, b = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]  # <a, x> = b in integers
+    rows = _slacks(p, 1, [(a, b)], 1)
+    cands = rows and _cut(p, rows, 1)
     return _hull_of_ratios(cands) if cands else None
 
 
-def _cut(a: Polytope, rows: list, k: int) -> Optional[set]:
+def _slacks(a: Polytope, den: int, constraints, k: int) -> Optional[list]:
+    """Each constraint's slacks at a's vertices V, c*den_a - den*<w, V> for
+    (w, c) over den: k equalities, then planes.  None at the first row
+    that no point of a holds: all < 0, or an equality's all > 0."""
+    rows = []
+    for i, (w, c) in enumerate(constraints):
+        rows.append(s := [c * a.den - den * vdot(w, V) for V in a.ints])
+        if max(s) < 0 or i < k and min(s) > 0:
+            return None
+    return rows
+
+
+def _cut(a: Polytope, rows: list, k: int) -> set:
     """(P, L) pairs, P/L the vertices of a and its edges' crossings with the
-    constraints, that hold every constraint; None when a row is all < 0 or
-    an equality's row all > 0.  rows holds each constraint's slacks at a's
-    vertices V, c*den_a - den_b*<w, V> for (w, c) over den_b: k equalities
-    (held at 0), then planes (held at >= 0).  Slacks u, v of opposite signs
-    at the ends of an edge V_i V_j put a crossing at (|v| V_i + |u| V_j) /
-    (den_a (|u| + |v|)), where its slacks are |v| s_i + |u| s_j, scaled."""
-    if any(max(s) < 0 or i < k and min(s) > 0 for i, s in enumerate(rows)):
-        return None
+    constraints, that hold every constraint.  rows holds each constraint's
+    slacks at a's vertices (_slacks): k equalities (held at 0), then planes
+    (held at >= 0).  Slacks u, v of opposite signs at the ends of an edge
+    V_i V_j put a crossing at (|v| V_i + |u| V_j) / (den_a (|u| + |v|)),
+    where its slacks are |v| s_i + |u| s_j, scaled."""
     X, den, cols = a.ints, a.den, list(zip(*rows))
     cands = [(s, V, den) for s, V in zip(cols, X)]
     for i, j in a.edges:

@@ -4,6 +4,8 @@ a JSON int or a literal, is read to an integer pair, and each term is
 hulled on the integers over the lcm of its denominators.  Terms merge by
 rational.signed_sum and sort by (polytope, mode), a polytope ordering
 itself by its vertices (Polytope.__lt__); no term is rescaled to sort.
+A point value reads the probe to integers over the terms' common
+denominator once, and tests each term's box first, with no Fraction.
 
 The union of an indicator region's terms has one normal form, its honest
 indicator written by inclusion-exclusion over the terms' intersections,
@@ -28,6 +30,7 @@ from .errors import InputError, InvariantViolation
 from .linalg import vdot, vsub
 from .polytope import (
     Polytope,
+    _probe,
     convex_hull,
     intersect_polytopes,
     lattice_point,
@@ -160,13 +163,8 @@ def region_from_json(data) -> Region:
 
 
 def evaluate_region(r: Region, x) -> int:
-    x = tuple(rat(c) for c in x)
-    if len(x) != r.dim:
-        raise InputError("point dimension mismatch")
-    P, L = lattice_point(x)
-    return sum(
-        t.weight for t in r.terms if t.poly.contains_scaled(P, L, t.mode == RELINT)
-    )
+    P, S = _probe(x, r.dim, lcm(*(t.poly.den for t in r.terms)))
+    return sum(t.weight for t in r.terms if t.poly.contains_scaled(P, S, t.mode == RELINT))
 
 
 def euler_char_c(r: Region) -> int:

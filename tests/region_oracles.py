@@ -21,6 +21,14 @@ no code with the library's slack-table intersection.  `polytope_volume`
 is the Fraction volume that the convexity decision
 read before it compared integer volumes over one denominator.
 
+`parent_contains_scaled`, `parent_euler_convolve_at`,
+`parent_evaluate_region` and `parent_intersect_polytopes` (with the
+`parent_cut` it called) are the probe and intersection paths that the
+library's integer-box paths replaced, copied as they were: each probe
+made into Fractions and scaled to the lcm of its own denominators, every
+facet plane tested with no box reject, and both slack tables of an
+intersection built in full before any row is read.
+
 `list_indicator_normal_form` is the inclusion-exclusion that kept every
 subset's intersection as its own live term, 2^k - 1 of them for k terms
 around a common core, before the library merged equal intersections as
@@ -36,10 +44,13 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial, lcm
 
+from sheafconv.cfun import _terms
+from sheafconv.errors import InputError
 from sheafconv.linalg import vadd, vdot
 from sheafconv.polytope import (
     Polytope,
     _hull,
+    _hull_of_ratios,
     convex_hull,
     intersect_polytopes,
     open_indicator_expansion,
@@ -47,7 +58,9 @@ from sheafconv.polytope import (
     vertex_keys,
 )
 from sheafconv.randgen import rand_rat
-from sheafconv.region import CLOSED, Region, Term, _segment_exit, indicator_polys, make_region
+from sheafconv.rational import lattice_point, rat
+from sheafconv.region import (CLOSED, RELINT, Region, Term, _segment_exit, indicator_polys,
+                              make_region)
 
 
 def fraction_make_region(dim: int, items) -> Region:
@@ -155,6 +168,77 @@ def brute_intersection(p, q):
         if all(vdot(w, x) == c for w, c in eqs) and all(vdot(nu, x) <= c for nu, c in planes):
             pts.add(x)
     return convex_hull(pts) if pts else None
+
+
+def parent_contains_scaled(self, P, L: int, strict: bool = False) -> bool:
+    """Whether the point P/L lies in the polytope (its relative
+    interior when strict), for an integer point P and L > 0."""
+    den = self.den
+    _, eqs, planes = self.lattice
+    if any(den * vdot(w, P) != c * L for w, c in eqs):
+        return False
+    if strict:
+        return all(den * vdot(nu, P) < c * L for nu, c in planes)
+    return all(den * vdot(nu, P) <= c * L for nu, c in planes)
+
+
+def parent_euler_convolve_at(f, g, t) -> int:
+    t = tuple(rat(c) for c in t)
+    if len(t) != f.n:
+        raise InputError("point dimension mismatch")
+    P, L = lattice_point(t)
+    return sum(w for p, w in _terms(f.region, g.region) if parent_contains_scaled(p, P, L))
+
+
+def parent_evaluate_region(r: Region, x) -> int:
+    x = tuple(rat(c) for c in x)
+    if len(x) != r.dim:
+        raise InputError("point dimension mismatch")
+    P, L = lattice_point(x)
+    return sum(
+        t.weight for t in r.terms if parent_contains_scaled(t.poly, P, L, t.mode == RELINT)
+    )
+
+
+def parent_intersect_polytopes(p: Polytope, q: Polytope):
+    """Closed intersection, or None when empty: either polytope when it
+    lies in the other, else the hull of what _cut keeps of each polytope
+    against the other's equalities and facet planes."""
+    if p.n != q.n:
+        raise InputError("intersection needs a common ambient dimension")
+    cands = set()
+    for a, b in ((p, q), (q, p)):
+        _, eqs, planes = b.lattice
+        rows = [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes]
+        if not any(map(any, rows[:len(eqs)])) and all(min(s) >= 0 for s in rows[len(eqs):]):
+            return a  # every vertex of a holds b's constraints: a lies in b
+        part = parent_cut(a, rows, len(eqs))
+        if part is None:
+            return None
+        cands |= part
+    return _hull_of_ratios(cands) if cands else None
+
+
+def parent_cut(a: Polytope, rows: list, k: int):
+    """(P, L) pairs, P/L the vertices of a and its edges' crossings with the
+    constraints, that hold every constraint; None when a row is all < 0 or
+    an equality's row all > 0.  rows holds each constraint's slacks at a's
+    vertices V, c*den_a - den_b*<w, V> for (w, c) over den_b: k equalities
+    (held at 0), then planes (held at >= 0).  Slacks u, v of opposite signs
+    at the ends of an edge V_i V_j put a crossing at (|v| V_i + |u| V_j) /
+    (den_a (|u| + |v|)), where its slacks are |v| s_i + |u| s_j, scaled."""
+    if any(max(s) < 0 or i < k and min(s) > 0 for i, s in enumerate(rows)):
+        return None
+    X, den, cols = a.ints, a.den, list(zip(*rows))
+    cands = [(s, V, den) for s, V in zip(cols, X)]
+    for i, j in a.edges:
+        si, sj = cols[i], cols[j]
+        for u, v in zip(si, sj):
+            if u * v < 0:
+                u, v = abs(u), abs(v)
+                cands.append(([v * x + u * y for x, y in zip(si, sj)],
+                              tuple(v * x + u * y for x, y in zip(X[i], X[j])), den * (u + v)))
+    return {(P, L) for s, P, L in cands if not any(s[:k]) and all(x >= 0 for x in s[k:])}
 
 
 def list_indicator_normal_form(r: Region) -> Region:
