@@ -17,16 +17,15 @@ is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k.
 Every Polytope is a hull: the constructor hulls the points it is given,
 as convex_hull does.  Polytopes whose boxes are apart do not meet; else
 an intersection or a slice reads one slack table, each constraint's
-slack at each vertex, built up to the first row that no vertex holds; a
-side whose vertices hold every constraint is the intersection, else the
-vertices and edge crossings that do, their slacks combined in closed
-form, are hulled over one denominator.  A Minkowski sum is read off its
-summands' points and lattice forms: a translate when one is a point,
-merged edge rings when it is planar, a solid's facets pushed out and
-banded by a segment, else the hull of the vertex sums; a reflection
-negates the lattice form.  Faces are read off each vertex's mask of the
-facet planes it lies on.  The lattice form and the hulls are built on
-integers alone in `lattice`.
+slack at each vertex; a side whose vertices hold every constraint is
+the intersection, else the vertices and edge crossings that do, their
+slacks combined in closed form, are hulled over one denominator.  A
+Minkowski sum is read off its summands' points and lattice forms: a
+translate when one is a point, merged edge rings when it is planar, a
+solid's facets pushed out and banded by a segment, else the hull of the
+vertex sums; a reflection negates the lattice form.  Faces are read off
+each vertex's mask of the facet planes it lies on.  The lattice form and
+the hulls are built on integers alone in `lattice`.
 """
 
 from __future__ import annotations
@@ -135,11 +134,10 @@ class Polytope:
         return self.contains_scaled(*_probe(x, self.n, self.den), strict)
 
     def contains_scaled(self, P, L: int, strict: bool = False) -> bool:
-        """Whether the point P/L, P integer and L > 0, lies in the polytope
-        (its relative interior when strict): box, equalities, then planes."""
-        k, r = divmod(L, self.den)
-        if r:
-            P, k = [c * self.den for c in P], L
+        """Whether the point P/L, P integer and L a positive multiple of
+        den, lies in the polytope (its relative interior when strict): box,
+        equalities, then planes, each over k = L/den."""
+        k = L // self.den
         lo, hi = self.box
         for a, x, b in zip(lo, P, hi):
             if not a * k <= x <= b * k:
@@ -315,42 +313,34 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
     cands = set()
     for a, b in ((p, q), (q, p)):
         _, eqs, planes = b.lattice
-        rows = _slacks(a, b.den, eqs + planes, len(eqs))
-        if rows is None:
-            return None
+        rows = [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes]
         if not any(map(any, rows[:len(eqs)])) and all(min(s) >= 0 for s in rows[len(eqs):]):
             return a  # every vertex of a holds b's constraints: a lies in b
-        cands |= _cut(a, rows, len(eqs))
+        part = _cut(a, rows, len(eqs))
+        if part is None:
+            return None
+        cands |= part
     return _hull_of_ratios(cands) if cands else None
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
-    *a, b = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]  # <a, x> = b in integers
-    rows = _slacks(p, 1, [(a, b)], 1)
-    cands = rows and _cut(p, rows, 1)
+    coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
+    a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
+    cands = _cut(p, [[b * p.den - vdot(a, V) for V in p.ints]], 1)
     return _hull_of_ratios(cands) if cands else None
 
 
-def _slacks(a: Polytope, den: int, constraints, k: int) -> Optional[list]:
-    """Each constraint's slacks at a's vertices V, c*den_a - den*<w, V> for
-    (w, c) over den: k equalities, then planes.  None at the first row
-    that no point of a holds: all < 0, or an equality's all > 0."""
-    rows = []
-    for i, (w, c) in enumerate(constraints):
-        rows.append(s := [c * a.den - den * vdot(w, V) for V in a.ints])
-        if max(s) < 0 or i < k and min(s) > 0:
-            return None
-    return rows
-
-
-def _cut(a: Polytope, rows: list, k: int) -> set:
+def _cut(a: Polytope, rows: list, k: int) -> Optional[set]:
     """(P, L) pairs, P/L the vertices of a and its edges' crossings with the
-    constraints, that hold every constraint.  rows holds each constraint's
-    slacks at a's vertices (_slacks): k equalities (held at 0), then planes
-    (held at >= 0).  Slacks u, v of opposite signs at the ends of an edge
-    V_i V_j put a crossing at (|v| V_i + |u| V_j) / (den_a (|u| + |v|)),
-    where its slacks are |v| s_i + |u| s_j, scaled."""
+    constraints, that hold every constraint; None when a row is all < 0 or
+    an equality's row all > 0.  rows holds each constraint's slacks at a's
+    vertices V, c*den_a - den_b*<w, V> for (w, c) over den_b: k equalities
+    (held at 0), then planes (held at >= 0).  Slacks u, v of opposite signs
+    at the ends of an edge V_i V_j put a crossing at (|v| V_i + |u| V_j) /
+    (den_a (|u| + |v|)), where its slacks are |v| s_i + |u| s_j, scaled."""
+    if any(max(s) < 0 or i < k and min(s) > 0 for i, s in enumerate(rows)):
+        return None
     X, den, cols = a.ints, a.den, list(zip(*rows))
     cands = [(s, V, den) for s, V in zip(cols, X)]
     for i, j in a.edges:

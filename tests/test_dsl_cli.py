@@ -8,7 +8,6 @@ through monkeypatching rather than by a production backdoor.
 import doctest
 import hashlib
 import json
-import math
 import os
 import random
 import re
@@ -31,6 +30,7 @@ from sheafconv.oracle import MAX_TRIALS
 from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
+from disjoint_terms import disjoint_terms
 from test_integer_paths import large_check_expr
 
 F = Fraction
@@ -714,23 +714,12 @@ def test_cli_inclusion_exclusion_past_bound_is_exit_2(tmp_path, sub):
     assert f"more than {region.MAX_IE_TERMS} terms" in json.loads(err)["error"]
 
 
-def _sphere_term(centre, r=1000, m=64):
-    """m integer points near the sphere of radius r about centre, spread
-    along a Fibonacci spiral; each is an extreme point of their hull."""
-    pts = []
-    for i in range(m):
-        z = 1 - (2 * i + 1) / m
-        a, s = i * math.pi * (3 - math.sqrt(5)), math.sqrt(1 - z * z)
-        pts.append([c + round(r * u) for c, u in zip(centre, (s * math.cos(a), s * math.sin(a), z))])
-    return {"vertices": pts, "mode": "closed", "weight": 1}
-
-
 def test_cli_disjoint_terms_check_within_budget(tmp_path):
     # 64 terms of 64 extreme points, centres 3000 apart: every pair of
     # boxes is apart, so the inclusion-exclusion builds no slack row
-    terms = [_sphere_term(c) for c in product(range(0, 12000, 3000), repeat=3)]
-    assert {len(region.convex_hull(t["vertices"]).ints) for t in terms} == {64}
-    path = write(tmp_path, "balls.json", {"dimension": 3, "terms": terms})
+    doc = disjoint_terms()
+    assert {len(region.convex_hull(t["vertices"]).ints) for t in doc["terms"]} == {64}
+    path = write(tmp_path, "balls.json", doc)
     rc, out, err, seconds = _run_module("region", "check", path)
     assert (rc, err) == (1, "") and json.loads(out)["invertible"] is False
     assert seconds < 10

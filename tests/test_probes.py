@@ -3,8 +3,7 @@
 A probe is scaled once onto the lcm of the terms' denominators and tested
 against each term's box, equalities and facet planes on integers; an
 intersection of two polytopes whose boxes are disjoint is empty before
-any slack row is built, and a slack row that no point holds ends the
-build.  These tests pin each path to the one it replaced, kept in
+any slack row is built.  These tests pin each path to the one it replaced, kept in
 tests/region_oracles.py: polytopes of every affine dimension in 1D-3D,
 probes on and one lattice step off their vertices, edges, facets and box
 corners, and pairs whose boxes touch, overlap or miss by one step.
@@ -15,8 +14,10 @@ from itertools import combinations, product
 from math import lcm
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from sheafconv.errors import InputError
 from sheafconv.cfun import ConstructibleFunction, euler_convolve, euler_convolve_at
 from sheafconv.linalg import vadd
 from sheafconv.polytope import Polytope, intersect_polytopes
@@ -70,9 +71,10 @@ def probes(p: Polytope) -> list:
 
 
 def spellings(x):
-    """x with its coordinates as Fractions, ints where integral, and literals."""
+    """x with its coordinates as Fractions, ints where integral, literals,
+    and integer pairs (p, q), not in lowest terms."""
     return [x, tuple(int(c) if c.denominator == 1 else c for c in x),
-            tuple(fmt_rat(c) for c in x)]
+            tuple(fmt_rat(c) for c in x), tuple((2 * c.numerator, 2 * c.denominator) for c in x)]
 
 
 @given(flats(), st.booleans(), st.integers(1, 12))
@@ -81,8 +83,9 @@ def test_containment_matches_the_path_it_replaced(p, strict, m):
     for x in probes(p):
         P, L = lattice_point(x)
         want = parent_contains_scaled(p, P, L, strict)
-        # any scale: a multiple of den or not, with a common factor or not
-        assert p.contains_scaled(tuple(c * m for c in P), L * m, strict) == want, x
+        # any multiple of den that the probe's own scale divides
+        S = lcm(L, p.den) * m
+        assert p.contains_scaled(tuple(c * (S // L) for c in P), S, strict) == want, x
         for y in spellings(x):
             assert p.contains(y, strict) == want, y
 
@@ -182,3 +185,24 @@ def test_probes_make_no_fraction(monkeypatch):
             q.contains(x, True)) for x in points]
     monkeypatch.undo()
     assert calls == [] and got == want
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, 0), "not an integer pair (p, q) with q > 0: (1, 0)"),
+    ((1, 2, 3), "not an integer pair (p, q) with q > 0: (1, 2, 3)"),
+    (0.5, "not an exact rational: 0.5 (float)"),
+    (True, "not a rational: True"),
+    ("1/0", "zero denominator"),
+])
+def test_a_bad_coordinate_is_an_input_error(bad, message):
+    # each entry point reads its coordinates with rational.ratio: an integer
+    # pair (p, q) with q > 0 is a coordinate, anything else is rejected
+    # before any term is tested
+    p = Polytope([(0, 0), (1, 0), (0, 1)])
+    f = ConstructibleFunction(make_region(2, [(p, CLOSED, 1)]))
+    for probe in (lambda x: p.contains(x), lambda x: evaluate_region(f.region, x),
+                  lambda x: euler_convolve_at(f, f, x)):
+        assert probe(((1, 4), (3, 12))) == probe(("1/4", "1/4")) == 1
+        with pytest.raises(InputError) as err:
+            probe((0, bad))
+        assert message in str(err.value)
