@@ -6,17 +6,17 @@ points to integers over one denominator and builds its Polytopes on this.
 The pivot chart and the affine-hull equalities are read off the span of
 the difference rows in closed form, by cross and triple products; a
 planar hull is a monotone chain, and one exact 3D gift-wrapping hull
-(Chand & Kapur 1970) gives the extreme points and the facet planes.
-Minkowski sums merge planar rings or push out a solid's facets along a
-segment (Fukuda 2004).
+(Chand & Kapur 1970) gives the extreme points, the facets and their
+rings, returned with the form as index tuples.  Minkowski sums merge
+planar rings or push out a solid's facets along a segment (Fukuda 2004).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 
 from .linalg import cross3, vadd, vdot, vneg, vsub
+from .rational import over_gcd
 
 # the form of a point set X: <w, x> = c for (w, c) in eqs and
 # <nu, x> <= c for (nu, c) in planes on its hull; chart holds the pivot
@@ -24,22 +24,30 @@ from .linalg import cross3, vadd, vdot, vneg, vsub
 Lattice = namedtuple("Lattice", "chart eqs planes")
 
 
-def lattice_form(X: list) -> tuple[Lattice, list]:
+def lattice_form(X: list) -> tuple[Lattice, list, tuple]:
     """The lattice form of the hull of the sorted distinct integer
-    points X, and the hull's extreme points, sorted."""
+    points X, the hull's extreme points, sorted, and the face rings it
+    built, as index tuples into them (Polytope.rings)."""
     x0 = X[0]
     chart, normals = span([vsub(p, x0) for p in X[1:]], len(x0))
     eqs = tuple((w, vdot(w, x0)) for w in normals)
-    ext, planes = [x0], []
+    loops, planes = [], []
     if len(chart) == 1:
-        d = _primitive(vsub(X[-1], x0))
-        ext, planes = [x0, X[-1]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
+        d = over_gcd(vsub(X[-1], x0))
+        loops, planes = [[x0, X[-1]]], [(vneg(d), -vdot(d, x0)), (d, vdot(d, X[-1]))]
     elif len(chart) == 2:
-        loop = ring2(X, chart)
-        planes, ext = ring_planes(loop, eqs), sorted(loop)
+        loops = [ring2(X, chart)]
+        planes = ring_planes(loops[0], eqs)
     elif chart:
-        planes, ext = hull3(X)
-    return Lattice(chart, eqs, tuple(planes)), ext
+        planes, loops = hull3(X)
+    ext = sorted({p for loop in loops for p in loop}) or [x0]
+    return Lattice(chart, eqs, tuple(planes)), ext, index_rings(ext, loops)
+
+
+def index_rings(X: list, loops) -> tuple[tuple[int, ...], ...]:
+    """Rings of points of X as index tuples into X."""
+    at = {p: i for i, p in enumerate(X)}
+    return tuple(tuple(map(at.__getitem__, loop)) for loop in loops)
 
 
 def span(rows: list, n: int) -> tuple[tuple[int, ...], list]:
@@ -57,13 +65,13 @@ def span(rows: list, n: int) -> tuple[tuple[int, ...], list]:
             if any(vdot(w, r) for r in rows):
                 return (0, 1, 2), []
             f = 2 if w[2] else 1 if w[1] else 0
-            return tuple(i for i in range(3) if i != f), [_primitive(w if w[f] > 0 else vneg(w))]
+            return tuple(i for i in range(3) if i != f), [over_gcd(w if w[f] > 0 else vneg(w))]
     elif n == 2 and any(u[0] * r[1] != u[1] * r[0] for r in rows):
         return (0, 1), []
     # a line: pivot p, and u[p] e_f - u[f] e_p per free coordinate f
     p = next(i for i, c in enumerate(u) if c)
     s = 1 if u[p] > 0 else -1
-    return (p,), [_primitive([s * (u[p] if i == f else -u[f] if i == p else 0) for i in range(n)])
+    return (p,), [over_gcd([s * (u[p] if i == f else -u[f] if i == p else 0) for i in range(n)])
                   for f in range(n) if f != p]
 
 
@@ -73,7 +81,7 @@ def ring_planes(loop: list, eqs) -> list:
     planes = []
     for u, v, z in zip(loop, loop[1:] + loop[:1], loop[2:] + loop[:2]):
         d = vsub(v, u)
-        nu = _primitive(cross3(eqs[0][0], d) if eqs else (d[1], -d[0]))
+        nu = over_gcd(cross3(eqs[0][0], d) if eqs else (d[1], -d[0]))
         c = vdot(nu, u)
         if vdot(nu, z) > c:  # z, the ring's next vertex, lies inside
             nu, c = vneg(nu), -c
@@ -103,30 +111,26 @@ def ring_sum(A: list, B: list, i: int, j: int) -> list:
     return out
 
 
-def segment_sum(X: list, planes, k: int, inc, edges, a, b) -> tuple[list, tuple]:
+def segment_sum(X: list, planes, k: int, rings, a, b) -> tuple[list, tuple]:
     """The vertices and sorted facet planes of hull(X) + [a, b] for a solid:
-    X its points, planes its facets over X / k, inc each point's mask of
-    them.  Each plane moves out by its greater value on the segment; an edge
-    whose two facet normals take opposite signs s on e = b - a adds their
-    |s|-swapped sum; u + a (u + b) is a vertex when u's mask has s < 0 (> 0)."""
+    X its points, planes its facets over X / k with their rings.  Each
+    plane moves out by its greater value on the segment; an edge whose two
+    rings' normals take opposite signs s on e = b - a adds their |s|-swapped
+    sum; u + a (u + b) is a vertex when a ring with s < 0 (> 0) holds u."""
     e = vsub(b, a)
     s = [vdot(nu, e) for nu, _ in planes]
     out = [(nu, c * k + vdot(nu, a) + max(t, 0)) for (nu, c), t in zip(planes, s)]
-    for i, j in edges:
-        m = inc[i] & inc[j]
-        f, g = (m & -m).bit_length() - 1, m.bit_length() - 1
-        if s[f] * s[g] < 0:
-            nu = _primitive(vadd([abs(s[f]) * x for x in planes[g][0]],
-                                 [abs(s[g]) * x for x in planes[f][0]]))
-            out.append((nu, vdot(nu, X[i]) + vdot(nu, a)))
-    neg, pos = (sum(1 << t for t, x in enumerate(s) if x * sign > 0) for sign in (-1, 1))
-    pts = [vadd(u, a) for u, m in zip(X, inc) if m & neg] + [vadd(u, b) for u, m in zip(X, inc) if m & pos]
+    first: dict = {}  # each edge's first ring: only its second (f != g) can pass the test
+    for g, ring in enumerate(rings):
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            f = first.setdefault((i, j) if i < j else (j, i), g)
+            if s[f] * s[g] < 0:
+                nu = over_gcd(vadd([abs(s[f]) * x for x in planes[g][0]],
+                                   [abs(s[g]) * x for x in planes[f][0]]))
+                out.append((nu, vdot(nu, X[i]) + vdot(nu, a)))
+    pts = [vadd(X[i], p) for p, sign in ((a, -1), (b, 1))
+           for i in {i for t, ring in zip(s, rings) if t * sign > 0 for i in ring}]
     return pts, tuple(sorted(out))
-
-
-def _primitive(v) -> tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(c // g for c in v)
 
 
 def ring2(X: list, chart) -> list:
@@ -169,8 +173,8 @@ def _hull2_ring(pts: list) -> list:
 
 
 def hull3(zpts: list) -> tuple[list, list]:
-    """Facet planes and extreme points of a sorted rank-3 integer point
-    list, both sorted.
+    """The sorted facet planes of a sorted rank-3 integer point list,
+    and each facet's ring in plane order.
 
     The planes are (nu, c), nu a primitive outward integer normal and
     <nu,x> <= c on the hull.  A first facet through the lexicographic
@@ -196,8 +200,7 @@ def hull3(zpts: list) -> tuple[list, list]:
                 b0, b1, b2 = cross3(d, (w0, w1, w2))
                 if b0 * i0 + b1 * i1 + b2 * i2 > 0:
                     b0, b1, b2 = -b0, -b1, -b2
-        g = gcd(b0, b1, b2)
-        best = (b0 // g, b1 // g, b2 // g)
+        best = over_gcd((b0, b1, b2))
         return best, best[0] * a0 + best[1] * a1 + best[2] * a2
 
     # the plane x = min x supports the lexicographic minimum; turn it
@@ -228,4 +231,4 @@ def hull3(zpts: list) -> tuple[list, list]:
                 rings[nxt] = ring_on(zpts, nxt)
                 todo.append(nxt)
 
-    return sorted(rings), sorted({p for ring in rings.values() for p in ring})
+    return sorted(rings), [rings[plane] for plane in sorted(rings)]

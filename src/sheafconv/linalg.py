@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import add, mul, neg, sub
 
-from .rational import lattice_point
+from .rational import lattice_point, over_gcd
 
 Vec = tuple[Fraction, ...]
 
@@ -38,10 +37,5 @@ def cross3(u, v) -> tuple:
 def primitive(v) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, its first nonzero
     entry positive: one canonical representative per line."""
-    ints, _ = lattice_point(v)
-    g = gcd(*ints)
-    if g == 0:
-        return ints
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    ints = over_gcd(lattice_point(v)[0])
+    return vneg(ints) if next((x for x in ints if x), 0) < 0 else ints

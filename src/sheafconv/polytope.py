@@ -24,23 +24,22 @@ Minkowski sum is read off its summands' points and lattice forms: a
 translate when one is a point, merged edge rings when it is planar, a
 solid's facets pushed out and banded by a segment, else the hull of the
 vertex sums; a reflection negates the lattice form.  Faces are read off
-each vertex's mask of the facet planes it lies on.  The lattice form and
-the hulls are built on integers alone in `lattice`.
+the edge rings a hull keeps as it builds them (other polytopes read them
+off their form); forms, hulls and rings are integer work in `lattice`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
-from .lattice import (Lattice, lattice_form, ring2, ring_on, ring_planes, ring_sum,
-                      segment_sum, span)
+from .lattice import (Lattice, index_rings, lattice_form, ring2, ring_on, ring_planes,
+                      ring_sum, segment_sum, span)
 from .linalg import cross3, vadd, vdot, vneg, vsub
-from .rational import lattice_point, rat, ratio
+from .rational import lattice_point, over_gcd, rat, ratio
 
 
 class Polytope:
@@ -153,19 +152,22 @@ class Polytope:
         return True
 
     @cached_property
-    def _incidence(self) -> tuple[int, ...]:
-        """Per vertex, the bit mask of the facet planes it lies on."""
-        planes = self.lattice.planes
-        return tuple(sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, p) == c)
-                     for p in self.ints)
+    def rings(self) -> tuple[tuple[int, ...], ...]:
+        """The face table: the cycles of the edges as index tuples into
+        ints, from any start in either direction (none for a point, a
+        segment's ends, a polygon's ring, each facet's ring in plane order).
+        A hull stores the rings it built; others read them off their form."""
+        X, (chart, _, planes) = self.ints, self.lattice
+        if len(chart) == 3:
+            return index_rings(X, [ring_on(X, plane) for plane in planes])
+        return index_rings(X, [ring2(X, chart) if len(chart) == 2 else X] if chart else [])
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs of the edges' endpoints: the vertex pairs on adim - 1
-        common facet planes."""
-        masks, d = self._incidence, self.adim
-        return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
-                     if (masks[i] & masks[j]).bit_count() >= d - 1)
+        """Index pairs i < j of the edges' endpoints, sorted: the rings'
+        cyclic neighbours."""
+        return tuple(sorted({(i, j) if i < j else (j, i) for ring in self.rings
+                             for i, j in zip(ring, ring[1:] + ring[:1])}))
 
     @cached_property
     def face_indices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -177,9 +179,7 @@ class Polytope:
         if d >= 2:
             keys += [(1, e) for e in self.edges]
         if d == 3:
-            masks = self._incidence
-            keys += sorted((2, tuple(i for i in idx if masks[i] >> k & 1))
-                           for k in range(len(self.lattice.planes)))
+            keys += sorted((2, tuple(sorted(ring))) for ring in self.rings)
         return tuple(keys) + ((d, tuple(idx)),)
 
     @cached_property
@@ -244,9 +244,11 @@ def union_hull(polys) -> Polytope:
 
 
 def _hull(den: int, points) -> Polytope:
-    """The hull of integer points over den > 0, with the lattice form it built."""
-    lattice, ext = lattice_form(sorted(set(points)))
-    return _carried(den, ext, lattice)
+    """The hull of integer points over den > 0, with the form and the rings it built."""
+    lattice, ext, rings = lattice_form(sorted(set(points)))
+    out = _carried(den, ext, lattice)
+    out.rings = rings
+    return out
 
 
 def _carried(den: int, points, lattice: Lattice) -> Polytope:
@@ -263,12 +265,9 @@ def _carried(den: int, points, lattice: Lattice) -> Polytope:
 def _hull_of_ratios(points) -> Polytope:
     """The hull of the points P/L, from (P, L) pairs with P integer and
     L > 0, over the lcm of their reduced denominators."""
-    reduced = set()
-    for P, L in points:
-        g = gcd(L, *P)
-        reduced.add((tuple(c // g for c in P), L // g) if g > 1 else (P, L))
-    den = lcm(*(L for _, L in reduced))
-    return _hull(den, [tuple(c * (den // L) for c in P) for P, L in reduced])
+    reduced = {over_gcd((L, *P)) for P, L in points}  # each (L, *P) in lowest terms
+    den = lcm(*(L for L, *_ in reduced))
+    return _hull(den, [tuple(c * (den // L) for c in P) for L, *P in reduced])
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if len(p.ints) > len(q.ints):
         p, q = q, p
     den = lcm(p.den, q.den)
-    P, Q = (a.ints if a.den == den else [tuple(c * (den // a.den) for c in v) for v in a.ints]
-            for a in (p, q))
+    P, Q = vertex_keys((p, q))
     if len(P) == 1:
         V, k, (chart, *parts) = P[0], den // q.den, q.lattice
         eqs, planes = (tuple((w, c * k + vdot(w, V)) for w, c in part) for part in parts)
@@ -293,7 +291,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     chart, normals = span([vsub(x, X[0]) for X in (P, Q) for x in X[1:]], p.n)
     if len(chart) != 2:
         if len(P) == 2 and q.adim == 3:
-            pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q._incidence, q.edges, *P)
+            pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q.rings, *P)
             return _carried(den, pts, Lattice((0, 1, 2), (), planes))
         return _hull(den, [vadd(u, v) for u in P for v in Q])
     loop = ring_sum(ring2(P, chart), ring2(Q, chart), *chart)
@@ -364,15 +362,14 @@ def scaled_volume(p: Polytope, D: int) -> int:
     if d < 2:
         v = X[-1][chart[0]] - X[0][chart[0]] if d else 1
     elif d == 2:
-        ring = [(q[chart[0]], q[chart[1]]) for q in ring2(X, chart)]
+        ring = [(X[k][chart[0]], X[k][chart[1]]) for k in p.rings[0]]
         v = abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])))
     else:
         v0, v = X[0], 0
-        for plane in p.lattice.planes:
-            ring = ring_on(X, plane)
-            a = vsub(ring[0], v0)
+        for ring in p.rings:
+            a = vsub(X[ring[0]], v0)
             for b, c in zip(ring[1:], ring[2:]):
-                v += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))
+                v += abs(vdot(cross3(vsub(X[b], v0), vsub(X[c], v0)), a))
     return v * (D // p.den) ** d
 
 

@@ -104,6 +104,12 @@ def lattice_point(x) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * q[c.denominator] for c in x), L
 
 
+def over_gcd(v) -> tuple[int, ...]:
+    """The integer vector v over the gcd of its entries, signs kept."""
+    g = gcd(*v)
+    return tuple([c // g for c in v]) if g > 1 else tuple(v)  # a list builds faster
+
+
 def signed_sum(pairs) -> dict:
     """{key: weight} of (key, weight) pairs: the weights of equal keys
     summed, in the order each key first appears, and zero sums dropped."""

@@ -10,11 +10,17 @@ the Fraction vertex tuples, and a Minkowski sum hulls the Fraction
 vertex sums.  `hull_minkowski_sum` is the integer hull of the vertex
 sums that the library's Minkowski sum replaced.
 
-The library reads a polytope's faces off its vertex-facet incidence
-table and measures every term in its own chart; `search_faces` is the
-breadth-first search over facets that found the faces before, and
-`chart_volume` the projection hull that measured a term in the hull's
-chart.
+The library reads a polytope's faces off one face table, the rings of
+its edges (`Polytope.rings`), which a hull stores as it builds them, and
+measures every term in its own chart by fanning those rings;
+`search_faces` is the breadth-first search over facets that found the
+faces before, and `chart_volume` the projection hull that measured a
+term in the hull's chart.  `parent_incidence`, `parent_edges`,
+`parent_face_indices` and `parent_scaled_volume` are the paths the face
+table replaced, copied as they were: each vertex's bit mask of the facet
+planes it lies on, the edges as the vertex pairs on adim - 1 common
+planes, the facets read off the masks, and each facet's ring rebuilt
+from all the points by `ring_on`, or the polygon hulled again by `ring2`.
 
 `brute_intersection` intersects two polytopes by brute force, sharing
 no code with the library's slack-table intersection.  `polytope_volume`
@@ -46,7 +52,8 @@ from math import factorial, lcm
 
 from sheafconv.cfun import _terms
 from sheafconv.errors import InputError
-from sheafconv.linalg import vadd, vdot
+from sheafconv.lattice import ring2, ring_on
+from sheafconv.linalg import cross3, vadd, vdot, vsub
 from sheafconv.polytope import (
     Polytope,
     _hull,
@@ -239,6 +246,55 @@ def parent_cut(a: Polytope, rows: list, k: int):
                 cands.append(([v * x + u * y for x, y in zip(si, sj)],
                               tuple(v * x + u * y for x, y in zip(X[i], X[j])), den * (u + v)))
     return {(P, L) for s, P, L in cands if not any(s[:k]) and all(x >= 0 for x in s[k:])}
+
+
+def parent_incidence(p: Polytope) -> tuple[int, ...]:
+    """Per vertex, the bit mask of the facet planes it lies on."""
+    planes = p.lattice.planes
+    return tuple(sum(1 << k for k, (nu, c) in enumerate(planes) if vdot(nu, q) == c)
+                 for q in p.ints)
+
+
+def parent_edges(p: Polytope) -> tuple[tuple[int, int], ...]:
+    """Index pairs of the edges' endpoints: the vertex pairs on adim - 1
+    common facet planes."""
+    masks, d = parent_incidence(p), p.adim
+    return tuple((i, j) for i, j in combinations(range(len(masks)), 2)
+                 if (masks[i] & masks[j]).bit_count() >= d - 1)
+
+
+def parent_face_indices(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every face as (dimension, its vertex indices), by dimension and
+    then vertices: the vertices, edges, facets (below dimension 3 those
+    are vertices or edges) and the polytope; indices sort as vertices."""
+    d, idx = p.adim, range(len(p.ints))
+    keys = [(0, (i,)) for i in idx] if d else []
+    if d >= 2:
+        keys += [(1, e) for e in parent_edges(p)]
+    if d == 3:
+        masks = parent_incidence(p)
+        keys += sorted((2, tuple(i for i in idx if masks[i] >> k & 1))
+                       for k in range(len(p.lattice.planes)))
+    return tuple(keys) + ((d, tuple(idx)),)
+
+
+def parent_scaled_volume(p: Polytope, D: int) -> int:
+    """d! D^d times the volume of p in its affine hull, in its chart (1 for
+    a point), d = p.adim, for a multiple D of p.den: an integer."""
+    d, chart, X = p.adim, p.chart, p.ints
+    if d < 2:
+        v = X[-1][chart[0]] - X[0][chart[0]] if d else 1
+    elif d == 2:
+        ring = [(q[chart[0]], q[chart[1]]) for q in ring2(X, chart)]
+        v = abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(ring, ring[1:] + ring[:1])))
+    else:
+        v0, v = X[0], 0
+        for plane in p.lattice.planes:
+            ring = ring_on(X, plane)
+            a = vsub(ring[0], v0)
+            for b, c in zip(ring[1:], ring[2:]):
+                v += abs(vdot(cross3(vsub(b, v0), vsub(c, v0)), a))
+    return v * (D // p.den) ** d
 
 
 def list_indicator_normal_form(r: Region) -> Region:

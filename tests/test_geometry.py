@@ -6,14 +6,16 @@ support-function certificates; together they pin both the vertex set and
 the facet description.
 """
 
+import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
 import pytest
 
-from sheafconv import lattice, polytope, region
+from sheafconv import cli, lattice, polytope, region
 from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
@@ -22,6 +24,7 @@ from sheafconv.polytope import (
     intersect_polytopes,
     minkowski_sum,
     open_indicator_expansion,
+    scaled_volume,
     slice_polytope,
 )
 from sheafconv.randgen import rand_rat
@@ -32,6 +35,10 @@ from region_oracles import (
     chart_volume,
     core_boxes,
     list_indicator_normal_form,
+    parent_edges,
+    parent_face_indices,
+    parent_incidence,
+    parent_scaled_volume,
     polytope_volume,
     euler_from_faces,
     rand_box,
@@ -229,6 +236,87 @@ def test_face_expansion_computes_no_lattice_form(monkeypatch):
     for p in hulls:
         assert sum(w for _, w in open_indicator_expansion(p)) in (1, -1)
     assert calls == []
+
+
+def face_table_corpus(rng):
+    """Hulls, which store the face table they were built with, and
+    polytopes built in closed form, which read theirs off their planes:
+    reflections, translates, a segment plus a solid, and planar sums."""
+    hulls = face_corpus(rng)
+    solids = [p for p in hulls if p.adim == 3]
+    built = [p.reflect() for p in hulls]
+    built += [minkowski_sum(convex_hull([rand_point(rng, p.n)]), p) for p in hulls]
+    built += [minkowski_sum(convex_hull([rand_point(rng, 3) for _ in range(2)]), p)
+              for p in solids]
+    for n in (2, 3):
+        for _ in range(20):
+            # in 3D each summand lies in a plane z = const, so the sum is planar
+            flat = []
+            for _ in range(2):
+                z, k = rand_point(rng, 1)[:n - 2], rng.randint(2, 5)
+                flat.append(convex_hull([rand_point(rng, 2) + z for _ in range(k)]))
+            s = minkowski_sum(*flat)
+            built += [s] if s.adim == 2 else []
+    return hulls, built
+
+
+def test_face_table_matches_the_incidence_masks():
+    hulls, built = face_table_corpus(random.Random(93))
+    assert all("rings" in p.__dict__ for p in hulls)
+    assert not any("rings" in p.__dict__ for p in built)
+    assert {(p.n, p.adim) for p in built} >= {(2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
+    for i, p in enumerate(hulls + built):
+        masks, d = parent_incidence(p), p.adim
+        if d == 3:
+            facets = [{v for v, m in enumerate(masks) if m >> k & 1}
+                      for k in range(len(p.lattice.planes))]
+        else:
+            facets = [set(range(len(p.ints)))] if d else []
+        # each ring holds its facet's vertices, in plane order, and steps
+        # along edges only, so it is that facet's cycle
+        assert [set(ring) for ring in p.rings] == facets, i
+        edges = parent_edges(p)
+        for ring in p.rings:
+            steps = {(min(e), max(e)) for e in zip(ring, ring[1:] + ring[:1])}
+            assert len(ring) == len(set(ring)) and steps <= set(edges), i
+            assert len(steps) == (len(ring) if len(ring) > 2 else 1), i
+        assert p.edges == edges, i
+        assert p.face_indices == parent_face_indices(p), i
+        assert scaled_volume(p, 6 * p.den) == parent_scaled_volume(p, 6 * p.den), i
+
+
+def test_region_check_finds_rings_only_in_the_hull(monkeypatch, tmp_path, capsys):
+    calls, volumes = [], []
+    real = {name: getattr(lattice, name) for name in ("ring_on", "ring2")}
+    real_volume = region.scaled_volume
+
+    def counting(fn):
+        def wrapped(*args):
+            names, frame = [], sys._getframe(1)
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((fn.__name__, names[0], "scaled_volume" in names))
+            return fn(*args)
+        return wrapped
+
+    def measured(p, D):
+        volumes.append(p.adim)
+        return real_volume(p, D)
+
+    for mod in (lattice, polytope):
+        for name, fn in real.items():
+            monkeypatch.setattr(mod, name, counting(fn))
+    monkeypatch.setattr(region, "scaled_volume", measured)
+    rng = random.Random(94)
+    for k in range(4):
+        path = tmp_path / f"r{k}.json"
+        path.write_text(json.dumps(region_to_json(rand_union_region(rng, 3, max_terms=4))))
+        assert cli.main(["region", "check", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert 3 in volumes
+    assert {caller for name, caller, _ in calls if name == "ring_on"} == {"hull3"}
+    assert not any(in_volume for _, _, in_volume in calls)
 
 
 def test_face_lattice_counts():
