@@ -44,8 +44,10 @@ from .region import (
 )
 from .rational import rat, signed_sum
 
-# an input bound: closed-face pairs, each a Minkowski sum, in one convolution
+# input bounds: closed-face pairs, each a Minkowski sum, in one convolution;
+# candidate directions (grid points, facet normals, vertex pairs) in one sweep
 MAX_CONV_PAIRS = 100_000
+MAX_SWEEP_DIRECTIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,16 @@ def direction_sweep(r: Region, max_coeff: int = 5) -> dict:
     """Push the union's indicator along each direction and classify the
     shadow.  A failing direction certifies non-invertibility; an
     all-pass sweep certifies nothing (the exact decision is
-    is_convex_region)."""
+    is_convex_region).  Raises InputError, before any direction is built,
+    when default_directions has more than MAX_SWEEP_DIRECTIONS candidates."""
     indicator_polys(r)
+    if 0 <= max_coeff <= 8:  # else default_directions names the bad max_coeff
+        v = len(_vertices(r))
+        count = ((2 * max_coeff + 1) ** r.dim - 1 + v * (v - 1) // 2
+                 + sum(len(t.poly.lattice.planes) for t in r.terms))
+        if count > MAX_SWEEP_DIRECTIONS:
+            raise InputError(f"sweep of {count} candidate directions: "
+                             f"more than {MAX_SWEEP_DIRECTIONS}")
     dirs = default_directions(r, max_coeff)
     f = ConstructibleFunction(indicator_normal_form(r))
     entries = []

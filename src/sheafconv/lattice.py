@@ -7,8 +7,8 @@ The pivot chart and the affine-hull equalities are read off the span of
 the difference rows in closed form, by cross and triple products; a
 planar hull is a monotone chain, and one exact 3D gift-wrapping hull
 (Chand & Kapur 1970) gives the extreme points, the facets and their
-rings, returned with the form as index tuples.  Minkowski sums merge
-planar rings or push out a solid's facets along a segment (Fukuda 2004).
+rings, returned with the form as index tuples.  A solid plus a segment
+pushes out the solid's facets along it (Fukuda 2004).
 """
 
 from __future__ import annotations
@@ -87,28 +87,6 @@ def ring_planes(loop: list, eqs) -> list:
             nu, c = vneg(nu), -c
         planes.append((nu, c))
     return planes
-
-
-def ring_sum(A: list, B: list, i: int, j: int) -> list:
-    """The vertex ring of A + B, rings counterclockwise in coordinates (i, j)
-    from their least points (a segment is its two ends): edges merged by
-    angle in ]-90, 270] degrees, half ]-90, 90] first, parallel ones joined
-    (de Berg et al., Computational Geometry, 3rd ed., 2008, 13.3)."""
-
-    def edges(R):
-        return [(vsub(v, u), 0 if v[i] > u[i] or (v[i] == u[i] and v[j] > u[j]) else 1)
-                for u, v in zip(R, R[1:] + R[:1])]
-
-    ea, eb = edges(A) + [((), 2)], edges(B) + [((), 2)]  # half 2 comes last
-    a = b = 0
-    out = [vadd(A[0], B[0])]
-    while a + b < len(ea) + len(eb) - 2:
-        (u, hu), (v, hv) = ea[a], eb[b]
-        turn = hu - hv or u[j] * v[i] - u[i] * v[j]
-        out.append(vadd(out[-1], u if turn < 0 else v if turn > 0 else vadd(u, v)))
-        a, b = a + (turn <= 0), b + (turn >= 0)
-    out.pop()
-    return out
 
 
 def segment_sum(X: list, planes, k: int, rings, a, b) -> tuple[list, tuple]:

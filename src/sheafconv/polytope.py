@@ -21,11 +21,11 @@ slack at each vertex; a side whose vertices hold every constraint is
 the intersection, else the vertices and edge crossings that do, their
 slacks combined in closed form, are hulled over one denominator.  A
 Minkowski sum is read off its summands' points and lattice forms: a
-translate when one is a point, merged edge rings when it is planar, a
-solid's facets pushed out and banded by a segment, else the hull of the
-vertex sums; a reflection negates the lattice form.  Faces are read off
-the edge rings a hull keeps as it builds them (other polytopes read them
-off their form); forms, hulls and rings are integer work in `lattice`.
+translate when one is a point, a solid's facets pushed out and banded by
+a segment, else the hull of the vertex sums; a reflection negates the
+lattice form.  Faces are read off the edge rings a hull keeps as it
+builds them (other polytopes read them off their form); forms, hulls and
+rings are integer work in `lattice`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
-from .lattice import (Lattice, index_rings, lattice_form, ring2, ring_on, ring_planes,
-                      ring_sum, segment_sum, span)
+from .lattice import Lattice, index_rings, lattice_form, ring2, ring_on, segment_sum
 from .linalg import cross3, vadd, vdot, vneg, vsub
 from .rational import lattice_point, over_gcd, rat, ratio
 
@@ -276,8 +275,8 @@ def _hull_of_ratios(points) -> Polytope:
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """P + Q over lcm(dp, dq) from the summands: a translate when one is a
-    point, merged rings when the sum is planar, a solid's facets pushed out
-    and banded when one is a segment, else the hull of the vertex sums."""
+    point, a solid's facets pushed out and banded when one is a segment,
+    else the hull of the vertex sums, which stores its rings."""
     if p.n != q.n:
         raise InputError("Minkowski sum needs a common ambient dimension")
     if len(p.ints) > len(q.ints):
@@ -288,15 +287,10 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         V, k, (chart, *parts) = P[0], den // q.den, q.lattice
         eqs, planes = (tuple((w, c * k + vdot(w, V)) for w, c in part) for part in parts)
         return _carried(den, [vadd(V, v) for v in Q], Lattice(chart, eqs, planes))
-    chart, normals = span([vsub(x, X[0]) for X in (P, Q) for x in X[1:]], p.n)
-    if len(chart) != 2:
-        if len(P) == 2 and q.adim == 3:
-            pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q.rings, *P)
-            return _carried(den, pts, Lattice((0, 1, 2), (), planes))
-        return _hull(den, [vadd(u, v) for u in P for v in Q])
-    loop = ring_sum(ring2(P, chart), ring2(Q, chart), *chart)
-    eqs = tuple((w, vdot(w, loop[0])) for w in normals)
-    return _carried(den, loop, Lattice(chart, eqs, tuple(ring_planes(loop, eqs))))
+    if len(P) == 2 and q.adim == 3:
+        pts, planes = segment_sum(Q, q.lattice.planes, den // q.den, q.rings, *P)
+        return _carried(den, pts, Lattice((0, 1, 2), (), planes))
+    return _hull(den, [vadd(u, v) for u in P for v in Q])
 
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:

@@ -433,6 +433,21 @@ def test_direction_sweep_rejects_bad_directions():
         direction_sweep(make_region(2, [(box2(0, 1, 0, 1), CLOSED, 2)]))
 
 
+def test_direction_sweep_counts_its_candidates_against_the_bound(monkeypatch):
+    # the L's 24 grid points, 8 facet normals and C(7, 2) vertex pairs, many
+    # on one line, are counted before any direction is built
+    r = L_shape()
+    assert len(cfun._vertices(r)) == 7
+    monkeypatch.setattr(cfun, "MAX_SWEEP_DIRECTIONS", 24 + 8 + 21)
+    assert not direction_sweep(r, max_coeff=2)["all_pass"]
+    monkeypatch.setattr(cfun, "MAX_SWEEP_DIRECTIONS", 52)
+    with pytest.raises(InputError, match="sweep of 53 candidate directions: more than 52"):
+        direction_sweep(r, max_coeff=2)
+    # default_directions, which the certificate's fallback scans, is not bounded
+    monkeypatch.setattr(cfun, "MAX_SWEEP_DIRECTIONS", 0)
+    assert len(default_directions(r, 3)) > 0
+
+
 def test_sweep_failure_implies_nonconvex():
     rng = random.Random(33)
     for _ in range(8):

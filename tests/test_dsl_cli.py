@@ -725,6 +725,17 @@ def test_cli_disjoint_terms_check_within_budget(tmp_path):
     assert seconds < 10
 
 
+def test_cli_disjoint_terms_sweep_past_bound_is_exit_2(tmp_path):
+    # 11^3 - 1 grid points, 7,936 facet normals and C(4096, 2) vertex
+    # pairs are counted and refused before any direction is built
+    path = write(tmp_path, "balls.json", disjoint_terms())
+    rc, out, err, seconds = _run_module("region", "sweep", path)
+    assert (rc, out) == (2, "") and seconds < 10
+    count = 1330 + 7936 + 4096 * 4095 // 2
+    assert json.loads(err)["error"] == (f"sweep of {count} candidate directions: "
+                                        f"more than {cfun.MAX_SWEEP_DIRECTIONS}")
+
+
 def _intervals_doc(terms, verts):
     """terms disjoint unit-spaced intervals, each given by verts points."""
     return {"dimension": 1, "terms": [

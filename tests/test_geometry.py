@@ -15,7 +15,7 @@ from math import lcm
 
 import pytest
 
-from sheafconv import cli, lattice, polytope, region
+from sheafconv import cfun, cli, lattice, polytope, region
 from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
@@ -239,9 +239,10 @@ def test_face_expansion_computes_no_lattice_form(monkeypatch):
 
 
 def face_table_corpus(rng):
-    """Hulls, which store the face table they were built with, and
-    polytopes built in closed form, which read theirs off their planes:
-    reflections, translates, a segment plus a solid, and planar sums."""
+    """Hulls, which store the face table they were built with (planar
+    Minkowski sums among them), and polytopes built in closed form, which
+    read theirs off their planes: reflections, translates and a segment
+    plus a solid."""
     hulls = face_corpus(rng)
     solids = [p for p in hulls if p.adim == 3]
     built = [p.reflect() for p in hulls]
@@ -256,7 +257,7 @@ def face_table_corpus(rng):
                 z, k = rand_point(rng, 1)[:n - 2], rng.randint(2, 5)
                 flat.append(convex_hull([rand_point(rng, 2) + z for _ in range(k)]))
             s = minkowski_sum(*flat)
-            built += [s] if s.adim == 2 else []
+            hulls += [s] if s.adim == 2 else []
     return hulls, built
 
 
@@ -317,6 +318,28 @@ def test_region_check_finds_rings_only_in_the_hull(monkeypatch, tmp_path, capsys
     assert 3 in volumes
     assert {caller for name, caller, _ in calls if name == "ring_on"} == {"hull3"}
     assert not any(in_volume for _, _, in_volume in calls)
+
+
+def test_planar_minkowski_sums_are_hulls(monkeypatch):
+    # a planar sum is the hull of its vertex sums, so its one monotone
+    # chain runs in lattice_form; only a ring read-off runs another
+    rng = random.Random(95)
+    f, g = (cfun.ConstructibleFunction(make_region(2, [
+        (rand_polytope(rng, 2), CLOSED, 1), (rand_polytope(rng, 2), CLOSED, 1),
+        (convex_hull([rand_point(rng, 2) for _ in range(2)]), RELINT, 1)])) for _ in range(2))
+    callers = []
+    real = lattice.ring2
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for mod in (lattice, polytope):
+        monkeypatch.setattr(mod, "ring2", counting)
+    cfun._conv_terms.cache_clear()
+    assert cfun.euler_convolve(f, g).region.terms
+    assert "lattice_form" in callers and "minkowski_sum" not in callers
+    assert set(callers) <= {"lattice_form", "rings"}
 
 
 def test_face_lattice_counts():

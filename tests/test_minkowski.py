@@ -1,11 +1,10 @@
 """Minkowski sums read off their summands, pinned to the hull of the
 vertex sums (tests/region_oracles.py::hull_minkowski_sum).
 
-The library translates a summand by a point, merges two rings when the
-sum is planar and hulls the vertex sums only when it is a line or
-3-dimensional; every path must give the oracle's polytope and lattice
-form, the chart and the equalities equal and the facet planes equal as a
-set, in either argument order.
+The library translates a summand by a point, pushes a solid's facets out
+along a segment and otherwise hulls the vertex sums; every path must give
+the oracle's polytope and lattice form, the chart and the equalities
+equal and the facet planes equal as a set, in either argument order.
 """
 
 from fractions import Fraction
