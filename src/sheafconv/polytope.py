@@ -16,16 +16,16 @@ per coordinate) are read off the same integers.  A probe P/S, S = k*den,
 is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k.
 Every Polytope is a hull: the constructor hulls the points it is given,
 as convex_hull does.  Polytopes whose boxes are apart do not meet; else
-an intersection or a slice reads one slack table, each constraint's
-slack at each vertex; a side whose vertices hold every constraint is
-the intersection, else the vertices and edge crossings that do, their
-slacks combined in closed form, are hulled over one denominator.  A
+an intersection or a slice clips one side by halfspaces on its face
+table (Sutherland & Hodgman 1974): a cut keeps the points inside, puts a
+crossing on each edge it crosses and cuts the rings there, so a solid
+keeps its facets and rings and is not hulled again; a flat result is.  A
 Minkowski sum is read off its summands' points and lattice forms: a
 translate when one is a point, a solid's facets pushed out and banded by
 a segment, else the hull of the vertex sums; a reflection negates the
-lattice form.  Faces are read off the edge rings a hull keeps as it
-builds them (other polytopes read them off their form); forms, hulls and
-rings are integer work in `lattice`.
+lattice form.  Faces are read off the edge rings a hull or a clip keeps
+as it builds them (other polytopes read them off their form); forms,
+hulls and rings are integer work in `lattice`.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class Polytope:
         # pivot coordinates: projection onto them is injective on the hull
         return self.lattice.chart
 
-    @property
-    def equalities(self) -> tuple:
-        """Affine-hull equations (w, c): <w,x> = c on the polytope."""
-        return tuple((w, Fraction(c, self.den)) for w, c in self.lattice.eqs)
-
     @cached_property
     def inequalities(self) -> tuple:
         """Outward facet halfspaces (nu, c): inside means <nu,x> <= c, nu a
@@ -155,7 +150,7 @@ class Polytope:
         """The face table: the cycles of the edges as index tuples into
         ints, from any start in either direction (none for a point, a
         segment's ends, a polygon's ring, each facet's ring in plane order).
-        A hull stores the rings it built; others read them off their form."""
+        A hull or a clip stores the rings it built; others read them off."""
         X, (chart, _, planes) = self.ints, self.lattice
         if len(chart) == 3:
             return index_rings(X, [ring_on(X, plane) for plane in planes])
@@ -195,9 +190,6 @@ class Polytope:
         return _carried(self.den, [vneg(p) for p in self.ints],
                         Lattice(chart, tuple((w, -c) for w, c in eqs),
                                 tuple((vneg(nu), c) for nu, c in planes)))
-
-    def support(self, nu) -> Fraction:
-        return Fraction(max(vdot(nu, p) for p in self.ints)) / self.den
 
 
 def _probe(x, n: int, D: int) -> tuple[tuple[int, ...], int]:
@@ -261,14 +253,6 @@ def _carried(den: int, points, lattice: Lattice) -> Polytope:
     return out
 
 
-def _hull_of_ratios(points) -> Polytope:
-    """The hull of the points P/L, from (P, L) pairs with P integer and
-    L > 0, over the lcm of their reduced denominators."""
-    reduced = {over_gcd((L, *P)) for P, L in points}  # each (L, *P) in lowest terms
-    den = lcm(*(L for L, *_ in reduced))
-    return _hull(den, [tuple(c * (den // L) for c in P) for L, *P in reduced])
-
-
 # ---------------------------------------------------------------------------
 # constructive operations
 
@@ -295,54 +279,90 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
     """Closed intersection, or None when empty (at once when the boxes are
-    apart): either polytope when it lies in the other, else the hull of
-    what _cut keeps of each against the other's equalities and planes."""
+    apart): p clipped by q's equalities, each as two halfspaces, and its
+    facet planes; q itself when the intersection is q."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
     dp, dq = p.den, q.den  # per coordinate, p's box spans [a, b]/dp and q's [c, d]/dq
     if any(b * dq < c * dp or d * dp < a * dq for a, b, c, d in zip(*p.box, *q.box)):
         return None
-    cands = set()
-    for a, b in ((p, q), (q, p)):
-        _, eqs, planes = b.lattice
-        rows = [[c * a.den - b.den * vdot(w, V) for V in a.ints] for w, c in eqs + planes]
-        if not any(map(any, rows[:len(eqs)])) and all(min(s) >= 0 for s in rows[len(eqs):]):
-            return a  # every vertex of a holds b's constraints: a lies in b
-        part = _cut(a, rows, len(eqs))
-        if part is None:
-            return None
-        cands |= part
-    return _hull_of_ratios(cands) if cands else None
+    _, eqs, planes = q.lattice
+    cap = _clip(p, [h for w, c in eqs for h in ((w, c), (vneg(w), -c))] + list(planes), dq)
+    return q if cap is not p and cap == q else cap
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
     coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
     a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
-    cands = _cut(p, [[b * p.den - vdot(a, V) for V in p.ints]], 1)
-    return _hull_of_ratios(cands) if cands else None
+    return _clip(p, [(a, b), (vneg(a), -b)], 1)
 
 
-def _cut(a: Polytope, rows: list, k: int) -> Optional[set]:
-    """(P, L) pairs, P/L the vertices of a and its edges' crossings with the
-    constraints, that hold every constraint; None when a row is all < 0 or
-    an equality's row all > 0.  rows holds each constraint's slacks at a's
-    vertices V, c*den_a - den_b*<w, V> for (w, c) over den_b: k equalities
-    (held at 0), then planes (held at >= 0).  Slacks u, v of opposite signs
-    at the ends of an edge V_i V_j put a crossing at (|v| V_i + |u| V_j) /
-    (den_a (|u| + |v|)), where its slacks are |v| s_i + |u| s_j, scaled."""
-    if any(max(s) < 0 or i < k and min(s) > 0 for i, s in enumerate(rows)):
-        return None
-    X, den, cols = a.ints, a.den, list(zip(*rows))
-    cands = [(s, V, den) for s, V in zip(cols, X)]
-    for i, j in a.edges:
-        si, sj = cols[i], cols[j]
-        for u, v in zip(si, sj):
-            if u * v < 0:
-                u, v = abs(u), abs(v)
-                cands.append(([v * x + u * y for x, y in zip(si, sj)],
-                              tuple(v * x + u * y for x, y in zip(X[i], X[j])), den * (u + v)))
-    return {(P, L) for s, P, L in cands if not any(s[:k]) and all(x >= 0 for x in s[k:])}
+def _clip(p: Polytope, cuts, M: int) -> Optional[Polytope]:
+    """p cut by the halfspaces <a, x> <= C/M for (a, C) in cuts, or None
+    when empty; p itself when no cut removes a point.  The points are
+    homogeneous, (X, L) for X/L, indexed as p.rings.  A cut keeps the
+    points of slack C*L - M*<a, X> >= 0 and puts one crossing on each edge
+    whose ends' slacks differ in sign: u > 0 at (X, L) and v < 0 at (Y, K)
+    meet at (u*Y - v*X, u*K - v*L).  A polygon or a solid cuts each ring at
+    its crossings, and a solid orders its new facet's points by ring2 in a
+    chart; both are put over one denominator last, a polygon by _hull.  A
+    result in a cutting plane or below dimension 2 is hulled as it comes."""
+    pts, live, d = [(V, p.den) for V in p.ints], range(len(p.ints)), p.adim
+    rings = (list(zip((nu for nu, _ in p.lattice.planes), p.rings)) if d == 3
+             else [(None, p.rings[0])] if d == 2 else None)  # (outward normal, ring)
+
+    def over(ks):  # the points ks over one denominator, the lcm of theirs
+        D = lcm(*(pts[k][1] for k in ks))
+        return D, [tuple(c * (D // pts[k][1]) for c in pts[k][0]) for k in ks]
+
+    for n, (a, C) in enumerate(cuts):
+        s = {k: C * pts[k][1] - M * vdot(a, pts[k][0]) for k in live}
+        if min(s.values()) >= 0:
+            continue
+        if max(s.values()) < 0:
+            return None
+        cross: dict = {}
+
+        def at(i, j):  # the crossing on the edge ij, made once
+            i, j = (i, j) if s[i] > 0 else (j, i)
+            if (i, j) not in cross:
+                (X, L), (Y, K), u, v = pts[i], pts[j], s[i], s[j]
+                H = over_gcd((u * K - v * L, *(u * y - v * x for x, y in zip(X, Y))))
+                cross[i, j] = len(pts)
+                pts.append((H[1:], H[0]))
+            return cross[i, j]
+
+        if rings is None or max(s.values()) == 0:
+            ks = [k for k in live if s[k] >= 0]  # with no slack > 0 there is no crossing
+            ks += [at(i, j) for i, j in (p.edges if rings is None else ()) if s[i] * s[j] < 0]
+            return _clip(_hull(*over(ks)), cuts[n + 1:], M)
+        cut = []
+        for nu, ring in rings:
+            r = []
+            for i, j in zip(ring, ring[1:] + ring[:1]):
+                if s[i] >= 0:
+                    r.append(i)
+                if s[i] * s[j] < 0:
+                    r.append(at(i, j))
+            if len(r) > 2:  # a ring with a point of slack > 0
+                cut.append((nu, r))
+        if d == 3:
+            drop = 0 if a[0] else 1 if a[1] else 2
+            on = [k for k in live if s[k] == 0] + list(cross.values())
+            flat = [V + (k,) for k, V in zip(on, over(on)[1])]  # each point carries its index
+            cut.append((over_gcd(a), [V[3] for V in ring2(flat, [i for i in range(3) if i != drop])]))
+        rings, live, p = cut, {k for _, ring in cut for k in ring}, None
+    if p is not None:
+        return p
+    if d == 2:
+        return _hull(*over(live))
+    D, X = over(live)
+    Y = dict(zip(live, X))
+    planes = sorted((nu, vdot(nu, Y[ring[0]]), ring) for nu, ring in rings)
+    out = _carried(D, X, Lattice((0, 1, 2), (), tuple(f[:2] for f in planes)))
+    out.rings = index_rings(sorted(X), [[Y[k] for k in f[2]] for f in planes])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -223,17 +223,11 @@ def slice_region(r: Region, xi, t) -> Region:
 
     items = []
     for term, (lo, hi) in zip(r.terms, ext):
-        if term.mode == CLOSED:
+        # relint meets the hyperplane iff it crosses or lies inside it
+        if term.mode == CLOSED or lo == hi == T or lo < T < hi:
             sliced = slice_polytope(term.poly, xi, t)
             if sliced is not None:
-                items.append((project(sliced), CLOSED, term.weight))
-        else:
-            # relint meets the hyperplane iff it crosses or lies inside it
-            if lo == hi == T:
-                items.append((project(term.poly), RELINT, term.weight))
-            elif lo < T < hi:
-                sliced = slice_polytope(term.poly, xi, t)
-                items.append((project(sliced), RELINT, term.weight))
+                items.append((project(sliced), term.mode, term.weight))
     return make_region(r.dim - 1, items)
 
 

@@ -22,18 +22,22 @@ planes it lies on, the edges as the vertex pairs on adim - 1 common
 planes, the facets read off the masks, and each facet's ring rebuilt
 from all the points by `ring_on`, or the polygon hulled again by `ring2`.
 
-`brute_intersection` intersects two polytopes by brute force, sharing
-no code with the library's slack-table intersection.  `polytope_volume`
+`brute_intersection` and `brute_slice` intersect a polytope with another
+or with a hyperplane by brute force, Cramer's rule at every n of the
+constraints' planes, sharing no code with the library's clip, which cuts
+the face table plane by plane.  `polytope_volume`
 is the Fraction volume that the convexity decision
 read before it compared integer volumes over one denominator.
 
 `parent_contains_scaled`, `parent_euler_convolve_at`,
 `parent_evaluate_region` and `parent_intersect_polytopes` (with the
-`parent_cut` it called) are the probe and intersection paths that the
-library's integer-box paths replaced, copied as they were: each probe
-made into Fractions and scaled to the lcm of its own denominators, every
-facet plane tested with no box reject, and both slack tables of an
-intersection built in full before any row is read.
+`parent_cut` and `parent_hull_of_ratios` it called) are the probe and
+intersection paths that the library's integer-box paths and its clip
+replaced, copied as they were: each probe made into Fractions and scaled
+to the lcm of its own denominators, every facet plane tested with no box
+reject, and both slack tables of an intersection built in full before
+any row is read, every edge crossing of every constraint kept when it
+holds them all, and the survivors hulled again.
 
 `list_indicator_normal_form` is the inclusion-exclusion that kept every
 subset's intersection as its own live term, 2^k - 1 of them for k terms
@@ -57,7 +61,6 @@ from sheafconv.linalg import cross3, vadd, vdot, vsub
 from sheafconv.polytope import (
     Polytope,
     _hull,
-    _hull_of_ratios,
     convex_hull,
     intersect_polytopes,
     open_indicator_expansion,
@@ -65,7 +68,7 @@ from sheafconv.polytope import (
     vertex_keys,
 )
 from sheafconv.randgen import rand_rat
-from sheafconv.rational import lattice_point, rat
+from sheafconv.rational import lattice_point, over_gcd, rat
 from sheafconv.region import (CLOSED, RELINT, Region, Term, _segment_exit, indicator_polys,
                               make_region)
 
@@ -158,23 +161,41 @@ def det(m) -> Fraction:
                for j in range(len(m)))
 
 
-def brute_intersection(p, q):
-    """p meet q, or None when empty, on Fractions: every point where n of
-    the two polytopes' equality and facet planes meet, solved by Cramer's
-    rule and kept when it satisfies every constraint of both, hulled."""
-    eqs = p.equalities + q.equalities
-    planes = p.inequalities + q.inequalities
+def cramer_hull(n: int, eqs, planes):
+    """The hull of every point where n of the hyperplanes of the
+    constraints <w, x> = c and <nu, x> <= c meet, on Fractions, solved by
+    Cramer's rule and kept when it satisfies every constraint; None when
+    no point does."""
     pts = set()
-    for rows in combinations(eqs + planes, p.n):
+    for rows in combinations(eqs + planes, n):
         A = [tuple(w) for w, _ in rows]
         d = det(A)
         if d == 0:
             continue
         x = tuple(det([a[:i] + (c,) + a[i + 1:] for a, (_, c) in zip(A, rows)]) / d
-                  for i in range(p.n))
+                  for i in range(n))
         if all(vdot(w, x) == c for w, c in eqs) and all(vdot(nu, x) <= c for nu, c in planes):
             pts.add(x)
     return convex_hull(pts) if pts else None
+
+
+def fraction_equalities(p) -> tuple:
+    """p's affine-hull equations (w, c), <w, x> = c, with c a Fraction."""
+    return tuple((w, Fraction(c, p.den)) for w, c in p.lattice.eqs)
+
+
+def brute_intersection(p, q):
+    """p meet q, or None when empty: the Cramer hull of the two
+    polytopes' equalities and facet planes."""
+    return cramer_hull(p.n, fraction_equalities(p) + fraction_equalities(q),
+                       p.inequalities + q.inequalities)
+
+
+def brute_slice(p, xi, t):
+    """p meet the hyperplane <xi, x> = t, or None when empty: the Cramer
+    hull of p's equalities and that hyperplane, and p's facet planes."""
+    xi = tuple(Fraction(c) for c in xi)
+    return cramer_hull(p.n, fraction_equalities(p) + ((xi, Fraction(t)),), p.inequalities)
 
 
 def parent_contains_scaled(self, P, L: int, strict: bool = False) -> bool:
@@ -223,7 +244,7 @@ def parent_intersect_polytopes(p: Polytope, q: Polytope):
         if part is None:
             return None
         cands |= part
-    return _hull_of_ratios(cands) if cands else None
+    return parent_hull_of_ratios(cands) if cands else None
 
 
 def parent_cut(a: Polytope, rows: list, k: int):
@@ -246,6 +267,14 @@ def parent_cut(a: Polytope, rows: list, k: int):
                 cands.append(([v * x + u * y for x, y in zip(si, sj)],
                               tuple(v * x + u * y for x, y in zip(X[i], X[j])), den * (u + v)))
     return {(P, L) for s, P, L in cands if not any(s[:k]) and all(x >= 0 for x in s[k:])}
+
+
+def parent_hull_of_ratios(points) -> Polytope:
+    """The hull of the points P/L, from (P, L) pairs with P integer and
+    L > 0, over the lcm of their reduced denominators."""
+    reduced = {over_gcd((L, *P)) for P, L in points}  # each (L, *P) in lowest terms
+    den = lcm(*(L for L, *_ in reduced))
+    return _hull(den, [tuple(c * (den // L) for c in P) for L, *P in reduced])
 
 
 def parent_incidence(p: Polytope) -> tuple[int, ...]:

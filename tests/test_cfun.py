@@ -257,7 +257,7 @@ def _constant_direction(rng, poly):
     if n == 2:
         return (-e[1], e[0])
     if d == 2:
-        return poly.equalities[0][0]
+        return poly.lattice.eqs[0][0]
     nu = cross3(e, _rand_xi(rng, 3))
     return nu if any(nu) else None
 

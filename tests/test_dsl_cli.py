@@ -716,7 +716,7 @@ def test_cli_inclusion_exclusion_past_bound_is_exit_2(tmp_path, sub):
 
 def test_cli_disjoint_terms_check_within_budget(tmp_path):
     # 64 terms of 64 extreme points, centres 3000 apart: every pair of
-    # boxes is apart, so the inclusion-exclusion builds no slack row
+    # boxes is apart, so the inclusion-exclusion clips no halfspace
     doc = disjoint_terms()
     assert {len(region.convex_hull(t["vertices"]).ints) for t in doc["terms"]} == {64}
     path = write(tmp_path, "balls.json", doc)

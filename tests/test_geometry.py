@@ -3,12 +3,15 @@
 3D hulls and Minkowski sums are compared against a brute-force oracle
 that enumerates the supporting plane of every point triple, and against
 support-function certificates; together they pin both the vertex set and
-the facet description.
+the facet description.  Intersections and slices, which clip one side
+on its face table, are compared against Cramer's-rule oracles and
+against the form and rings that a hull of their points would give.
 """
 
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -20,6 +23,7 @@ from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
+    _hull,
     convex_hull,
     intersect_polytopes,
     minkowski_sum,
@@ -32,6 +36,7 @@ from sheafconv.randgen import rand_rat
 from linalg_oracles import rref, scaled
 from region_oracles import (
     brute_intersection,
+    brute_slice,
     chart_volume,
     core_boxes,
     list_indicator_normal_form,
@@ -48,6 +53,7 @@ from region_oracles import (
     search_faces,
     unfiltered_witness,
 )
+from disjoint_terms import overlapping_terms
 from test_acceptance import region_corpus
 from sheafconv.region import (
     CLOSED,
@@ -407,7 +413,8 @@ def test_minkowski_support_certificates():
         s = minkowski_sum(p, q)
         for _ in range(40):
             xi = tuple(F(rng.randint(-7, 7)) for _ in range(3))
-            assert s.support(xi) == p.support(xi) + q.support(xi)
+            h = [max(vdot(xi, v) for v in r.verts) for r in (s, p, q)]
+            assert h[0] == h[1] + h[2]
         for u in p.verts:
             for v in q.verts:
                 assert s.contains(vadd(u, v))
@@ -536,6 +543,87 @@ def test_random_slices_sample_consistently():
             continue
         for v in s.verts:
             assert vdot(xi, v) == t and p.contains(v)
+
+
+def slice_cases(rng):
+    """Seeded (kind, p, xi, t) in ambient dimensions 1 to 3 and every
+    affine dimension of p: hyperplanes through a vertex, holding an edge,
+    a facet or all of p, missing p, and with coefficients and offsets of
+    mixed denominators."""
+    out = []
+    for i in range(120):
+        n = 1 + i % 3
+        a, dirs = rand_point(rng, n), [rand_point(rng, n, span=2) for _ in range(i // 3 % (n + 1))]
+        p = convex_hull([vadd(a, tuple(sum(rng.randint(-2, 2) * e[j] for e in dirs) for j in range(n)))
+                         for _ in range(len(dirs) + rng.randint(1, 4))])
+        xi = tuple(F(rng.choice((-2, -1, 1, 3))) for _ in range(n))
+        out.append(("vertex", p, xi, vdot(xi, rng.choice(p.verts))))
+        out.append(("miss", p, xi, max(vdot(xi, v) for v in p.verts) + F(1, 3)))
+        mixed = tuple(F(rng.choice((-5, -2, 1, 4)), rng.choice((1, 3, 7))) for _ in range(n))
+        centre = [sum(c) / len(p.verts) for c in zip(*p.verts)]
+        out.append(("mixed", p, mixed, vdot(mixed, centre) + F(rng.randint(-3, 3), 11)))
+        if p.adim < n:
+            w, c = rng.choice(p.lattice.eqs)
+            out.append(("flat", p, w, F(c, p.den)))
+        elif n > 1:
+            nu, c = rng.choice(p.lattice.planes)
+            out.append(("facet", p, nu, F(c, p.den)))
+        if p.adim and n > 1:
+            u, v = (p.verts[k] for k in rng.choice(p.edges))
+            e = vsub(v, u)
+            xi = (-e[1], e[0]) if n == 2 else cross3(e, rand_point(rng, 3))
+            if any(xi):
+                out.append(("edge", p, xi, vdot(xi, u)))
+    return out
+
+
+def test_slice_matches_brute_force_oracle():
+    seen = set()
+    for i, (kind, p, xi, t) in enumerate(slice_cases(random.Random(16))):
+        s = slice_polytope(p, xi, t)
+        assert s == brute_slice(p, xi, t), (i, kind, p, xi, t)
+        if kind == "flat":
+            assert s is p, i  # p lies in the hyperplane
+        seen.add((p.n, p.adim, kind, None if s is None else s.adim))
+    for n in (1, 2, 3):
+        for d in range(n + 1):
+            kinds = {k for m, e, k, _ in seen if (m, e) == (n, d)}
+            assert kinds >= {"vertex", "miss", "mixed"} | ({"flat"} if d < n else set()), (n, d)
+            if n > 1:
+                assert ("edge" in kinds) == (d > 0) and ("facet" in kinds) == (d == n), (n, d)
+    # a solid's slices come out in each dimension: a vertex, an edge, a facet, a section
+    assert {s for n, d, _, s in seen if n == d == 3} == {None, 0, 1, 2}
+
+
+def test_clip_results_carry_the_form_and_rings_of_their_hull():
+    caps = [intersect_polytopes(a, b) for _, p, q in intersection_pairs(random.Random(77))
+            for a, b in ((p, q), (q, p))]
+    caps += [slice_polytope(p, xi, t) for _, p, xi, t in slice_cases(random.Random(16))]
+    caps = [c for c in caps if c is not None]
+    assert {(c.n, c.adim) for c in caps} >= {(1, 0)} | {(n, d) for n in (2, 3) for d in range(n + 1)}
+    for i, c in enumerate(caps):
+        h = _hull(c.den, c.ints)
+        assert c.lattice == h.lattice and c.face_indices == h.face_indices, i
+        assert scaled_volume(c, 6 * c.den) == scaled_volume(h, 6 * h.den), i
+
+
+def test_clipping_a_solid_runs_no_hull3(monkeypatch):
+    # a solid's cut keeps its facets and rings and orders the new facet by
+    # a monotone chain; a result below dimension 3 is hulled by one too
+    pairs = [(p, q) for _, p, q in intersection_pairs(random.Random(77)) if p.adim == 3]
+    slices = [c[1:] for c in slice_cases(random.Random(16)) if c[1].adim == 3]
+    calls = []
+    real = lattice.hull3
+
+    def counting(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(lattice, "hull3", counting)
+    caps = [intersect_polytopes(p, q) for p, q in pairs] + [slice_polytope(*c) for c in slices]
+    solids = [c for c in caps if c is not None and c.adim == 3]
+    assert len(solids) > 10 and all(c.face_indices for c in solids)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +919,16 @@ def poly_subset_regions(rng, size):
             polys.setdefault(convex_hull(rng.sample(host.verts, rng.randint(1, len(host.verts)))))
         out.append(make_region(n, [(p, CLOSED, 1) for p in polys]))
     return out
+
+
+def test_overlapping_normal_form_within_budget():
+    # four balls of 64 points about close centres: every subset meets, and
+    # each intersection is clipped from the one before it
+    r = region_from_json(overlapping_terms(4))
+    t0 = time.perf_counter()
+    nf = indicator_normal_form(r)
+    seconds = time.perf_counter() - t0
+    assert len(nf.terms) == 15 and seconds < 5, seconds
 
 
 def test_merged_normal_form_matches_list_oracle():

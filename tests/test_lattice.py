@@ -152,8 +152,9 @@ def test_lattice_form_matches_fraction_oracles():
         for poly in (Polytope(pts), convex_hull(pts)):
             assert poly.chart == tuple(chart), i
             assert poly.adim == len(chart), i
-            assert len(poly.equalities) == len(eqs) == n - poly.adim, i
-            assert all(map(same_plane, poly.equalities, eqs)), i
+            have = [(w, F(c, poly.den)) for w, c in poly.lattice.eqs]
+            assert len(have) == len(eqs) == n - poly.adim, i
+            assert all(map(same_plane, have, eqs)), i
             if poly.adim < 3:
                 ours = set(poly.inequalities)
                 assert len(ours) == len(poly.inequalities), i

@@ -3,7 +3,7 @@
 A probe is scaled once onto the lcm of the terms' denominators and tested
 against each term's box, equalities and facet planes on integers; an
 intersection of two polytopes whose boxes are disjoint is empty before
-any slack row is built.  These tests pin each path to the one it replaced, kept in
+any halfspace is clipped.  These tests pin each path to the one it replaced, kept in
 tests/region_oracles.py: polytopes of every affine dimension in 1D-3D,
 probes on and one lattice step off their vertices, edges, facets and box
 corners, and pairs whose boxes touch, overlap or miss by one step.
