@@ -4,8 +4,9 @@ Convolution works through the closed-face presentation: every relint
 term is a signed sum of closed faces, and for closed compact convex A, B
 the Euler integral of 1_A(x) 1_B(t-x) over x is 1 exactly when t lies in
 the Minkowski sum A + B.  So f * g is a signed pile of Minkowski-sum
-indicators, cached once per unordered pair since f * g = g * f, and a
-value counts the sums that hold the probe, on integers over their lcm.
+indicators, a Region of closed terms, cached once per unordered pair
+since f * g = g * f and returned as it is; a value counts the sums that
+hold the probe, on integers over the product's den.
 
 Pushforward to the line is in closed form, with no slicing: Euler
 integration along the fibres of x -> <xi, x> sends a closed term of
@@ -14,9 +15,9 @@ a relint term of affine dimension d to w (-1)^(d-1) on the open interval
 ]min, max[, or to w (-1)^d at the point when xi is constant on it
 (Schapira, Operations on constructible functions, 1991; Curry, Ghrist &
 Robinson, Euler calculus with applications to signals and sensing,
-2012).  The extremes are integers over the terms' common denominator
-(region.extents), and the terms' intervals are summed on them by the
-one cf1 atom sweep.
+2012).  region.extents reads the covector and gives the extremes as
+integers over one scale, and the terms' intervals are summed on them by
+the one cf1 atom sweep.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd
 
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
-from .polytope import Polytope, _probe, lattice_point, minkowski_sum, union_hull, vertex_keys
+from .polytope import Polytope, _probe, minkowski_sum, union_hull, vertex_keys
 from .region import (
     CLOSED,
     RELINT,
     Region,
+    Term,
     closed_expansion,
     evaluate_region,
     extents,
@@ -42,7 +44,7 @@ from .region import (
     is_convex_region,
     make_region,
 )
-from .rational import rat, signed_sum
+from .rational import signed_sum
 
 # input bounds: closed-face pairs, each a Minkowski sum, in one convolution;
 # candidate directions (grid points, facet normals, vertex pairs) in one sweep
@@ -66,18 +68,14 @@ def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> Constructi
     return ConstructibleFunction(make_region(poly.n, [(poly, mode, weight)]))
 
 
-def _terms(fr: Region, gr: Region) -> tuple:
+def _product(fr: Region, gr: Region) -> Region:
     # f * g = g * f: one cache entry per unordered pair, ordered by the
     # regions' hashes, which each takes once when it is built
     return _conv_terms(fr, gr) if hash(fr) <= hash(gr) else _conv_terms(gr, fr)
 
 
-class _Terms(tuple):
-    den: int  # the lcm of the terms' denominators, taken once per cache entry
-
-
 @lru_cache(maxsize=256)
-def _conv_terms(fr: Region, gr: Region) -> _Terms:
+def _conv_terms(fr: Region, gr: Region) -> Region:
     if fr.dim != gr.dim:
         raise InputError("convolution needs a common ambient dimension")
     fe, ge = closed_expansion(fr), closed_expansion(gr)
@@ -85,29 +83,25 @@ def _conv_terms(fr: Region, gr: Region) -> _Terms:
         raise InputError(f"convolution of {len(fe)} by {len(ge)} closed faces: "
                          f"more than {MAX_CONV_PAIRS} face pairs")
     acc = signed_sum((minkowski_sum(a, b), wa * wb) for (a, wa), (b, wb) in product(fe, ge))
-    terms = _Terms((m, acc[m]) for m in sorted(acc))
-    terms.den = lcm(*(m.den for m in acc))
-    return terms
+    return Region(fr.dim, tuple(Term(m, CLOSED, acc[m]) for m in sorted(acc)))
 
 
 def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> ConstructibleFunction:
-    """f * g as a signed sum of closed indicators.
+    """f * g as a signed sum of closed indicators, the one Region cached
+    for the pair.
 
     The term list is a valid presentation, not a canonical facial form;
     supports may overlap.
     """
-    terms = _terms(f.region, g.region)
-    return ConstructibleFunction(
-        make_region(f.n, [(p, CLOSED, w) for p, w in terms])
-    )
+    return ConstructibleFunction(_product(f.region, g.region))
 
 
 def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> int:
     P, S = _probe(t, f.n, 1)  # the point is read and checked before any term is built
-    terms = _terms(f.region, g.region)
-    k = terms.den // gcd(S, terms.den)  # P/S onto the lcm of S and the terms' den
+    h = _product(f.region, g.region)
+    k = h.den // gcd(S, h.den)  # P/S onto the lcm of S and the product's den
     P = [c * k for c in P]
-    return sum(w for p, w in terms if p.contains_scaled(P, S * k))
+    return sum(u.weight for u in h.terms if u.poly.contains_scaled(P, S * k))
 
 
 def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:
@@ -131,13 +125,7 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
     on [lo, hi]; a relint term of affine dimension d gives w (-1)^(d-1)
     on ]lo, hi[, or w (-1)^d at the point when lo = hi.
     """
-    xi = tuple(rat(c) for c in xi)
-    if len(xi) != f.n:
-        raise InputError("covector dimension mismatch")
-    if all(c == 0 for c in xi):
-        raise InputError("projection direction must be nonzero")
-    a, L = lattice_point(xi)
-    ext, D = extents(f.region, a)
+    ext, D = extents(f.region, xi)
     points: dict = {}
     opens = []
     for term, (lo, hi) in zip(f.region.terms, ext):
@@ -151,7 +139,7 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
             points[lo] = points.get(lo, 0) + (-w if term.poly.adim % 2 else w)
         else:
             opens.append((lo, hi, w if term.poly.adim % 2 else -w))
-    return cf1_from_atoms(points, opens, D * L)
+    return cf1_from_atoms(points, opens, D)
 
 
 def _vertices(r: Region) -> list:

@@ -8,7 +8,9 @@ error positions are byte offsets into the input.  Arities and argument
 kinds are checked while parsing.  Each literal passes rational's one
 check, whose message the error carries, and becomes an integer pair
 (p, q), which the atoms scale onto their integer keys with no Fraction
-in between.
+in between.  Evaluation has one dispatch: every name but conv (a fold of
+sheaf1.convolve) and sum (sheaf1.direct_sum) calls the sheaf1 function
+of its own name, atoms, dirac and zero included.
 """
 
 from __future__ import annotations
@@ -116,12 +118,6 @@ def parse(text: str):
 
 def eval_expr(tree) -> sheaf1.Sheaf1:
     head, args = tree[0], tree[1:]
-    if head == "zero":
-        return sheaf1.zero()
-    if head in sheaf1.ATOM_CLOSURES:
-        return sheaf1.interval_sheaf(sheaf1.ATOM_CLOSURES[head], *args)
-    if head == "dirac":
-        return sheaf1.dirac(*args)
     # a subexpression is a tuple headed by its name, a literal an int or
     # an integer pair
     vals = [eval_expr(a) if isinstance(a, tuple) and isinstance(a[0], str) else a
@@ -130,8 +126,8 @@ def eval_expr(tree) -> sheaf1.Sheaf1:
         return functools.reduce(sheaf1.convolve, vals)
     if head == "sum":
         return sheaf1.direct_sum(*vals)
-    # any other combinator is the sheaf1 function of its own name, looked
-    # up when called
+    # any other name, an atom, zero or a combinator, is the sheaf1
+    # function of its own name, looked up when called
     return getattr(sheaf1, head)(*vals)
 
 

@@ -4,8 +4,10 @@ a JSON int or a literal, is read to an integer pair, and each term is
 hulled on the integers over the lcm of its denominators.  Terms merge by
 rational.signed_sum and sort by (polytope, mode), a polytope ordering
 itself by its vertices (Polytope.__lt__); no term is rescaled to sort.
-A point value reads the probe to integers over the terms' common
-denominator once, and tests each term's box first, with no Fraction.
+A region carries den, the lcm of its terms' denominators, taken once
+when it is built.  A point value reads the probe to integers over den
+once, and tests each term's box first, with no Fraction.  extents is the
+one reading of a covector, for the pushforward and for slicing.
 
 The union of an indicator region's terms has one normal form, its honest
 indicator written by inclusion-exclusion over the terms' intersections,
@@ -81,6 +83,8 @@ class Region:
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("region terms not in canonical form")
         object.__setattr__(self, "_hash", hash((self.dim, self.terms)))
+        # the region's one scale, the lcm of its terms' denominators
+        object.__setattr__(self, "den", lcm(*(p.den for p, _ in keys)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -163,7 +167,7 @@ def region_from_json(data) -> Region:
 
 
 def evaluate_region(r: Region, x) -> int:
-    P, S = _probe(x, r.dim, lcm(*(t.poly.den for t in r.terms)))
+    P, S = _probe(x, r.dim, r.den)
     return sum(t.weight for t in r.terms if t.poly.contains_scaled(P, S, t.mode == RELINT))
 
 
@@ -184,17 +188,23 @@ def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
     return [(p, acc[p]) for p in sorted(acc)]
 
 
-def extents(r: Region, a) -> tuple[list[tuple[int, int]], int]:
-    """Per term, the least and the greatest <a, x> on it, for an integer
-    covector a, as integers over D, the lcm of the terms' denominators;
-    and D.  Only the two extremes are scaled onto D, not the vertices."""
-    D = lcm(*(t.poly.den for t in r.terms))
+def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int]:
+    """Per term, the least and the greatest <xi, x> on it, as integers
+    over D = r.den * L, L the lcm of the covector's denominators; and D.
+    The covector is read and checked here, once for each caller, and
+    only the two extremes are scaled onto r.den, not the vertices."""
+    xi = tuple(rat(c) for c in xi)
+    if len(xi) != r.dim:
+        raise InputError("covector dimension mismatch")
+    if all(c == 0 for c in xi):
+        raise InputError("covector must be nonzero")
+    a, L = lattice_point(xi)
     out = []
     for t in r.terms:
         vals = [vdot(a, V) for V in t.poly.ints]
-        s = D // t.poly.den
+        s = r.den // t.poly.den
         out.append((min(vals) * s, max(vals) * s))
-    return out, D
+    return out, r.den * L
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +214,13 @@ def extents(r: Region, a) -> tuple[list[tuple[int, int]], int]:
 def slice_region(r: Region, xi, t) -> Region:
     """Intersection with the hyperplane <xi, x> = t, written in the chart
     that drops the first coordinate where xi is nonzero."""
-    xi = tuple(rat(c) for c in xi)
-    if len(xi) != r.dim:
-        raise InputError("covector dimension mismatch")
-    if all(c == 0 for c in xi):
-        raise InputError("slicing direction must be nonzero")
+    ext, D = extents(r, xi)
     if r.dim == 1:
         raise InputError("slicing needs ambient dimension at least 2")
     t = rat(t)
-    drop = next(i for i, c in enumerate(xi) if c != 0)
+    T = t * D  # t on the extents' scale
+    drop = next(i for i, c in enumerate(xi) if rat(c))
     keep = [i for i in range(r.dim) if i != drop]
-    a, L = lattice_point(xi)
-    ext, D = extents(r, a)
-    T = t * (D * L)  # t on the extents' scale
 
     def project(poly: Polytope) -> Polytope:
         return Polytope.from_ints(poly.den, [tuple(V[i] for i in keep) for V in poly.ints])

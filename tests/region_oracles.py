@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial, lcm
 
-from sheafconv.cfun import _terms
+from sheafconv.cfun import _product
 from sheafconv.errors import InputError
 from sheafconv.lattice import ring2, ring_on
 from sheafconv.linalg import cross3, vadd, vdot, vsub
@@ -215,7 +215,8 @@ def parent_euler_convolve_at(f, g, t) -> int:
     if len(t) != f.n:
         raise InputError("point dimension mismatch")
     P, L = lattice_point(t)
-    return sum(w for p, w in _terms(f.region, g.region) if parent_contains_scaled(p, P, L))
+    return sum(u.weight for u in _product(f.region, g.region).terms
+               if parent_contains_scaled(u.poly, P, L))
 
 
 def parent_evaluate_region(r: Region, x) -> int:

@@ -99,6 +99,7 @@ def test_swapped_probe_hits_the_cache_entry_of_the_pair():
     after = cfun._conv_terms.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert euler_convolve(g, f) == h
+    assert euler_convolve(g, f).region is h.region  # the cached product, not a rebuild
 
 
 def test_minkowski_identity_for_convex_pairs():

@@ -784,6 +784,16 @@ def test_cli_hollow_cube_has_a_witness_and_no_separating_slice(tmp_path, capsys)
     assert (body["direction"], body["slice_at"], body["slice_chi"]) == (None, None, None)
     outside = [Fraction(c) for c in body["witness"]["outside"]]
     assert all(1 < c < 2 for c in outside)
+    # a box apart from the shell: no slice perpendicular to the witness
+    # has Euler characteristic 2, so the fallback scan over the default
+    # directions finds the one that meets the box and the shell at once
+    doc = {"dimension": 3, "terms": slabs + [_box_term((10, 10, 10), (11, 11, 11))]}
+    path = write(tmp_path, "shell_and_box.json", doc)
+    assert cli.main(["region", "check", path]) == 1
+    body = out_json(capsys)
+    assert (body["direction"], body["slice_at"], body["slice_chi"]) == ([0, 1, -1], "-1", 2)
+    nf = region.indicator_normal_form(region.region_from_json(doc))
+    assert region.euler_char_c(region.slice_region(nf, (0, 1, -1), "-1")) == 2
 
 
 def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):

@@ -733,6 +733,26 @@ def test_slice_region_rejects_dim_one():
         slice_region(r, (1,), F(1, 2))
 
 
+def test_pushforward_and_slicing_read_the_covector_alike():
+    # extents reads the covector for both, so both give the same errors
+    r = make_region(2, [(box2(0, 1, 0, 1), CLOSED, 1)])
+    for read in (lambda xi: cfun.pushforward_linear(cfun.ConstructibleFunction(r), xi),
+                 lambda xi: slice_region(r, xi, F(1, 2))):
+        with pytest.raises(InputError, match="^covector dimension mismatch$"):
+            read((1, 0, 0))
+        with pytest.raises(InputError, match="^covector must be nonzero$"):
+            read((0, "0/3"))
+
+
+def test_convex_hull_rejects_bad_point_sets():
+    with pytest.raises(InputError, match="empty point set"):
+        convex_hull([])
+    with pytest.raises(InputError, match="mixed coordinate dimensions"):
+        convex_hull([(0, 0), (1, 0, 0)])
+    with pytest.raises(InputError, match=r"ambient dimension 4 out of range 1\.\.3"):
+        convex_hull([(0, 0, 0, 0)])
+
+
 def test_region_json_round_trip():
     r = make_region(2, [
         (box2(0, 1, 0, 1), CLOSED, 2),
