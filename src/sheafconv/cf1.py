@@ -122,11 +122,6 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
     return cf1_from_atoms(points, opens, den)
 
 
-def cf1_reflect(f: Cf1) -> Cf1:
-    rb = tuple(-b for b in reversed(f.breaks))
-    return Cf1(rb, tuple(reversed(f.point_values)), tuple(reversed(f.gap_values)))
-
-
 def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
     """Pointwise Euler characteristic of the stalks: a generator k_I[d]
     of multiplicity m adds c = (-1)^d m at each closed end of I and on

@@ -19,9 +19,8 @@ from .errors import InputError, InvariantViolation, NotInvertible
 from .oracle import validate_table
 from .rational import fmt_rat, fmt_ratio, ratio
 
-# JSON closure name (c.name.lower()) -> Closure, and Closure -> expression-language atom
+# JSON closure name (c.name.lower()) -> Closure
 _CLOSURES = {c.name.lower(): c for c in sheaf1.Closure}
-_ATOMS = {c: name for name, c in sheaf1.ATOM_CLOSURES.items()}
 
 
 def _ends(f: sheaf1.Sheaf1):
@@ -64,21 +63,6 @@ def sheaf_from_json(obj) -> sheaf1.Sheaf1:
                                   item["shift"], item["mult"])
         )
     return sheaf1.direct_sum(*parts)
-
-
-def sheaf_to_expr(f: sheaf1.Sheaf1) -> str:
-    """Render a canonical object back into the expression language."""
-    parts = []
-    for lo, hi, c, s, m in _ends(f):
-        core = f"dirac({lo})" if lo == hi else f"{_ATOMS[c]}({lo},{hi})"
-        if s:
-            core = f"shift({core},{s})"
-        parts.extend([core] * m)
-    if not parts:
-        return "zero"
-    if len(parts) == 1:
-        return parts[0]
-    return "sum(" + ",".join(parts) + ")"
 
 
 def sheaf_to_text(f: sheaf1.Sheaf1) -> str:

@@ -19,19 +19,18 @@ characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
 Manifolds, ch. IX): a closed end carries +1 on its outward conormal ray,
 an open end -1 on its inward one, and a point is closed at both ends.
 An invertible f has inverse D(a f), the dual of its antipodal object,
-whose transform is B(f) with every position negated (b_reflect); so
-B(f) * B(D(a f)) = 1 is necessary.  That product is never built: each
-family P times its reflection carries the sum of the squared
-multiplicities at position 0, and a sum of squares of nonzero integers
-is 1 only for a single ray of multiplicity +-1, the unit's shape.  The
-necessary check reads the families once and decides in closed form.
+and B(D(a f)) is B(f) with its positions negated, so B(f) * B(D(a f)) = 1
+is necessary.  That product is never built: each family P times its
+reflection carries the sum of the squared multiplicities at position 0,
+and a sum of squares of nonzero integers is 1 only for a single ray of
+multiplicity +-1, the unit's shape.  The necessary check reads the
+families once and decides in closed form.
 
 The ray families are read off the object's integer keys over its own
-denominator, merged by rational.signed_sum and kept sorted by position,
-so a negation reads a family backwards.  Products run on integer
-positions over one common denominator; the necessary check writes its
-detail straight from the integer positions.  Public transforms hold
-Fraction positions, each made once.
+denominator, merged by rational.signed_sum and kept sorted by position.
+Products run on integer positions over one common denominator; the
+necessary check writes its detail straight from the integer positions.
+Public transforms hold Fraction positions, each made once.
 """
 
 from __future__ import annotations
@@ -39,18 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf1 import Cf1, cf1_from_sheaf, cf1_reflect
-from .rational import fmt_rat, fmt_ratio, lattice_point, rat, signed_sum
-from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1, convolve, euler_c
+from .cf1 import Cf1, cf1_from_sheaf
+from .rational import fmt_rat, fmt_ratio, lattice_point, signed_sum
+from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1, euler_c
 
 PLUS = 1
 MINUS = -1
-
-
-def _negated(items: tuple[tuple[Fraction, int], ...]) -> tuple[tuple[Fraction, int], ...]:
-    """Ray multiplicities with every base point negated: a sorted family
-    read backwards."""
-    return tuple((-x, m) for x, m in reversed(items))
 
 
 @dataclass(frozen=True)
@@ -143,20 +136,8 @@ def cc(f: Sheaf1) -> CC1:
     return CC1(cf1_from_sheaf(f), *_ray_families(f))
 
 
-def cc_antipodal(c: CC1) -> CC1:
-    """Characteristic cycle of the antipodal object: positions negate and
-    the two ray families swap."""
-    return CC1(cf1_reflect(c.zero_weight), _negated(c.minus), _negated(c.plus))
-
-
 def b_transform(f: Sheaf1) -> BTransform:
     return BTransform(*_ray_families(f), euler_c(f))
-
-
-def b_one() -> BTransform:
-    """B of the unit skyscraper at the origin."""
-    z = rat(0)
-    return BTransform(((z, 1),), ((z, 1),), 1)
 
 
 def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
@@ -181,26 +162,6 @@ def bullet(a: BTransform, b: BTransform) -> BTransform:
         _ray_convolve(a.minus, b.minus),
         a.zero * b.zero,
     )
-
-
-def b_antipodal(b: BTransform) -> BTransform:
-    """B of the antipodal object: positions negate, ray families swap."""
-    return BTransform(_negated(b.minus), _negated(b.plus), b.zero)
-
-
-def b_reflect(b: BTransform) -> BTransform:
-    """Positions negated with ray families kept; equals B of the dual of
-    the antipodal object."""
-    return BTransform(_negated(b.plus), _negated(b.minus), b.zero)
-
-
-def b_dual(b: BTransform) -> BTransform:
-    """Transform of the Verdier dual: the covector antipodal.
-
-    Duality keeps the support in place, so ray families swap at fixed
-    base points and the zero entry is unchanged.
-    """
-    return BTransform(b.minus, b.plus, b.zero)
 
 
 def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
@@ -232,20 +193,3 @@ def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
     }
     return refined_ok, detail
 
-
-def ss_convolution_bound_check(f: Sheaf1, g: Sheaf1) -> tuple[bool, tuple | None]:
-    """Microlocal bound for convolution.
-
-    Every ray (x0, sigma) of ss(f * g) must split as x0 = x1 + x2 with
-    (x1, sigma) in ss(f) and (x2, sigma) in ss(g).  Returns the first
-    unsplittable ray as a counterexample, or None.
-    """
-    h = convolve(f, g)
-    rays_f = set(ss(f).rays)
-    rays_g = set(ss(g).rays)
-    for x0, sigma in ss(h).rays:
-        if not any(
-            (x0 - x1, sigma) in rays_g for x1, s1 in rays_f if s1 == sigma
-        ):
-            return False, (x0, sigma)
-    return True, None

@@ -12,11 +12,12 @@ no shared code path to sheaf1.convolve, which is the point.
 The oracles run on integers: a generator is read as a key (lo, hi,
 closure, shift, mult) with its ends over a common scale, as a Sheaf1
 keeps its own, and a probe or slab end as an integer over the same
-scale.  The public oracles take Fractions and scale their arguments over
-the lcm of their denominators.  validate_table puts each trial on one
-scale, 132 times the lcm of the ends' denominators and the result's, on
-which every probe it draws is an integer, and builds a Fraction only for
-the probe of a discrepancy.
+scale.  The one public oracle, conv_stalk_oracle, which the benchmark
+calls, takes Fractions and scales its arguments over the lcm of their
+denominators.  validate_table puts each trial on one scale, 132 times
+the lcm of the ends' denominators and the result's, on which every
+probe it draws is an integer, and builds a Fraction only for the probe
+of a discrepancy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import InputError
 from .randgen import rand_generator
 from .sheaf1 import Closure, Generator, Sheaf1, convolve_generators, stalk
 
-Slab = tuple[Fraction, Fraction]
 # a generator on integers: (lo, hi, closure, shift, mult), ends over a scale
 Key = tuple[int, int, Closure, int, int]
 
@@ -191,22 +191,6 @@ def _sections(g: Key, h: Key, u: int, v: int) -> dict[int, int]:
     return {deg - gs - hs: n * gm * hm for deg, n in dims.items()}
 
 
-def conv_sections_oracle(g: Generator, h: Generator, slab: Slab) -> dict[int, int]:
-    """Sections of the convolution of two generators over the open slab image.
-
-    Computes RGamma of the open strip {u < x + y < v} with coefficients
-    in the exterior product, which equals sections of the convolution
-    over ]u, v[.  Let W be the (partly open) box clipped to the strip and
-    B the part of its closed boundary missing from W.  Then h0 = 1 iff
-    W is nonempty with B empty, h1 = #components(B) - 1, and h2 = 1 iff
-    B is the entire boundary circle of a two-dimensional box interior
-    to the strip.
-    """
-    u, v = Fraction(slab[0]), Fraction(slab[1])
-    scale = lcm(*_dens(g), *_dens(h), u.denominator, v.denominator)
-    return _sections(_key(g, scale), _key(h, scale), _at(u, scale), _at(v, scale))
-
-
 def _slab_sections(keys: list[Key], u: int, v: int) -> dict[int, int]:
     out: dict[int, int] = {}
     if not u < v:
@@ -222,19 +206,6 @@ def _slab_sections(keys: list[Key], u: int, v: int) -> dict[int, int]:
         deg = (0 if removed == 0 else 1) - shift
         out[deg] = out.get(deg, 0) + mult
     return {d: n for d, n in out.items() if n}
-
-
-def sheaf_slab_sections(f: Sheaf1, u, v) -> dict[int, int]:
-    """Sections of a one-dimensional object over the open interval ]u, v[.
-
-    Per generator: restrict the interval to ]u, v[ and count endpoints
-    that are open in the restriction yet lie strictly inside.  Zero such
-    endpoints give k in the generator degree, two give k one degree up,
-    one gives nothing.
-    """
-    u, v = Fraction(u), Fraction(v)
-    scale = lcm(f.den, u.denominator, v.denominator)
-    return _slab_sections(_keys(f, scale), _at(u, scale), _at(v, scale))
 
 
 # ---------------------------------------------------------------------------

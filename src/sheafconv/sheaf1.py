@@ -96,10 +96,6 @@ class Interval:
         if self.lo == self.hi and self.closure is not Closure.CC:
             raise InputError("a degenerate interval must be closed")
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, t: Fraction) -> bool:
         if t < self.lo or t > self.hi:
             return False
@@ -201,7 +197,7 @@ def _scaled(f: Sheaf1, den: int):
     return [(lo * k, hi * k, c, s, m) for lo, hi, c, s, m in f.keys]
 
 
-def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
+def normalize(gens: Iterable[Generator]) -> Sheaf1:
     """Merge generators that agree on (interval, shift); drop nothing else.
 
     Idempotent; every public operation returns normalized objects.  The
@@ -209,8 +205,6 @@ def normalize(gens: Iterable[Generator] | Sheaf1) -> Sheaf1:
     (lo, hi, closure, shift) merged and sorted as ints; den > 0 keeps the
     order, so it is the order of the Fraction ends.
     """
-    if isinstance(gens, Sheaf1):
-        return gens
     den, items = _items(list(gens))
     return _normal(den, [(k[:4], k[4]) for k in items])
 

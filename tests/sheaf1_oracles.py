@@ -6,12 +6,16 @@ were first written: the closure-pair table adds Fraction ends, and the
 normal form is a dict by (interval, shift) sorted by the Fraction ends.
 Each returns the canonical generator tuple (a stalk its graded
 dimensions), so a test compares it with the library's Generator views.
+sheaf_to_expr writes an object back in the expression language, so a
+test can read it again and compare.
 """
 
 import random
 from fractions import Fraction
 
-from sheafconv.sheaf1 import Closure, Generator, Interval, Sheaf1, global_sections_c, normalize
+from sheafconv import cli
+from sheafconv.sheaf1 import (ATOM_CLOSURES, Closure, Generator, Interval, Sheaf1,
+                              global_sections_c, normalize)
 from sheafconv.randgen import rand_generator, rand_rat
 
 
@@ -96,7 +100,7 @@ def fraction_dual(f: Sheaf1) -> tuple:
     out = []
     for g in f.gens:
         iv = g.interval
-        if iv.is_point:
+        if iv.lo == iv.hi:
             out.append(Generator(iv, -g.shift, g.mult))
         else:
             out.append(Generator(Interval(iv.lo, iv.hi, FLIPPED[iv.closure]), 1 - g.shift, g.mult))
@@ -138,6 +142,28 @@ def graded_tensor(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for j, q in b.items():
             out[i + j] = out.get(i + j, 0) + p * q
     return {k: v for k, v in sorted(out.items()) if v}
+
+
+# ---------------------------------------------------------------------------
+# the expression language
+
+# Closure -> expression-language atom
+_ATOMS = {c: name for name, c in ATOM_CLOSURES.items()}
+
+
+def sheaf_to_expr(f: Sheaf1) -> str:
+    """Render a canonical object back into the expression language."""
+    parts = []
+    for lo, hi, c, s, m in cli._ends(f):
+        core = f"dirac({lo})" if lo == hi else f"{_ATOMS[c]}({lo},{hi})"
+        if s:
+            core = f"shift({core},{s})"
+        parts.extend([core] * m)
+    if not parts:
+        return "zero"
+    if len(parts) == 1:
+        return parts[0]
+    return "sum(" + ",".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

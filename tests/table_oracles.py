@@ -83,7 +83,7 @@ def conv_stalk_oracle(g: Generator, h: Generator, t) -> dict[int, int]:
 
 
 def _factor_faces(iv) -> list[tuple[str, object, bool]]:
-    if iv.is_point:
+    if iv.lo == iv.hi:
         return [("end", iv.lo, False)]
     return [
         ("end", iv.lo, not iv.closure.left_closed),

@@ -24,14 +24,7 @@ from sheafconv.cfun import (
     pushforward_linear,
 )
 from sheafconv.dsl import eval_text
-from sheafconv.microlocal import (
-    b_dual,
-    b_necessary_check,
-    b_one,
-    b_transform,
-    bullet,
-    ss_convolution_bound_check,
-)
+from sheafconv.microlocal import b_necessary_check, b_transform, bullet
 from sheafconv.polytope import convex_hull, minkowski_sum
 from sheafconv.randgen import rand_rat
 from sheafconv.region import CLOSED, evaluate_region, is_convex_region, make_region
@@ -51,9 +44,10 @@ from sheafconv.sheaf1 import (
     zero,
 )
 
+from microlocal_oracles import b_dual, b_one, ss_convolution_bound_check
 from region_oracles import rand_box, rand_polytope, rand_union_region
 from shadow_oracles import sliced_pushforward
-from sheaf1_oracles import rand_invertible, rand_sheaf
+from sheaf1_oracles import rand_invertible, rand_sheaf, sheaf_to_expr
 
 F = Fraction
 
@@ -414,7 +408,7 @@ def test_A12_cli_contract(capsys, monkeypatch):
     for text in CORPUS:
         f = eval_text(text)
         wire = json.dumps(cli.sheaf_to_json(f), separators=(",", ":"))
-        if eval_text(cli.sheaf_to_expr(f)) != f:
+        if eval_text(sheaf_to_expr(f)) != f:
             bad += 1
         if cli.sheaf_from_json(json.loads(wire)) != f:
             bad += 1

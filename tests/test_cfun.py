@@ -25,7 +25,7 @@ from sheafconv.cfun import (
     invertibility_check_cf,
     pushforward_linear,
 )
-from sheafconv.errors import InputError
+from sheafconv.errors import InputError, InvariantViolation
 from sheafconv.linalg import cross3, primitive, vadd, vdot, vsub
 from sheafconv.polytope import Polytope, convex_hull, minkowski_sum
 from sheafconv.randgen import rand_rat
@@ -37,6 +37,7 @@ from region_oracles import core_boxes, rand_box, rand_point, rand_polytope, rand
 from shadow_oracles import (brute_cf1_convolve, build_cf1, integer_atoms, sliced_pushforward,
                             stalk_shadow)
 from sheaf1_oracles import rand_sheaf
+from test_acceptance import region_corpus
 
 F = Fraction
 
@@ -216,6 +217,12 @@ def test_shadow_patterns():
     assert not invertible_shadow(two_bumps)
     tall = build_cf1([F(0), F(1)], lambda t: 2 if F(0) <= t <= F(1) else 0)
     assert not invertible_shadow(tall)
+    # outside its breakpoints a shadow reads 0; its fields are checked
+    assert two_bumps(F(-1)) == two_bumps(F(4)) == 0
+    with pytest.raises(InvariantViolation, match="^Cf1 field lengths are inconsistent$"):
+        Cf1((F(0), F(1)), (1, 1), ())
+    with pytest.raises(InvariantViolation, match="^Cf1 breakpoints must be strictly increasing$"):
+        Cf1((F(1), F(0)), (1, 1), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +574,29 @@ def test_invertibility_check_L():
     assert not res["invertible"]
     assert res["slice_chi"] >= 2 and res["direction"] is not None
     assert evaluate_region(L_shape(), res["witness"]["outside"]) == 0
+
+
+def test_certificate_in_2d_takes_its_first_candidate():
+    # the line through the witness points x and y meets the union in a
+    # compact set in which x and y lie in different components, since
+    # the witness's outside point lies between them; so the slice through
+    # x perpendicular to y - x has chi >= 2, and the fallback over the
+    # default directions runs only in 3D
+    rng = random.Random(31)
+    regions = [r for _, r, convex in region_corpus() if r.dim == 2 and not convex]
+    regions += [rand_union_region(rng, 2, max_terms=4) for _ in range(600)]
+    certified = 0
+    for r in regions:
+        res = invertibility_check_cf(r)
+        if res["invertible"]:
+            continue
+        x, y = res["witness"]["x"], res["witness"]["y"]
+        d = vsub(y, x)
+        assert res["direction"] == primitive((-d[1], d[0])), r
+        assert res["slice_at"] == vdot(res["direction"], x), r
+        assert res["slice_chi"] >= 2, r
+        certified += 1
+    assert certified > 400
 
 
 def test_invertibility_check_one_dimensional_gap():

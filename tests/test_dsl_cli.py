@@ -23,7 +23,7 @@ import pytest
 
 import sheafconv
 from sheafconv import cfun, cli, microlocal, region, sheaf1
-from sheafconv.cli import sheaf_from_json, sheaf_to_expr, sheaf_to_json, sheaf_to_text
+from sheafconv.cli import sheaf_from_json, sheaf_to_json, sheaf_to_text
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
 from sheafconv.oracle import MAX_TRIALS
@@ -31,6 +31,7 @@ from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
 from disjoint_terms import disjoint_terms
+from sheaf1_oracles import sheaf_to_expr
 from test_integer_paths import large_check_expr
 
 F = Fraction
@@ -589,10 +590,14 @@ def _coordinate_doc(c):
     _region_doc(vertices=[[0, 0], [1], [0, 1]]),
     _region_doc(dimension=0, vertices=[[]]),
     _region_doc(dimension=4, vertices=[[0, 0, 0, 0], [1, 0, 0, 0]]),
+    b"[]",
+    b'{"dimension": "2", "terms": []}',
+    b'{"dimension": 2, "terms": {}}',
 ], ids=["not-utf8", "deep-nesting", "mode-list", "mode-object", "vertex-not-list",
         "integer-past-digit-limit", "float", "bool", "zero-denominator", "plus-sign",
         "leading-space", "denominator-leading-zero", "non-ascii-digit", "1001-digit-literal",
-        "1001-digit-denominator", "ragged-vertex", "dimension-0", "dimension-4"])
+        "1001-digit-denominator", "ragged-vertex", "dimension-0", "dimension-4",
+        "not-an-object", "dimension-string", "terms-object"])
 def test_cli_malformed_region_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

@@ -663,6 +663,10 @@ def test_region_validation():
         Term(box2(0, 1, 0, 1), "half-open", 1)
     with pytest.raises(InputError):
         Term(box2(0, 1, 0, 1), CLOSED, 0)
+    with pytest.raises(InputError, match="^term weight must be an integer$"):
+        Term(box2(0, 1, 0, 1), CLOSED, 1.5)
+    with pytest.raises(InputError, match=r"^ambient dimension 4 out of range 1\.\.3$"):
+        Region(4, ())
 
 
 def test_region_checks_the_canonical_term_order():
@@ -751,6 +755,11 @@ def test_convex_hull_rejects_bad_point_sets():
         convex_hull([(0, 0), (1, 0, 0)])
     with pytest.raises(InputError, match=r"ambient dimension 4 out of range 1\.\.3"):
         convex_hull([(0, 0, 0, 0)])
+    square, cube = convex_hull(product((0, 1), repeat=2)), convex_hull(product((0, 1), repeat=3))
+    with pytest.raises(InputError, match="^Minkowski sum needs a common ambient dimension$"):
+        minkowski_sum(square, cube)
+    with pytest.raises(InputError, match="^intersection needs a common ambient dimension$"):
+        intersect_polytopes(square, cube)
 
 
 def test_region_json_round_trip():

@@ -23,18 +23,8 @@ from hypothesis import example, given, settings
 from sheafconv import cli
 from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf
 from sheafconv.dsl import eval_text
-from sheafconv.microlocal import (
-    BTransform,
-    _ray_families,
-    b_antipodal,
-    b_necessary_check,
-    b_one,
-    b_reflect,
-    b_transform,
-    bullet,
-    cc,
-    cc_antipodal,
-)
+from sheafconv.microlocal import (BTransform, _ray_families, b_necessary_check, b_transform,
+                                  bullet, cc)
 from sheafconv.sheaf1 import (
     Closure,
     Generator,
@@ -52,7 +42,8 @@ from sheafconv.sheaf1 import (
     translate,
 )
 
-from microlocal_oracles import ray_square, table_cc_families
+from microlocal_oracles import (b_antipodal, b_one, b_reflect, cc_antipodal, ray_square,
+                                table_cc_families)
 from shadow_oracles import (brute_cf1_convolve, build_cf1, fraction_sweep, integer_atoms,
                             stalk_shadow)
 from sheaf1_oracles import (

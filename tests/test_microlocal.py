@@ -11,20 +11,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from sheafconv.microlocal import (
-    BTransform,
-    b_antipodal,
-    b_dual,
-    b_necessary_check,
-    b_one,
-    b_reflect,
-    b_transform,
-    bullet,
-    cc,
-    cc_antipodal,
-    ss,
-    ss_convolution_bound_check,
-)
+from sheafconv.microlocal import BTransform, b_necessary_check, b_transform, bullet, cc, ss
 from sheafconv.sheaf1 import (
     Closure,
     Generator,
@@ -45,7 +32,17 @@ from sheafconv.sheaf1 import (
     shift,
 )
 
-from microlocal_oracles import fraction_ray_convolve, table_cc_families, table_ss_rays
+from microlocal_oracles import (
+    b_antipodal,
+    b_dual,
+    b_one,
+    b_reflect,
+    cc_antipodal,
+    fraction_ray_convolve,
+    ss_convolution_bound_check,
+    table_cc_families,
+    table_ss_rays,
+)
 from test_sheaf1 import invertibles, rats, sheaves, small_sheaves
 
 

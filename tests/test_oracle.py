@@ -12,6 +12,7 @@ Fractions between the draws and the report.
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,13 @@ import hypothesis.strategies as st
 from sheafconv import cli, oracle
 from sheafconv.errors import InputError
 from sheafconv.oracle import (
-    conv_sections_oracle,
+    _at,
+    _dens,
+    _key,
+    _keys,
+    _sections,
+    _slab_sections,
     conv_stalk_oracle,
-    sheaf_slab_sections,
     validate_table,
 )
 from sheafconv.randgen import rand_generator
@@ -49,6 +54,22 @@ import table_oracles
 def gen(f: Sheaf1) -> Generator:
     assert len(f.gens) == 1
     return f.gens[0]
+
+
+def conv_sections_oracle(g: Generator, h: Generator, slab) -> dict[int, int]:
+    """The library's integer sections oracle on a Fraction slab, scaled
+    over the lcm of the denominators."""
+    u, v = Fraction(slab[0]), Fraction(slab[1])
+    scale = lcm(*_dens(g), *_dens(h), u.denominator, v.denominator)
+    return _sections(_key(g, scale), _key(h, scale), _at(u, scale), _at(v, scale))
+
+
+def sheaf_slab_sections(f: Sheaf1, u, v) -> dict[int, int]:
+    """The library's integer slab sections of f over ]u, v[, u and v
+    Fractions."""
+    u, v = Fraction(u), Fraction(v)
+    scale = lcm(f.den, u.denominator, v.denominator)
+    return _slab_sections(_keys(f, scale), _at(u, scale), _at(v, scale))
 
 
 # ---------------------------------------------------------------------------

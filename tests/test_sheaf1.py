@@ -89,6 +89,8 @@ def test_interval_validation():
         Interval(Fraction(0), Fraction(0), Closure.OO)  # empty
     with pytest.raises(InputError):
         kc(0, 1, mult=0)
+    with pytest.raises(InputError, match=r"^shift must be an integer, got 1\.5$"):
+        kc(0, 1, shift=1.5)
 
 
 def test_normalize_merges_and_sorts():

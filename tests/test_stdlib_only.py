@@ -1,9 +1,11 @@
 """The runtime stays stdlib-only: every absolute import in the package
 names a module of the standard library.  The integer lattice form
-imports no Fractions, and every module reads every name it imports."""
+imports no Fractions, every module reads every name it imports, and
+every public function has a caller in the package or the benchmark."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import sheafconv
@@ -52,3 +54,23 @@ def test_every_imported_name_is_used():
                     if name != "annotations" and name not in read:
                         unused.append((f.name, name))
     assert unused == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that neither the package nor the benchmark names
+    # outside its own definition serves only the tests, and belongs with
+    # them; names dispatched by string (getattr) still appear as words
+    sources = {f: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))}
+    bench = [f.read_text(encoding="utf-8")
+             for f in sorted((PACKAGE.parents[1] / "bench").glob("*.py"))]
+    uncalled = []
+    for f, text in sources.items():
+        lines = text.splitlines()
+        elsewhere = "\n".join(bench + [t for g, t in sources.items() if g != f])
+        for node in ast.parse(text, str(f)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+                word = re.compile(rf"\b{node.name}\b")
+                if not (word.search(rest) or word.search(elsewhere)):
+                    uncalled.append((f.name, node.name))
+    assert uncalled == []
