@@ -5,8 +5,8 @@ term is a signed sum of closed faces, and for closed compact convex A, B
 the Euler integral of 1_A(x) 1_B(t-x) over x is 1 exactly when t lies in
 the Minkowski sum A + B.  So f * g is a signed pile of Minkowski-sum
 indicators, a Region of closed terms, cached once per unordered pair
-since f * g = g * f and returned as it is; a value counts the sums that
-hold the probe, on integers over the product's den.
+since f * g = g * f, found by one key comparison; a value is 0 outside
+the product's box, else the sums that hold the probe, over its den.
 
 Pushforward to the line is in closed form, with no slicing: Euler
 integration along the fibres of x -> <xi, x> sends a closed term of
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import gcd
 
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
@@ -43,6 +42,7 @@ from .region import (
     indicator_polys,
     is_convex_region,
     make_region,
+    value_scaled,
 )
 from .rational import signed_sum
 
@@ -69,9 +69,8 @@ def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> Constructi
 
 
 def _product(fr: Region, gr: Region) -> Region:
-    # f * g = g * f: one cache entry per unordered pair, ordered by the
-    # regions' hashes, which each takes once when it is built
-    return _conv_terms(fr, gr) if hash(fr) <= hash(gr) else _conv_terms(gr, fr)
+    # f * g = g * f: one cache entry per unordered pair, ordered by the stored hashes
+    return _conv_terms(fr, gr) if fr._hash <= gr._hash else _conv_terms(gr, fr)
 
 
 @lru_cache(maxsize=256)
@@ -98,10 +97,7 @@ def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> Constr
 
 def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> int:
     P, S = _probe(t, f.n, 1)  # the point is read and checked before any term is built
-    h = _product(f.region, g.region)
-    k = h.den // gcd(S, h.den)  # P/S onto the lcm of S and the product's den
-    P = [c * k for c in P]
-    return sum(u.weight for u in h.terms if u.poly.contains_scaled(P, S * k))
+    return value_scaled(_product(f.region, g.region), P, S)
 
 
 def cf_inverse_convex(p: Polytope) -> ConstructibleFunction:
@@ -125,7 +121,7 @@ def pushforward_linear(f: ConstructibleFunction, xi) -> Cf1:
     on [lo, hi]; a relint term of affine dimension d gives w (-1)^(d-1)
     on ]lo, hi[, or w (-1)^d at the point when lo = hi.
     """
-    ext, D = extents(f.region, xi)
+    ext, D, _ = extents(f.region, xi)
     points: dict = {}
     opens = []
     for term, (lo, hi) in zip(f.region.terms, ext):

@@ -293,9 +293,9 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
-    coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
-    a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
-    return _clip(p, [(a, b), (vneg(a), -b)], 1)
+    a, L = lattice_point(tuple(rat(c) for c in xi))
+    b, q = ratio(t)  # the hyperplane is <a, x> = b L / q, two halfspaces
+    return _clip(p, [(a, b * L), (vneg(a), -b * L)], q)
 
 
 def _clip(p: Polytope, cuts, M: int) -> Optional[Polytope]:

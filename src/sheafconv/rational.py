@@ -79,6 +79,8 @@ def ratio(value) -> tuple[int, int]:
     """(p, q) in lowest terms with q > 0 for an int, a Fraction, a "p/q"
     string, or an integer pair (p, q) with q > 0, which the DSL's
     literals are."""
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     if type(value) is int:
         return value, 1
     if isinstance(value, str):

@@ -4,10 +4,10 @@ a JSON int or a literal, is read to an integer pair, and each term is
 hulled on the integers over the lcm of its denominators.  Terms merge by
 rational.signed_sum and sort by (polytope, mode), a polytope ordering
 itself by its vertices (Polytope.__lt__); no term is rescaled to sort.
-A region carries den, the lcm of its terms' denominators, taken once
-when it is built.  A point value reads the probe to integers over den
-once, and tests each term's box first, with no Fraction.  extents is the
-one reading of a covector, for the pushforward and for slicing.
+A region carries den, the lcm of its terms' denominators, and its
+identity, an integer key compared in C.  A point value reads the probe
+to integers over den and tests the region's box, then each term's, with
+no Fraction.  extents reads a covector once, for pushforward and slicing.
 
 The union of an indicator region's terms has one normal form, its honest
 indicator written by inclusion-exclusion over the terms' intersections,
@@ -24,24 +24,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations
 from math import gcd, lcm
 
 from .errors import InputError, InvariantViolation
-from .linalg import vdot, vsub
+from .linalg import vdot, vneg, vsub
 from .polytope import (
     Polytope,
+    _clip,
     _probe,
     convex_hull,
     intersect_polytopes,
     lattice_point,
     open_indicator_expansion,
     scaled_volume,
-    slice_polytope,
     union_hull,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat, signed_sum
+from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat, ratio, signed_sum
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -82,12 +82,26 @@ class Region:
         keys = [(t.poly, t.mode) for t in self.terms]
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise InvariantViolation("region terms not in canonical form")
-        object.__setattr__(self, "_hash", hash((self.dim, self.terms)))
+        # its identity: the integer forms by reference, compared in C
+        object.__setattr__(self, "key", (self.dim, tuple(
+            (t.poly.den, t.poly.ints, t.mode, t.weight) for t in self.terms)))
+        object.__setattr__(self, "_hash", hash((self.dim, tuple(
+            (t.poly._hash, t.mode, t.weight) for t in self.terms))))
         # the region's one scale, the lcm of its terms' denominators
         object.__setattr__(self, "den", lcm(*(p.den for p, _ in keys)))
 
+    def __eq__(self, other):
+        return isinstance(other, Region) and self.key == other.key
+
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The least and the greatest of the terms' box corners per
+        coordinate, over den: built on the first probe, empty with no terms."""
+        cs = [[c * (self.den // t.poly.den) for c in v] for t in self.terms for v in t.poly.box]
+        return tuple(map(min, zip(*cs))), tuple(map(max, zip(*cs)))
 
 
 def make_region(dim: int, items) -> Region:
@@ -167,7 +181,20 @@ def region_from_json(data) -> Region:
 
 
 def evaluate_region(r: Region, x) -> int:
-    P, S = _probe(x, r.dim, r.den)
+    return value_scaled(r, *_probe(x, r.dim, r.den))
+
+
+def value_scaled(r: Region, P, S: int) -> int:
+    """r at P/S, P integer and S > 0, put onto the lcm of S and den: 0
+    outside the region's box, else the weights of the terms holding it."""
+    k = r.den // gcd(S, r.den)
+    if k > 1:
+        P, S = [c * k for c in P], S * k
+    m = S // r.den
+    lo, hi = r.box
+    for a, x, b in zip(lo, P, hi):
+        if not a * m <= x <= b * m:
+            return 0
     return sum(t.weight for t in r.terms if t.poly.contains_scaled(P, S, t.mode == RELINT))
 
 
@@ -188,11 +215,11 @@ def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
     return [(p, acc[p]) for p in sorted(acc)]
 
 
-def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int]:
+def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int, tuple[int, ...]]:
     """Per term, the least and the greatest <xi, x> on it, as integers
-    over D = r.den * L, L the lcm of the covector's denominators; and D.
-    The covector is read and checked here, once for each caller, and
-    only the two extremes are scaled onto r.den, not the vertices."""
+    over D = r.den * L, L the lcm of the covector's denominators; D; and
+    a = L xi.  The covector is read and checked here, once for each
+    caller, and only the two extremes are scaled onto r.den."""
     xi = tuple(rat(c) for c in xi)
     if len(xi) != r.dim:
         raise InputError("covector dimension mismatch")
@@ -204,7 +231,7 @@ def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int]:
         vals = [vdot(a, V) for V in t.poly.ints]
         s = r.den // t.poly.den
         out.append((min(vals) * s, max(vals) * s))
-    return out, r.den * L
+    return out, r.den * L, a
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +241,12 @@ def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int]:
 def slice_region(r: Region, xi, t) -> Region:
     """Intersection with the hyperplane <xi, x> = t, written in the chart
     that drops the first coordinate where xi is nonzero."""
-    ext, D = extents(r, xi)
+    ext, D, a = extents(r, xi)
     if r.dim == 1:
         raise InputError("slicing needs ambient dimension at least 2")
-    t = rat(t)
-    T = t * D  # t on the extents' scale
-    drop = next(i for i, c in enumerate(xi) if rat(c))
+    b, q = ratio(t)
+    C, T = b * (D // r.den), b * D  # the hyperplane <a, x> = C/q; q t on the extents' scale
+    drop = next(i for i, c in enumerate(a) if c)
     keep = [i for i in range(r.dim) if i != drop]
 
     def project(poly: Polytope) -> Polytope:
@@ -228,8 +255,8 @@ def slice_region(r: Region, xi, t) -> Region:
     items = []
     for term, (lo, hi) in zip(r.terms, ext):
         # relint meets the hyperplane iff it crosses or lies inside it
-        if term.mode == CLOSED or lo == hi == T or lo < T < hi:
-            sliced = slice_polytope(term.poly, xi, t)
+        if term.mode == CLOSED or lo * q == hi * q == T or lo * q < T < hi * q:
+            sliced = _clip(term.poly, [(a, C), (vneg(a), -C)], q)
             if sliced is not None:
                 items.append((project(sliced), term.mode, term.weight))
     return make_region(r.dim - 1, items)

@@ -39,6 +39,12 @@ reject, and both slack tables of an intersection built in full before
 any row is read, every edge crossing of every constraint kept when it
 holds them all, and the survivors hulled again.
 
+`parent_slice_polytope` and `parent_slice_region` are the slicing path
+that slice_region's one reading of the covector replaced, copied as it
+was: each term's slice read the covector again, with t, to one integer
+hyperplane <a, x> = b, and the chart's dropped coordinate was read a
+third time.
+
 `list_indicator_normal_form` is the inclusion-exclusion that kept every
 subset's intersection as its own live term, 2^k - 1 of them for k terms
 around a common core, before the library merged equal intersections as
@@ -57,9 +63,10 @@ from math import factorial, lcm
 from sheafconv.cfun import _product
 from sheafconv.errors import InputError
 from sheafconv.lattice import ring2, ring_on
-from sheafconv.linalg import cross3, vadd, vdot, vsub
+from sheafconv.linalg import cross3, vadd, vdot, vneg, vsub
 from sheafconv.polytope import (
     Polytope,
+    _clip,
     _hull,
     convex_hull,
     intersect_polytopes,
@@ -69,8 +76,8 @@ from sheafconv.polytope import (
 )
 from sheafconv.randgen import rand_rat
 from sheafconv.rational import lattice_point, over_gcd, rat
-from sheafconv.region import (CLOSED, RELINT, Region, Term, _segment_exit, indicator_polys,
-                              make_region)
+from sheafconv.region import (CLOSED, RELINT, Region, Term, _segment_exit, extents,
+                              indicator_polys, make_region)
 
 
 def fraction_make_region(dim: int, items) -> Region:
@@ -227,6 +234,37 @@ def parent_evaluate_region(r: Region, x) -> int:
     return sum(
         t.weight for t in r.terms if parent_contains_scaled(t.poly, P, L, t.mode == RELINT)
     )
+
+
+def parent_slice_polytope(p: Polytope, xi, t):
+    """Closed intersection with the hyperplane <xi, x> = t, or None."""
+    coef = lattice_point(tuple(rat(c) for c in xi) + (rat(t),))[0]
+    a, b = coef[:-1], coef[-1]  # the hyperplane is <a, x> = b in integers
+    return _clip(p, [(a, b), (vneg(a), -b)], 1)
+
+
+def parent_slice_region(r: Region, xi, t) -> Region:
+    """Intersection with the hyperplane <xi, x> = t, written in the chart
+    that drops the first coordinate where xi is nonzero."""
+    ext, D, _ = extents(r, xi)
+    if r.dim == 1:
+        raise InputError("slicing needs ambient dimension at least 2")
+    t = rat(t)
+    T = t * D  # t on the extents' scale
+    drop = next(i for i, c in enumerate(xi) if rat(c))
+    keep = [i for i in range(r.dim) if i != drop]
+
+    def project(poly: Polytope) -> Polytope:
+        return Polytope.from_ints(poly.den, [tuple(V[i] for i in keep) for V in poly.ints])
+
+    items = []
+    for term, (lo, hi) in zip(r.terms, ext):
+        # relint meets the hyperplane iff it crosses or lies inside it
+        if term.mode == CLOSED or lo == hi == T or lo < T < hi:
+            sliced = parent_slice_polytope(term.poly, xi, t)
+            if sliced is not None:
+                items.append((project(sliced), term.mode, term.weight))
+    return make_region(r.dim - 1, items)
 
 
 def parent_intersect_polytopes(p: Polytope, q: Polytope):

@@ -33,7 +33,8 @@ from sheafconv.region import (CLOSED, RELINT, euler_char_c, evaluate_region, is_
                               make_region, slice_region)
 from sheafconv.sheaf1 import convolve, kc, kco, ko
 
-from region_oracles import core_boxes, rand_box, rand_point, rand_polytope, rand_union_region
+from region_oracles import (core_boxes, parent_slice_region, rand_box, rand_point, rand_polytope,
+                            rand_union_region)
 from shadow_oracles import (brute_cf1_convolve, build_cf1, integer_atoms, sliced_pushforward,
                             stalk_shadow)
 from sheaf1_oracles import rand_sheaf
@@ -535,16 +536,19 @@ def test_certificate_slice_chi_is_the_sliced_euler_characteristic():
             res = invertibility_check_cf(r)
             assert not res["invertible"]
             if res["direction"] is not None:
-                sliced = slice_region(indicator_normal_form(r), res["direction"], res["slice_at"])
+                nf = indicator_normal_form(r)
+                sliced = slice_region(nf, res["direction"], res["slice_at"])
                 assert res["slice_chi"] == euler_char_c(sliced) >= 2, r
+                assert sliced == parent_slice_region(nf, res["direction"], res["slice_at"])
                 found += 1
     assert found >= 20
 
 
 def test_invertibility_check_never_slices(monkeypatch):
     calls = []
-    for name in ("slice_region", "slice_polytope", "euler_char_c"):
-        real = getattr(region, name)
+    for home, name in ((region, "slice_region"), (polytope, "slice_polytope"),
+                       (region, "euler_char_c")):
+        real = getattr(home, name)
 
         def counting(*args, real=real, name=name):
             calls.append(name)

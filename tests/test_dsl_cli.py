@@ -31,6 +31,7 @@ from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
 from disjoint_terms import disjoint_terms
+from region_oracles import parent_euler_convolve_at, parent_slice_region
 from sheaf1_oracles import sheaf_to_expr
 from test_integer_paths import large_check_expr
 
@@ -478,6 +479,41 @@ def test_cli_region_check_and_conv(tmp_path, capsys):
     assert out_json(capsys)["value"] == 0
 
 
+def test_cli_region_conv_at_around_the_support(tmp_path, capsys):
+    # a probe strictly outside the product's box is 0 before any term is
+    # tested; on and inside the box the terms decide.  Box corners, face
+    # midpoints and one 1/den step outside each, an inside point and a
+    # coordinate over 7 all give the value of the path without the box test
+    poly = {"vertices": [[0, 0], ["3/2", 0], [2, "4/3"], [1, 2], ["1/2", 2]], "mode": "closed",
+            "weight": 1}
+    tri = {"vertices": [[0, 0], [1, 0], [0, "1/2"]], "mode": "relint", "weight": 2}
+    seg = {"vertices": [[-1, 1], ["1/3", 1]], "mode": "closed", "weight": -1}
+    docs = {"p": {"dimension": 2, "terms": [poly]}, "q": {"dimension": 2, "terms": [tri, seg]}}
+    p, q = (write(tmp_path, f"{k}.json", v) for k, v in docs.items())
+    f, g = (cfun.ConstructibleFunction(region.region_from_json(v)) for v in docs.values())
+    h = cfun.euler_convolve(f, g).region
+    (lo, hi), den = h.box, h.den
+    mid = [F(a + b, 2 * den) for a, b in zip(lo, hi)]
+    points = [tuple(F(c, den) for c in v) for v in product(*zip(lo, hi))]
+    points += [tuple(F(side[i] + step, den) if j == i else c for j, c in enumerate(mid))
+               for i in range(2) for side, off in ((lo, -1), (hi, 1)) for step in (0, off)]
+    points += [tuple(mid), (F(1, 7), F(-3, 7))]
+    values = []
+    for x in points:
+        assert cli.main(["region", "conv", p, q, "--at=" + ",".join(map(str, x))]) == 0
+        values.append(out_json(capsys)["value"])
+        assert values[-1] == parent_euler_convolve_at(f, g, x), x
+    assert values[5:12:2] == [0] * 4 and any(values[:-2])
+    # no terms, or two that cancel: 0 everywhere, as before the box test
+    empty = write(tmp_path, "empty.json", {"dimension": 2, "terms": []})
+    cancel = write(tmp_path, "cancel.json",
+                   {"dimension": 2, "terms": [poly, dict(poly, weight=-1)]})
+    for a, b in ((empty, q), (q, empty), (empty, empty), (cancel, q)):
+        for x in ("0,0", "1/2,1/3", "-100,7/5"):
+            assert cli.main(["region", "conv", a, b, "--at=" + x]) == 0
+            assert out_json(capsys)["value"] == 0
+
+
 def test_cli_convex_region_check_makes_no_fraction(tmp_path, capsys, monkeypatch):
     # two overlapping boxes: the hull and the inverse are written from
     # their integer vertices, never through Fraction views
@@ -798,7 +834,9 @@ def test_cli_hollow_cube_has_a_witness_and_no_separating_slice(tmp_path, capsys)
     body = out_json(capsys)
     assert (body["direction"], body["slice_at"], body["slice_chi"]) == ([0, 1, -1], "-1", 2)
     nf = region.indicator_normal_form(region.region_from_json(doc))
-    assert region.euler_char_c(region.slice_region(nf, (0, 1, -1), "-1")) == 2
+    sliced = region.slice_region(nf, (0, 1, -1), "-1")
+    assert region.euler_char_c(sliced) == 2
+    assert sliced == parent_slice_region(nf, (0, 1, -1), "-1")
 
 
 def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):

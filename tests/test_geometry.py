@@ -32,6 +32,7 @@ from sheafconv.polytope import (
     slice_polytope,
 )
 from sheafconv.randgen import rand_rat
+from sheafconv.rational import fmt_rat
 
 from linalg_oracles import rref, scaled
 from region_oracles import (
@@ -44,6 +45,8 @@ from region_oracles import (
     parent_face_indices,
     parent_incidence,
     parent_scaled_volume,
+    parent_slice_polytope,
+    parent_slice_region,
     polytope_volume,
     euler_from_faces,
     rand_box,
@@ -593,6 +596,25 @@ def test_slice_matches_brute_force_oracle():
                 assert ("edge" in kinds) == (d > 0) and ("facet" in kinds) == (d == n), (n, d)
     # a solid's slices come out in each dimension: a vertex, an edge, a facet, a section
     assert {s for n, d, _, s in seen if n == d == 3} == {None, 0, 1, 2}
+
+
+def test_slices_match_the_path_they_replaced():
+    # slice_region reads the covector once, in extents, and clips each term
+    # by <a, x> = C/q: the same polytopes, forms and rings, and the same
+    # regions, as the path that read it again for every term
+    prev = {}  # the last polytope of each ambient dimension, a third term
+    for i, (kind, p, xi, t) in enumerate(slice_cases(random.Random(16))):
+        s, want = slice_polytope(p, xi, t), parent_slice_polytope(p, xi, t)
+        assert s == want, (i, kind)
+        if s is not None:
+            assert (s.lattice, s.rings) == (want.lattice, want.rings), (i, kind)
+        n = p.n
+        if n > 1:
+            r = make_region(n, [(p, CLOSED, 1), (p, RELINT, -2)]
+                            + ([(prev[n], RELINT, 3)] if n in prev else []))
+            for u in (t, fmt_rat(F(t))):
+                assert slice_region(r, xi, u) == parent_slice_region(r, xi, t), (i, kind, u)
+            prev[n] = p
 
 
 def test_clip_results_carry_the_form_and_rings_of_their_hull():
