@@ -8,17 +8,18 @@ both adjacent gap values).  These functions are the Euler-characteristic
 shadows of interval sheaves and the 1-D targets of linear pushforwards;
 they carry an exact Euler convolution.
 
-Every function here is built one way, by cf1_from_atoms: atoms, point
+Every function here is built by one sweep (cf1_from_atoms): atoms, point
 masses {x: c} and open plateaus c on ]u, v[, at integer positions over
 one denominator, summed by one sorted difference sweep over their ends.
 The running sum of plateaus opened minus plateaus closed is the gap
 value, and a breakpoint takes the gap value on its left, less the
 plateaus closing there, plus its point mass.  O(m log m) for m atoms,
-with no pointwise evaluation.  A convolution scales both operands'
-breakpoints once over their common denominator, a sheaf's shadow reads
-the sheaf's own integer ends and denominator as they are, a pushforward
-reads its terms' extents over theirs (cfun), and each surviving
-breakpoint becomes a Fraction once.
+with no pointwise evaluation.  Its rows (x, left, at, right) are also
+the jumps from which microlocal reads a sheaf's cc and B.  A convolution
+scales both operands' breakpoints once over their common denominator, a
+sheaf's shadow reads the sheaf's own integer ends and denominator as
+they are, a pushforward reads its terms' extents over theirs (cfun), and
+each surviving breakpoint becomes a Fraction once.
 """
 
 from __future__ import annotations
@@ -67,31 +68,38 @@ class Cf1:
         }
 
 
-def cf1_from_atoms(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) -> Cf1:
-    """Canonical Cf1 of sum c_x 1_{x/den} + sum c 1_{]u/den, v/den[} (every
-    u < v) from integer positions over den > 0, by one sorted difference
-    sweep; removable breakpoints are stripped, and each surviving one
-    becomes a Fraction once."""
+def _sweep(points: dict[int, int], opens: list[tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """(x, left, at, right) at each breakpoint x that is not removable, in
+    order: the values on the gap left of x, at x and on the gap right of x."""
     # one pass fills both maps, at half the cost of two signed sums over opens
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
     for u, v, c in opens:
         starts[u] = starts.get(u, 0) + c
         ends[v] = ends.get(v, 0) + c
-    breaks, pv, gv = [], [], []
+    rows = []
     run = 0  # value on the gap left of x
     for x in sorted(points.keys() | starts.keys() | ends.keys()):
         left = run
         at = left - ends.get(x, 0)
         run = at + starts.get(x, 0)
         at += points.get(x, 0)
-        if at == left == run:
-            continue
-        if breaks:
-            gv.append(left)
-        breaks.append(x)
-        pv.append(at)
-    return Cf1(tuple(Fraction(x, den) for x in breaks), tuple(pv), tuple(gv))
+        if not at == left == run:
+            rows.append((x, left, at, run))
+    return rows
+
+
+def _from_rows(rows: list[tuple[int, int, int, int]], den: int) -> Cf1:
+    """The Cf1 of a sweep's rows over den, each breakpoint made a Fraction once."""
+    return Cf1(tuple(Fraction(x, den) for x, _, _, _ in rows), tuple(at for _, _, at, _ in rows),
+               tuple(left for _, left, _, _ in rows[1:]))
+
+
+def cf1_from_atoms(points: dict[int, int], opens: list[tuple[int, int, int]], den: int) -> Cf1:
+    """Canonical Cf1 of sum c_x 1_{x/den} + sum c 1_{]u/den, v/den[} (every
+    u < v) from integer positions over den > 0, by one sorted difference
+    sweep that strips removable breakpoints."""
+    return _from_rows(_sweep(points, opens), den)
 
 
 def _atoms(f: Cf1, X: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
@@ -122,11 +130,10 @@ def cf1_convolve(f: Cf1, g: Cf1) -> Cf1:
     return cf1_from_atoms(points, opens, den)
 
 
-def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
-    """Pointwise Euler characteristic of the stalks: a generator k_I[d]
-    of multiplicity m adds c = (-1)^d m at each closed end of I and on
-    its interior.  The sweep reads the object's integer ends over its
-    own denominator as they are."""
+def _sheaf_atoms(f: sheaf1.Sheaf1) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """The atoms of the pointwise Euler characteristic of the stalks on
+    f's own integer ends over f.den: a generator k_I[d] of multiplicity m
+    adds c = (-1)^d m at each closed end of I and on its interior."""
     points: dict[int, int] = {}
     opens: list[tuple[int, int, int]] = []
     for lo, hi, closure, s, m in f.keys:
@@ -138,7 +145,12 @@ def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
         if not closure & RIGHT_OPEN:
             points[hi] = points.get(hi, 0) + c
         opens.append((lo, hi, c))
-    return cf1_from_atoms(points, opens, f.den)
+    return points, opens
+
+
+def cf1_from_sheaf(f: sheaf1.Sheaf1) -> Cf1:
+    """Pointwise Euler characteristic of the stalks, chi(f)."""
+    return cf1_from_atoms(*_sheaf_atoms(f), f.den)
 
 
 def invertible_shadow(f: Cf1) -> bool:

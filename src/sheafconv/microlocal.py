@@ -14,10 +14,13 @@ levels are tracked:
          (bullet), which is the computable necessary condition for
          invertibility.
 
-All three read one end rule, the local index formula for the
-characteristic cycle of an interval (Kashiwara-Schapira, Sheaves on
-Manifolds, ch. IX): a closed end carries +1 on its outward conormal ray,
-an open end -1 on its inward one, and a point is closed at both ends.
+ss reads the generators: a closed end's outward conormal ray and an open
+end's inward one, a point being closed at both ends.  It is not a
+function of chi: k_[0,1] + k_[0,1][1] has chi = 0 and rays at both ends.
+cc and B read the jumps of phi = chi(f) by the local index formula
+(Kashiwara-Schapira, Sheaves on Manifolds, ch. IX): the + ray at x
+carries phi(x) - phi(x+), the - ray phi(x) - phi(x-), and B's zero entry
+is the + total, the integral of phi d(chi).
 An invertible f has inverse D(a f), the dual of its antipodal object,
 and B(D(a f)) is B(f) with its positions negated, so B(f) * B(D(a f)) = 1
 is necessary.  That product is never built: each family P times its
@@ -26,11 +29,11 @@ and a sum of squares of nonzero integers is 1 only for a single ray of
 multiplicity +-1, the unit's shape.  The necessary check reads the
 families once and decides in closed form.
 
-The ray families are read off the object's integer keys over its own
-denominator, merged by rational.signed_sum and kept sorted by position.
-Products run on integer positions over one common denominator; the
-necessary check writes its detail straight from the integer positions.
-Public transforms hold Fraction positions, each made once.
+The jumps come from the integer sweep that builds chi(f) (cf1), sorted
+by position.  Products run on integer positions over one common
+denominator; the necessary check writes its detail straight from the
+integer positions.  Public transforms hold Fraction positions, each made
+once; cc's are the breakpoints of its own zero weight.
 """
 
 from __future__ import annotations
@@ -38,17 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf1 import Cf1, cf1_from_sheaf
+from .cf1 import Cf1, _from_rows, _sheaf_atoms, _sweep
 from .rational import fmt_rat, fmt_ratio, lattice_point, signed_sum
-from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1, euler_c
-
-PLUS = 1
-MINUS = -1
+from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Sheaf1
 
 
 @dataclass(frozen=True)
 class SS1:
-    """Singular support: closure of the support plus outward ray set."""
+    """Singular support: closure of the support plus the end rays, outward
+    at a closed end and inward at an open one."""
 
     zero_section: tuple[tuple[Fraction, Fraction], ...]  # merged closed intervals
     rays: tuple[tuple[Fraction, int], ...]  # (base point, sign), sorted
@@ -92,14 +93,6 @@ class BTransform:
         }
 
 
-def _end_rays(lo: int, hi: int, closure: int) -> tuple[tuple[int, int, int], ...]:
-    """(base point, ray sign, weight) of each end of an interval: +1 on
-    the outward ray of a closed end, -1 on the inward ray of an open one."""
-    lw = -1 if closure & LEFT_OPEN else 1
-    rw = -1 if closure & RIGHT_OPEN else 1
-    return ((lo, -lw, lw), (hi, rw, rw))
-
-
 def ss(f: Sheaf1) -> SS1:
     den = f.den
     support: list[list[int]] = []  # the merged closed intervals, in order of lo
@@ -109,35 +102,28 @@ def ss(f: Sheaf1) -> SS1:
             support[-1][1] = max(support[-1][1], hi)
         else:
             support.append([lo, hi])
-        rays.update((x, sign) for x, sign, _ in _end_rays(lo, hi, c))
+        rays.update(((lo, 1 if c & LEFT_OPEN else -1), (hi, -1 if c & RIGHT_OPEN else 1)))
     return SS1(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in support),
                tuple((Fraction(x, den), s) for x, s in sorted(rays, key=lambda r: (r[0], -r[1]))))
 
 
-def _int_families(f: Sheaf1) -> tuple[tuple, tuple]:
-    """Signed (plus, minus) ray multiplicities on the integer positions of
-    f over f.den, sorted: the end rule times mult * (-1)^shift, summed
-    over the generators."""
-    families: dict[int, list[tuple[int, int]]] = {PLUS: [], MINUS: []}
-    for lo, hi, c, s, m in f.keys:
-        m = -m if s % 2 else m
-        for x, sign, weight in _end_rays(lo, hi, c):
-            families[sign].append((x, weight * m))
-    return tuple(tuple(sorted(signed_sum(families[sign]).items())) for sign in (PLUS, MINUS))
-
-
-def _ray_families(f: Sheaf1) -> tuple[tuple, tuple]:
-    """The signed (plus, minus) ray multiplicities, each position made a
-    Fraction once."""
-    return tuple(tuple((Fraction(p, f.den), m) for p, m in items) for items in _int_families(f))
+def _families(rows: list, positions) -> tuple[tuple, tuple]:
+    """The (plus, minus) ray multiplicities at a sweep's breakpoints, keyed
+    by positions: phi(x) - phi(x+) and phi(x) - phi(x-), zeros dropped."""
+    return (tuple((p, at - right) for p, (_, _, at, right) in zip(positions, rows) if at != right),
+            tuple((p, at - left) for p, (_, left, at, _) in zip(positions, rows) if at != left))
 
 
 def cc(f: Sheaf1) -> CC1:
-    return CC1(cf1_from_sheaf(f), *_ray_families(f))
+    rows = _sweep(*_sheaf_atoms(f))
+    zero_weight = _from_rows(rows, f.den)
+    return CC1(zero_weight, *_families(rows, zero_weight.breaks))
 
 
 def b_transform(f: Sheaf1) -> BTransform:
-    return BTransform(*_ray_families(f), euler_c(f))
+    rows = _sweep(*_sheaf_atoms(f))
+    plus, minus = _families(rows, [Fraction(x, f.den) for x, _, _, _ in rows])
+    return BTransform(plus, minus, sum(m for _, m in plus))
 
 
 def _ray_convolve(a: tuple, b: tuple) -> tuple[tuple[Fraction, int], ...]:
@@ -178,9 +164,10 @@ def b_necessary_check(f: Sheaf1) -> tuple[bool, dict]:
     pass is not a certificate.  The detail holds B(f) as `btrans` writes
     it and the product's value at 0, its "norm".
     """
-    den, z = f.den, euler_c(f)
-    families = _int_families(f)
-    plus, minus = ([[fmt_ratio(p, den), str(m)] for p, m in items] for items in families)
+    rows = _sweep(*_sheaf_atoms(f))
+    families = _families(rows, [fmt_ratio(x, f.den) for x, _, _, _ in rows])
+    z = sum(m for _, m in families[0])
+    plus, minus = ([[p, str(m)] for p, m in items] for items in families)
     norm_plus, norm_minus = (sum(m * m for _, m in items) for items in families)
     scalar_ok = z * z == 1
     refined_ok = norm_plus == norm_minus == 1 and scalar_ok

@@ -1,10 +1,11 @@
 """Oracles for the microlocal layer.
 
-The library reads one closed-form end rule for what an interval end
-contributes to the singular support and the characteristic cycle.  The
-tables here spell the same data out closure by closure, with points as
-their own case, the way the library first encoded it.  They share no
-code with the end rule, so a test that compares the two checks both.
+The library reads the singular support off the generators by one
+closed-form end rule, and the characteristic cycle and B off the jumps
+of chi, with B's zero entry the total of the + family.  The tables here
+spell the end rays out closure by closure, with points as their own
+case, the way the library first encoded them.  They share no code with
+either reading, so a test that compares them checks both.
 
 The library multiplies ray families on integer positions over one
 common denominator; ``fraction_ray_convolve`` is the same product keyed
@@ -30,10 +31,10 @@ from sheafconv.sheaf1 import Closure, Sheaf1, convolve
 PLUS = 1
 MINUS = -1
 
-# (endpoint index, sign, weight); endpoint 0 = lo, 1 = hi.  CC gets the
-# inward-pointing conormals (-, +), OO outward (+, -), the semi-open
-# types repeat the sign of their open end, and a skyscraper carries
-# both rays.
+# (endpoint index, sign, weight); endpoint 0 = lo, 1 = hi.  A ray points
+# outward at a closed end and inward at an open one: CC gets the outward
+# conormals (-, +), OO the inward ones (+, -), the semi-open types repeat
+# the sign of their open end, and a skyscraper carries both rays.
 _POINT_RAYS = ((0, PLUS, 1), (0, MINUS, 1))
 _INTERVAL_RAYS = {
     Closure.CC: ((0, MINUS, 1), (1, PLUS, 1)),

@@ -226,6 +226,19 @@ def test_cli_btrans_ss_cc_stalk(capsys):
     assert out_json(capsys) == {"at": "1", "stalk": {"1": 1}}
 
 
+def test_cli_ss_is_not_read_off_chi(capsys):
+    # k_[0,1] + k_[0,1][1] has chi = 0: cc and B are empty, ss keeps both end rays
+    expr = "sum(kc(0,1),shift(kc(0,1),1))"
+    assert cli.main(["cc", "-e", expr]) == 0
+    assert out_json(capsys) == {
+        "zero_weight": {"breakpoints": [], "point_values": [], "gap_values": []},
+        "plus": [], "minus": []}
+    assert cli.main(["btrans", "-e", expr]) == 0
+    assert out_json(capsys) == {"plus": [], "minus": [], "zero": 0}
+    assert cli.main(["ss", "-e", expr]) == 0
+    assert out_json(capsys) == {"zero_section": [["0", "1"]], "rays": [["0", "-"], ["1", "+"]]}
+
+
 def test_cli_parse_error_is_exit_2(capsys):
     rc = cli.main(["eval", "-e", "kc(0,1"])
     assert rc == 2

@@ -23,8 +23,7 @@ from hypothesis import example, given, settings
 from sheafconv import cli
 from sheafconv.cf1 import Cf1, cf1_convolve, cf1_from_atoms, cf1_from_sheaf
 from sheafconv.dsl import eval_text
-from sheafconv.microlocal import (BTransform, _ray_families, b_necessary_check, b_transform,
-                                  bullet, cc)
+from sheafconv.microlocal import BTransform, b_necessary_check, b_transform, bullet, cc
 from sheafconv.sheaf1 import (
     Closure,
     Generator,
@@ -221,7 +220,8 @@ def test_cf1_from_atoms_matches_fraction_sweep(case):
 @example(Sheaf1(fraction_normalize(_CANCELLING)))
 @settings(max_examples=120)
 def test_ray_families_match_tables(f):
-    assert _ray_families(f) == table_cc_families(f)
+    b, c = b_transform(f), cc(f)
+    assert (b.plus, b.minus) == (c.plus, c.minus) == table_cc_families(f)
 
 
 def at_zero(family) -> int:
