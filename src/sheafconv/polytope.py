@@ -291,9 +291,19 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
     return q if cap is not p and cap == q else cap
 
 
+def _covector(xi, n: int) -> tuple[tuple[int, ...], int]:
+    """(L xi, L), L the lcm of xi's denominators, for a nonzero covector xi of n coordinates."""
+    xi = tuple(rat(c) for c in xi)
+    if len(xi) != n:
+        raise InputError("covector dimension mismatch")
+    if not any(xi):
+        raise InputError("covector must be nonzero")
+    return lattice_point(xi)
+
+
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:
     """Closed intersection with the hyperplane <xi, x> = t, or None."""
-    a, L = lattice_point(tuple(rat(c) for c in xi))
+    a, L = _covector(xi, p.n)
     b, q = ratio(t)  # the hyperplane is <a, x> = b L / q, two halfspaces
     return _clip(p, [(a, b * L), (vneg(a), -b * L)], q)
 

@@ -18,6 +18,8 @@ matches the union's, read off the normal form term by term, each in its
 own chart (the hull's, for a term of the hull's dimension; a lower one
 has measure zero).  A nonempty difference is open in the hull, so it has
 positive volume: the comparison is a decision procedure, not a heuristic.
+The witness segment reads each halfspace of each term once: a term holds
+one interval of it, and the exit lies in the first gap of their union.
 """
 
 from __future__ import annotations
@@ -29,19 +31,19 @@ from itertools import chain, combinations
 from math import gcd, lcm
 
 from .errors import InputError, InvariantViolation
-from .linalg import vdot, vneg, vsub
+from .linalg import vdot, vneg
 from .polytope import (
     Polytope,
     _clip,
+    _covector,
     _probe,
     convex_hull,
     intersect_polytopes,
-    lattice_point,
     open_indicator_expansion,
     scaled_volume,
     union_hull,
 )
-from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, rat, ratio, signed_sum
+from .rational import MAX_LITERAL_DIGITS, fmt_ratio, int_too_long, ratio, signed_sum
 
 CLOSED = "closed"
 RELINT = "relint"
@@ -115,8 +117,7 @@ def make_region(dim: int, items) -> Region:
 
 def vertices_json(p: Polytope) -> list:
     """The vertices of p, each coordinate written from its integer over p.den."""
-    den = p.den
-    return [[fmt_ratio(c, den) for c in v] for v in p.ints]
+    return [[fmt_ratio(c, p.den) for c in v] for v in p.ints]
 
 
 def region_to_json(r: Region) -> dict:
@@ -200,11 +201,7 @@ def value_scaled(r: Region, P, S: int) -> int:
 
 def euler_char_c(r: Region) -> int:
     """chi_c, additive over terms: closed gives 1, relint gives (-1)^d."""
-    total = 0
-    for t in r.terms:
-        piece = 1 if t.mode == CLOSED else (-1 if t.poly.adim % 2 else 1)
-        total += t.weight * piece
-    return total
+    return sum(-t.weight if t.mode == RELINT and t.poly.adim % 2 else t.weight for t in r.terms)
 
 
 def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
@@ -218,20 +215,11 @@ def closed_expansion(r: Region) -> list[tuple[Polytope, int]]:
 def extents(r: Region, xi) -> tuple[list[tuple[int, int]], int, tuple[int, ...]]:
     """Per term, the least and the greatest <xi, x> on it, as integers
     over D = r.den * L, L the lcm of the covector's denominators; D; and
-    a = L xi.  The covector is read and checked here, once for each
-    caller, and only the two extremes are scaled onto r.den."""
-    xi = tuple(rat(c) for c in xi)
-    if len(xi) != r.dim:
-        raise InputError("covector dimension mismatch")
-    if all(c == 0 for c in xi):
-        raise InputError("covector must be nonzero")
-    a, L = lattice_point(xi)
-    out = []
-    for t in r.terms:
-        vals = [vdot(a, V) for V in t.poly.ints]
-        s = r.den // t.poly.den
-        out.append((min(vals) * s, max(vals) * s))
-    return out, r.den * L, a
+    a = L xi.  The covector is read and checked once for each caller, by
+    polytope._covector, and only the two extremes are scaled onto r.den."""
+    a, L = _covector(xi, r.dim)
+    vals = (([vdot(a, V) for V in t.poly.ints], r.den // t.poly.den) for t in r.terms)
+    return [(min(v) * s, max(v) * s) for v, s in vals], r.den * L, a
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +282,27 @@ def indicator_normal_form(r: Region) -> Region:
 
 def _segment_exit(polys, X, Y, M: int):
     """A point of the open segment ]X/M, Y/M[ outside every polytope, or
-    None: the first midpoint of two neighbouring crossings of its planes."""
-    cuts = set()  # reduced (r, s): the crossing at X + (r/s)(Y - X)
+    None: the first midpoint of two neighbouring crossings of its planes.
+    Each halfspace is read once per segment, as its slacks (u, v) at X and
+    Y; a polytope holds the one interval of t where every u + t(v - u) >= 0."""
+    slacks = []  # per polytope, each halfspace's (u, v); an equality is two
     for p in polys:
         _, eqs, planes = p.lattice
-        for w, c in eqs + planes:
-            u, v = (c * M - p.den * vdot(w, V) for V in (X, Y))
-            if u * v < 0:
-                g = gcd(u, v)
-                cuts.add((abs(u) // g, abs(u - v) // g))
-    S = lcm(*(s for _, s in cuts))
-    grid = [0, *sorted(r * (S // s) for r, s in cuts), S]
-    D, K = vsub(Y, X), 2 * S * M
-    for a, b in zip(grid, grid[1:]):
-        Q = tuple(2 * S * x + (a + b) * d for x, d in zip(X, D))
-        if not any(p.contains_scaled(Q, K) for p in polys):
-            return tuple(Fraction(c, K) for c in Q)
-    return None
+        uv = [tuple(c * M - p.den * vdot(w, V) for V in (X, Y)) for w, c in eqs + planes]
+        slacks.append(uv + [(-u, -v) for u, v in uv[:len(eqs)]])
+    cross = [(u, u - v) for u, v in chain(*slacks) if u * v < 0]  # at t = u/(u - v)
+    S = lcm(*(d // gcd(u, d) for u, d in cross))  # each t is a/S, a integer
+    reach = 0  # [0, reach] is held; a polytope holds [its last entry, its first exit]
+    for lo, hi in sorted((max([S * u // (u - v) for u, v in uv if u < 0], default=0),
+                          min([S * u // (u - v) for u, v in uv if v < 0], default=S))
+                         for uv in slacks if all(u >= 0 or v >= 0 for u, v in uv)):
+        if lo > reach:
+            break
+        reach = max(reach, hi)
+    if reach == S:
+        return None
+    b = min((a for u, d in cross if (a := S * u // d) > reach), default=S)  # the next crossing
+    return tuple(Fraction(2 * S * x + (reach + b) * (y - x), 2 * S * M) for x, y in zip(X, Y))
 
 
 def is_convex_region(r: Region, hull: Polytope | None = None):

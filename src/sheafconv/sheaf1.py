@@ -396,10 +396,8 @@ def rescale(f: Sheaf1, lam) -> Sheaf1:
     p, q = ratio(lam)
     if p == 0:
         return _normal(1, [((0, 0, CC, -deg), dim) for deg, dim in global_sections_c(f).items()])
-    if p > 0:
-        return _normal(f.den * q, [((lo * p, hi * p, c, s), m) for lo, hi, c, s, m in f.keys])
-    return _normal(f.den * q, [((hi * p, lo * p, _REVERSED[c], s), m)
-                               for lo, hi, c, s, m in f.keys])
+    out = _normal(f.den * q, [((lo * abs(p), hi * abs(p), c, s), m) for lo, hi, c, s, m in f.keys])
+    return out if p > 0 else antipodal(out)
 
 
 # -- invertibility -----------------------------------------------------------

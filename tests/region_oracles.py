@@ -50,7 +50,10 @@ subset's intersection as its own live term, 2^k - 1 of them for k terms
 around a common core, before the library merged equal intersections as
 it builds them.  `unfiltered_witness` is the witness scan that tried
 every pair of pool points, before the library skipped the pairs that one
-term holds.
+term holds.  `parent_segment_exit` is the exit search along one segment
+that the library's one interval per term replaced, copied as it was:
+the crossings of every plane collected first, then each cell's midpoint
+tested against every polytope with contains_scaled.
 
 The seeded random polytopes and regions the tests draw close the file.
 """
@@ -58,7 +61,7 @@ The seeded random polytopes and regions the tests draw close the file.
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from sheafconv.cfun import _product
 from sheafconv.errors import InputError
@@ -400,6 +403,27 @@ def unfiltered_witness(r: Region):
         if z is not None:
             x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
             return {"x": x, "y": y, "outside": z}
+    return None
+
+
+def parent_segment_exit(polys, X, Y, M: int):
+    """A point of the open segment ]X/M, Y/M[ outside every polytope, or
+    None: the first midpoint of two neighbouring crossings of its planes."""
+    cuts = set()  # reduced (r, s): the crossing at X + (r/s)(Y - X)
+    for p in polys:
+        _, eqs, planes = p.lattice
+        for w, c in eqs + planes:
+            u, v = (c * M - p.den * vdot(w, V) for V in (X, Y))
+            if u * v < 0:
+                g = gcd(u, v)
+                cuts.add((abs(u) // g, abs(u - v) // g))
+    S = lcm(*(s for _, s in cuts))
+    grid = [0, *sorted(r * (S // s) for r, s in cuts), S]
+    D, K = vsub(Y, X), 2 * S * M
+    for a, b in zip(grid, grid[1:]):
+        Q = tuple(2 * S * x + (a + b) * d for x, d in zip(X, D))
+        if not any(p.contains_scaled(Q, K) for p in polys):
+            return tuple(Fraction(c, K) for c in Q)
     return None
 
 

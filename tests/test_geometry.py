@@ -45,6 +45,7 @@ from region_oracles import (
     parent_face_indices,
     parent_incidence,
     parent_scaled_volume,
+    parent_segment_exit,
     parent_slice_polytope,
     parent_slice_region,
     polytope_volume,
@@ -770,6 +771,22 @@ def test_pushforward_and_slicing_read_the_covector_alike():
             read((0, "0/3"))
 
 
+def test_slice_polytope_and_extents_check_the_covector():
+    # one reading of the covector: a wrong length or a zero covector is
+    # refused by slicing a polytope and by extents alike, with one text
+    cube = Polytope(tuple(product((0, 2), repeat=3)))
+    r = make_region(3, [(cube, CLOSED, 1)])
+    for xi, text in (((1, 0), "covector dimension mismatch"),
+                     ((1, 0, 0, 5), "covector dimension mismatch"),
+                     ((0, 0, 0), "covector must be nonzero"),
+                     ((0, "0/3", F(0)), "covector must be nonzero")):
+        for read in (lambda: slice_polytope(cube, xi, 0), lambda: slice_polytope(cube, xi, 1),
+                     lambda: region.extents(r, xi)):
+            with pytest.raises(InputError, match=f"^{text}$"):
+                read()
+    assert slice_polytope(cube, (1, 0, 0), 1) == Polytope(tuple(product((1,), (0, 2), (0, 2))))
+
+
 def test_convex_hull_rejects_bad_point_sets():
     with pytest.raises(InputError, match="empty point set"):
         convex_hull([])
@@ -1038,6 +1055,76 @@ def test_filtered_witness_matches_unfiltered_scan():
         assert wit == unfiltered_witness(r), i
         nonconvex[r.dim] += not ok
     assert nonconvex[2] >= 30 and nonconvex[3] >= 25
+
+
+def segment_exit_cases(rng):
+    """Seeded sets of polytopes of every affine dimension (points,
+    segments, polygons, and in 3D solids) with segment ends over one
+    denominator M: vertices, face barycenters and points on the planes of
+    facets, among them pairs on one facet plane, so the segment lies in it."""
+    def flat(n):  # a polygon in a plane of 3D, or a polygon of 2D
+        a, b, c = (rand_point(rng, n) for _ in range(3))
+        st = [(0, 0), (1, 0), (0, 1)] + [(rand_rat(rng, -1, 2, 2), rand_rat(rng, -1, 2, 2))
+                                         for _ in range(2)]
+        return convex_hull([tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c))
+                            for s, t in st])
+
+    makers = (lambda n: convex_hull([rand_point(rng, n)]),
+              lambda n: convex_hull([rand_point(rng, n), rand_point(rng, n)]),
+              flat, lambda n: rand_box(rng, n) if rng.random() < 0.4 else rand_polytope(rng, n))
+    for i in range(240):
+        n = 2 + i % 2
+        polys = [rng.choice(makers)(n) for _ in range(rng.randint(1, 4))]
+        ends, planes = [], []
+        for p in polys:
+            ends += p.verts
+            for k, idx in p.face_indices:
+                V = [p.verts[j] for j in idx]
+                ends.append(tuple(sum(c) / len(V) for c in zip(*V)))
+                if 1 <= k < n and k >= p.adim - 1:  # a facet or the polygon: points of its plane
+                    a, b = V[0], V[-1]
+                    c = V[1] if len(V) > 2 else a
+                    on = [tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c))
+                          for s, t in ((-1, F(1, 2)), (F(3, 2), F(-1, 3)), (F(1, 3), F(1, 3)))]
+                    ends += on
+                    planes.append(on)
+        M = lcm(*(p.den for p in polys), *(c.denominator for x in ends for c in x))
+        ints = [tuple(int(c * M) for c in x) for x in ends]
+        pairs = [rng.sample(ints, 2) for _ in range(30)]
+        pairs += [[tuple(int(c * M) for c in x) for x in rng.sample(on, 2)] for on in planes]
+        yield polys, [(X, Y) for X, Y in pairs if X != Y], M
+
+
+def test_segment_exit_matches_the_cell_scan():
+    """One interval per polytope, swept for the held prefix, gives the
+    exit that testing every cell's midpoint against every polytope gave."""
+    seen, found = set(), {True: 0, False: 0}
+    for i, (polys, pairs, M) in enumerate(segment_exit_cases(random.Random(48))):
+        seen |= {(p.n, p.adim) for p in polys}
+        for X, Y in pairs:
+            z = region._segment_exit(polys, X, Y, M)
+            assert z == parent_segment_exit(polys, X, Y, M), (i, X, Y)
+            found[z is None] += 1
+    assert seen == {(n, d) for n in (2, 3) for d in range(n + 1)}
+    assert min(found.values()) > 1000, found
+
+
+def test_convexity_decision_tests_containment_only_for_the_held_masks(monkeypatch):
+    """On overlapping 3 the witness search calls contains_scaled only to
+    build the held masks, at most once per pool point and term: 576
+    calls, where a test of each cell's midpoint makes 29,027."""
+    r = region_from_json(overlapping_terms(3))
+    calls = []
+    real = Polytope.contains_scaled
+
+    def counting(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Polytope, "contains_scaled", counting)
+    ok, wit, _ = is_convex_region(r)
+    assert not ok and wit is not None
+    assert len(calls) <= 576, len(calls)
 
 
 def test_l_shape_witness_tests_few_segments(monkeypatch):
