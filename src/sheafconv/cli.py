@@ -3,7 +3,7 @@
 Every command prints compact JSON on stdout (or a readable rendering
 under --text) and exits with 0 for success or an affirmative verdict,
 1 for a well-formed negative verdict, 2 for malformed input, and 3 for
-an internal invariant violation.
+an internal invariant violation; a stdout closed early keeps that code.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import microlocal, sheaf1
@@ -83,7 +84,12 @@ def sheaf_to_text(f: sheaf1.Sheaf1) -> str:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+    """Print a text line, or obj as compact JSON, and flush; a stdout closed
+    early is pointed at devnull, so the shutdown flush stays quiet."""
+    try:
+        print(obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":")), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _graded_json(dims: dict) -> dict:
@@ -97,7 +103,7 @@ def _graded_json(dims: dict) -> dict:
 def _cmd_eval(args) -> int:
     f = eval_text(args.expr)
     if args.text:
-        print(sheaf_to_text(f))
+        _emit(sheaf_to_text(f))
     else:
         _emit(sheaf_to_json(f))
     return 0

@@ -13,7 +13,8 @@ pivots of the span of the difference rows), the affine-hull equalities
 <w, X> = C and the outward facets <nu, X> <= C, nu primitive integer;
 rings, edges, volumes and the bounding box (the least and greatest of X
 per coordinate) are read off the same integers.  A probe P/S, S = k*den,
-is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k.
+is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k; the one
+halfspace form, each equality as two then the facets, is `halfspaces`.
 Every Polytope is a hull: the constructor hulls the points it is given,
 as convex_hull does.  Polytopes whose boxes are apart do not meet; else
 an intersection or a slice clips one side by halfspaces on its face
@@ -117,6 +118,12 @@ class Polytope:
         """Outward facet halfspaces (nu, c): inside means <nu,x> <= c, nu a
         primitive integer normal."""
         return tuple((nu, Fraction(c, self.den)) for nu, c in self.lattice.planes)
+
+    @cached_property
+    def halfspaces(self) -> tuple:
+        """<a, x> <= c/den for (a, c): (w, c) and (-w, -c) per equality, then the planes."""
+        _, eqs, planes = self.lattice
+        return tuple(h for w, c in eqs for h in ((w, c), (vneg(w), -c))) + planes
 
     @cached_property
     def box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -279,15 +286,13 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
     """Closed intersection, or None when empty (at once when the boxes are
-    apart): p clipped by q's equalities, each as two halfspaces, and its
-    facet planes; q itself when the intersection is q."""
+    apart): p clipped by q.halfspaces; q itself when the intersection is q."""
     if p.n != q.n:
         raise InputError("intersection needs a common ambient dimension")
     dp, dq = p.den, q.den  # per coordinate, p's box spans [a, b]/dp and q's [c, d]/dq
     if any(b * dq < c * dp or d * dp < a * dq for a, b, c, d in zip(*p.box, *q.box)):
         return None
-    _, eqs, planes = q.lattice
-    cap = _clip(p, [h for w, c in eqs for h in ((w, c), (vneg(w), -c))] + list(planes), dq)
+    cap = _clip(p, q.halfspaces, dq)
     return q if cap is not p and cap == q else cap
 
 

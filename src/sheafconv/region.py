@@ -18,8 +18,9 @@ matches the union's, read off the normal form term by term, each in its
 own chart (the hull's, for a term of the hull's dimension; a lower one
 has measure zero).  A nonempty difference is open in the hull, so it has
 positive volume: the comparison is a decision procedure, not a heuristic.
-The witness segment reads each halfspace of each term once: a term holds
-one interval of it, and the exit lies in the first gap of their union.
+The witness search reads each pool point once, as its slacks over each
+term's `halfspaces`: they give the terms holding it and end each segment
+from it, on which a term holds one interval; the exit is in their gap.
 """
 
 from __future__ import annotations
@@ -280,16 +281,12 @@ def indicator_normal_form(r: Region) -> Region:
     return make_region(r.dim, [(q, CLOSED, w) for q, w in live.items()])
 
 
-def _segment_exit(polys, X, Y, M: int):
+def _segment_exit(A, B, X, Y, M: int):
     """A point of the open segment ]X/M, Y/M[ outside every polytope, or
     None: the first midpoint of two neighbouring crossings of its planes.
-    Each halfspace is read once per segment, as its slacks (u, v) at X and
-    Y; a polytope holds the one interval of t where every u + t(v - u) >= 0."""
-    slacks = []  # per polytope, each halfspace's (u, v); an equality is two
-    for p in polys:
-        _, eqs, planes = p.lattice
-        uv = [tuple(c * M - p.den * vdot(w, V) for V in (X, Y)) for w, c in eqs + planes]
-        slacks.append(uv + [(-u, -v) for u, v in uv[:len(eqs)]])
+    A and B are each polytope's slacks c*M - den*<a, X> at X and Y over its
+    halfspaces; it holds the one interval of t where each u + t(v - u) >= 0."""
+    slacks = [list(zip(a, b)) for a, b in zip(A, B)]  # per polytope, each halfspace's (u, v)
     cross = [(u, u - v) for u, v in chain(*slacks) if u * v < 0]  # at t = u/(u - v)
     S = lcm(*(d // gcd(u, d) for u, d in cross))  # each t is a/S, a integer
     reach = 0  # [0, reach] is held; a polytope holds [its last entry, its first exit]
@@ -342,12 +339,14 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
     m, n = len(verts), len(pool)
     pairs = chain(combinations(range(m), 2),
                   ((i, j) for i in range(n) for j in range(max(i + 1, m), n)))
-    # a segment in one term stays in the union: per point, the bit mask of
-    # the terms that hold it, made on first use
-    held = cache(lambda i: sum(1 << k for k, p in enumerate(polys)
-                               if p.contains_scaled(pool[i], M)))
+    # per point, read once on first use: each term's halfspace slacks, which end
+    # every segment from it, and the mask of the terms holding it (no slack < 0)
+    slacks = cache(lambda i: [[c * M - p.den * vdot(a, pool[i]) for a, c in p.halfspaces]
+                              for p in polys])
+    held = cache(lambda i: sum(1 << k for k, s in enumerate(slacks(i)) if min(s) >= 0))
     for i, j in pairs:
-        if not held(i) & held(j) and (z := _segment_exit(polys, pool[i], pool[j], M)):
-            x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
+        X, Y = pool[i], pool[j]
+        if not held(i) & held(j) and (z := _segment_exit(slacks(i), slacks(j), X, Y, M)):
+            x, y = (tuple(Fraction(c, M) for c in v) for v in (X, Y))
             return False, {"x": x, "y": y, "outside": z}, nf
     raise InvariantViolation("volume defect found but no segment witness")

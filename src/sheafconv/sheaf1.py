@@ -76,7 +76,7 @@ ATOM_CLOSURES = {
 def _check_degree(shift, mult) -> None:
     if not isinstance(shift, int) or isinstance(shift, bool):
         raise InputError(f"shift must be an integer, got {shift!r}")
-    if not isinstance(mult, int) or mult < 1:
+    if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
         raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
 
 

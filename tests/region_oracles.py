@@ -50,10 +50,14 @@ subset's intersection as its own live term, 2^k - 1 of them for k terms
 around a common core, before the library merged equal intersections as
 it builds them.  `unfiltered_witness` is the witness scan that tried
 every pair of pool points, before the library skipped the pairs that one
-term holds.  `parent_segment_exit` is the exit search along one segment
-that the library's one interval per term replaced, copied as it was:
-the crossings of every plane collected first, then each cell's midpoint
-tested against every polytope with contains_scaled.
+term holds; `witness_pool` builds its pool, and `point_slacks` reads a
+pool point's slacks over each term's `Polytope.halfspaces`, as the
+library reads each pool point once.  `parent_segment_exit` is the exit
+search along one segment that the library's one interval per term
+replaced, copied as it was: the crossings of every plane collected
+first, then each cell's midpoint tested against every polytope with
+contains_scaled.  `listed_intersect_polytopes` is the intersection as it
+listed q's halfspaces inline before `Polytope.halfspaces` held them.
 
 The seeded random polytopes and regions the tests draw close the file.
 """
@@ -382,12 +386,9 @@ def list_indicator_normal_form(r: Region) -> Region:
     return make_region(r.dim, [(q, CLOSED, -1 if size % 2 == 0 else 1) for size, q in live])
 
 
-def unfiltered_witness(r: Region):
-    """The first pair of pool points, vertices and then face barycenters
-    over one denominator M, whose open segment leaves the union, with the
-    exit point, as Fraction tuples {x, y, outside}; None when no pair has
-    one.  Every pair is tried."""
-    polys = [t.poly for t in r.terms]
+def witness_pool(polys):
+    """The witness search's pool over one denominator M, as (pool, m, M):
+    the m term vertices, sorted, then the other face barycenters, sorted."""
     faces = [(k > 0, len(idx) * p.den, [p.ints[i] for i in idx])
              for p in polys for k, idx in p.face_indices]
     M = lcm(*(q for _, q, _ in faces))
@@ -395,11 +396,39 @@ def unfiltered_witness(r: Region):
     for above, q, V in faces:
         tiers[above].add(tuple(M // q * sum(c) for c in zip(*V)))
     verts = sorted(tiers[0])
-    pool = verts + sorted(tiers[1] - tiers[0])
-    m, n = len(verts), len(pool)
+    return verts + sorted(tiers[1] - tiers[0]), len(verts), M
+
+
+def point_slacks(polys, X, M: int) -> list:
+    """Per polytope, the slack c*M - den*<a, X> of each of its halfspaces
+    (a, c), the point X/M's reading that _segment_exit takes at each end."""
+    return [[c * M - p.den * vdot(a, X) for a, c in p.halfspaces] for p in polys]
+
+
+def listed_intersect_polytopes(p: Polytope, q: Polytope):
+    """intersect_polytopes as it was before Polytope.halfspaces: the box
+    test, then p clipped by q's equalities, each listed as two halfspaces,
+    and its facet planes, in that order."""
+    dp, dq = p.den, q.den
+    if any(b * dq < c * dp or d * dp < a * dq for a, b, c, d in zip(*p.box, *q.box)):
+        return None
+    _, eqs, planes = q.lattice
+    cap = _clip(p, [h for w, c in eqs for h in ((w, c), (vneg(w), -c))] + list(planes), dq)
+    return q if cap is not p and cap == q else cap
+
+
+def unfiltered_witness(r: Region):
+    """The first pair of pool points, vertices and then face barycenters
+    over one denominator M, whose open segment leaves the union, with the
+    exit point, as Fraction tuples {x, y, outside}; None when no pair has
+    one.  Every pair is tried."""
+    polys = [t.poly for t in r.terms]
+    pool, m, M = witness_pool(polys)
+    n = len(pool)
     for i, j in chain(combinations(range(m), 2),
                       ((i, j) for i in range(n) for j in range(max(i + 1, m), n))):
-        z = _segment_exit(polys, pool[i], pool[j], M)
+        X, Y = pool[i], pool[j]
+        z = _segment_exit(point_slacks(polys, X, M), point_slacks(polys, Y, M), X, Y, M)
         if z is not None:
             x, y = (tuple(Fraction(c, M) for c in v) for v in (pool[i], pool[j]))
             return {"x": x, "y": y, "outside": z}

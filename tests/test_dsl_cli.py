@@ -599,6 +599,27 @@ def test_cli_region_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code", [(["eval", "-e", "kc(0,1)"], 0),
+                                        (["eval", "--text", "-e", "kc(0,1)"], 0),
+                                        (["region", "check", "L.json"], 1)])
+def test_cli_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
+    """A reader that closes its end of the pipe before the command writes
+    gets no traceback on stderr, and the command keeps its exit code."""
+    write(tmp_path, "L.json", {"dimension": 2, "terms": [_box_term((0, 0), (2, 1)),
+                                                         _box_term((0, 0), (1, 2))]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sheafconv.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sheafconv", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+
+
 def test_cli_empty_region_has_one_message(tmp_path, capsys):
     # check and sweep validate the region before any geometry
     path = tmp_path / "empty.json"

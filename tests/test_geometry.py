@@ -45,8 +45,10 @@ from region_oracles import (
     parent_face_indices,
     parent_incidence,
     parent_scaled_volume,
+    listed_intersect_polytopes,
     parent_segment_exit,
     parent_slice_polytope,
+    point_slacks,
     parent_slice_region,
     polytope_volume,
     euler_from_faces,
@@ -56,6 +58,7 @@ from region_oracles import (
     rand_union_region,
     search_faces,
     unfiltered_witness,
+    witness_pool,
 )
 from disjoint_terms import overlapping_terms
 from test_acceptance import region_corpus
@@ -1102,29 +1105,68 @@ def test_segment_exit_matches_the_cell_scan():
     for i, (polys, pairs, M) in enumerate(segment_exit_cases(random.Random(48))):
         seen |= {(p.n, p.adim) for p in polys}
         for X, Y in pairs:
-            z = region._segment_exit(polys, X, Y, M)
+            z = region._segment_exit(point_slacks(polys, X, M), point_slacks(polys, Y, M), X, Y, M)
             assert z == parent_segment_exit(polys, X, Y, M), (i, X, Y)
             found[z is None] += 1
     assert seen == {(n, d) for n in (2, 3) for d in range(n + 1)}
     assert min(found.values()) > 1000, found
 
 
+def test_halfspace_slacks_decide_containment_and_intersections():
+    """A point holds a polytope iff none of its slacks over
+    Polytope.halfspaces is negative, on the segment ends of
+    segment_exit_cases and on the witness pools of the region corpora; and
+    intersect_polytopes, which clips by q.halfspaces, gives the polytope,
+    lattice form and rings that listing q's halfspaces inline gave."""
+    cases = [(polys, {V for X_Y in pairs for V in X_Y}, M)
+             for polys, pairs, M in segment_exit_cases(random.Random(48))]
+    regions = [r for _, r, _ in region_corpus()] + nonconvex_corpus(random.Random(47))
+    cases += [([t.poly for t in r.terms], *witness_pool([t.poly for t in r.terms])[::2])
+              for r in regions]
+    held, caps = {True: 0, False: 0}, 0
+    for i, (polys, points, M) in enumerate(cases):
+        for X in points:
+            for p, s in zip(polys, point_slacks(polys, X, M)):
+                assert len(s) == 2 * len(p.lattice.eqs) + len(p.lattice.planes)
+                assert (min(s) >= 0) == p.contains_scaled(X, M), (i, p, X, M)
+                held[min(s) >= 0] += 1
+        for p, q in product(polys, repeat=2):
+            cap, want = intersect_polytopes(p, q), listed_intersect_polytopes(p, q)
+            assert (cap is q) == (want is q), (i, p, q)
+            assert cap == want and (cap is None or (cap.lattice, cap.rings)
+                                    == (want.lattice, want.rings)), (i, p, q)
+            caps += cap is not None
+    assert min(held.values()) > 1000 and caps > 1000, (held, caps)
+
+
 def test_convexity_decision_tests_containment_only_for_the_held_masks(monkeypatch):
-    """On overlapping 3 the witness search calls contains_scaled only to
-    build the held masks, at most once per pool point and term: 576
-    calls, where a test of each cell's midpoint makes 29,027."""
+    """On overlapping 3 the witness search reads each pool point once: the
+    held masks read its slacks, so contains_scaled runs on no term (576
+    calls when the masks called it), and region.vdot runs at most once per
+    pool point read and halfspace.  Its witness is a pair of vertices, so
+    only the 192 vertices are read: 71,424 calls, where reading both ends
+    of every segment again made 647,280."""
     r = region_from_json(overlapping_terms(3))
-    calls = []
-    real = Polytope.contains_scaled
+    _, m, _ = witness_pool([t.poly for t in r.terms])
+    bound = m * sum(len(t.poly.halfspaces) for t in r.terms)
+    assert bound == 71_424
+    contains, dots = [], []
+    real_contains, real_vdot = Polytope.contains_scaled, region.vdot
 
-    def counting(self, *args):
-        calls.append(self)
-        return real(self, *args)
+    def counting_contains(self, *args):
+        contains.append(self)
+        return real_contains(self, *args)
 
-    monkeypatch.setattr(Polytope, "contains_scaled", counting)
+    def counting_vdot(*args):
+        dots.append(args)
+        return real_vdot(*args)
+
+    monkeypatch.setattr(Polytope, "contains_scaled", counting_contains)
+    monkeypatch.setattr(region, "vdot", counting_vdot)
     ok, wit, _ = is_convex_region(r)
     assert not ok and wit is not None
-    assert len(calls) <= 576, len(calls)
+    assert len(contains) == 0, len(contains)
+    assert len(dots) <= bound, len(dots)
 
 
 def test_l_shape_witness_tests_few_segments(monkeypatch):

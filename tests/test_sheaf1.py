@@ -26,6 +26,7 @@ from sheafconv.sheaf1 import (
     dual,
     euler_c,
     global_sections_c,
+    interval_sheaf,
     inverse,
     is_invertible,
     kc,
@@ -91,6 +92,12 @@ def test_interval_validation():
         kc(0, 1, mult=0)
     with pytest.raises(InputError, match=r"^shift must be an integer, got 1\.5$"):
         kc(0, 1, shift=1.5)
+    # a bool is an int to Python, but neither a shift nor a multiplicity
+    unit = Interval(Fraction(0), Fraction(1), Closure.CC)
+    for make in (lambda: kc(0, 1, mult=True), lambda: interval_sheaf(Closure.CC, 0, 1, 0, True),
+                 lambda: Generator(unit, 0, True)):
+        with pytest.raises(InputError, match=r"^multiplicity must be a positive integer, got True$"):
+            make()
 
 
 def test_normalize_merges_and_sorts():
