@@ -47,10 +47,6 @@ class Cf1:
         if any(self.breaks[i] >= self.breaks[i + 1] for i in range(k - 1)):
             raise InvariantViolation("Cf1 breakpoints must be strictly increasing")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.breaks
-
     def __call__(self, t) -> int:
         t = rat(t)
         if not self.breaks or t < self.breaks[0] or t > self.breaks[-1]:

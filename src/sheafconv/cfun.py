@@ -29,14 +29,13 @@ from itertools import chain, combinations, product
 from .cf1 import Cf1, cf1_from_atoms, invertible_shadow
 from .errors import InputError
 from .linalg import cross3, primitive, vdot, vsub
-from .polytope import Polytope, _probe, minkowski_sum, union_hull, vertex_keys
+from .polytope import Polytope, _probe, minkowski_sum, vertex_keys
 from .region import (
     CLOSED,
     RELINT,
     Region,
     Term,
     closed_expansion,
-    evaluate_region,
     extents,
     indicator_normal_form,
     indicator_polys,
@@ -59,9 +58,6 @@ class ConstructibleFunction:
     @property
     def n(self) -> int:
         return self.region.dim
-
-    def evaluate(self, x) -> int:
-        return evaluate_region(self.region, x)
 
 
 def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> ConstructibleFunction:
@@ -149,7 +145,7 @@ def default_directions(r: Region, max_coeff: int = 5) -> list[tuple[int, ...]]:
     """Primitive covectors on the grid [-max_coeff, max_coeff]^n (so
     max_coeff is at most 8), facet normals, and pairwise vertex
     differences, one representative per line."""
-    if not 0 <= max_coeff <= 8:
+    if type(max_coeff) is not int or not 0 <= max_coeff <= 8:
         raise InputError(f"max_coeff {max_coeff} out of range 0..8")
     dirs = set()
     for combo in product(range(-max_coeff, max_coeff + 1), repeat=r.dim):
@@ -170,7 +166,7 @@ def direction_sweep(r: Region, max_coeff: int = 5) -> dict:
     is_convex_region).  Raises InputError, before any direction is built,
     when default_directions has more than MAX_SWEEP_DIRECTIONS candidates."""
     indicator_polys(r)
-    if 0 <= max_coeff <= 8:  # else default_directions names the bad max_coeff
+    if type(max_coeff) is int and 0 <= max_coeff <= 8:  # else default_directions raises
         v = len(_vertices(r))
         count = ((2 * max_coeff + 1) ** r.dim - 1 + v * (v - 1) // 2
                  + sum(len(t.poly.lattice.planes) for t in r.terms))
@@ -180,23 +176,20 @@ def direction_sweep(r: Region, max_coeff: int = 5) -> dict:
     dirs = default_directions(r, max_coeff)
     f = ConstructibleFunction(indicator_normal_form(r))
     entries = []
-    failing = []
     for xi in dirs:
         cf = pushforward_linear(f, xi)
-        ok = invertible_shadow(cf)
-        if not ok:
-            failing.append(xi)
         entries.append(
             {
                 "direction": list(xi),
-                "verdict": "pass" if ok else "fail",
+                "verdict": "pass" if invertible_shadow(cf) else "fail",
                 "cf1": cf.to_json(),
             }
         )
+    failing = [e["direction"] for e in entries if e["verdict"] == "fail"]
     return {
         "dimension": r.dim,
         "all_pass": not failing,
-        "failing": [list(xi) for xi in failing],
+        "failing": failing,
         "entries": entries,
     }
 
@@ -228,8 +221,7 @@ def invertibility_check_cf(r: Region) -> dict:
     The certificate reads each slice's Euler characteristic off the
     pushforward of the union's normal form that the decision already
     built; it never slices."""
-    hull = union_hull(indicator_polys(r))
-    ok, wit, nf = is_convex_region(r, hull)
+    ok, wit, nf, hull = is_convex_region(r)
     if ok:
         return {
             "invertible": True,

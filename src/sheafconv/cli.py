@@ -154,12 +154,6 @@ def _cmd_stalk(args) -> int:
     return 0
 
 
-def _fmt_probe_at(at) -> object:
-    if isinstance(at, tuple):
-        return [fmt_rat(c) for c in at]
-    return fmt_rat(at)
-
-
 def _cmd_table(args) -> int:
     report = validate_table(trials=args.trials, seed=args.seed)
     _emit(
@@ -172,7 +166,8 @@ def _cmd_table(args) -> int:
                     "trial": d["trial"],
                     "pair": d["pair"],
                     "probe": d["kind"],
-                    "at": _fmt_probe_at(d["at"]),
+                    "at": ([fmt_rat(c) for c in d["at"]] if isinstance(d["at"], tuple)
+                           else fmt_rat(d["at"])),
                     "expected": _graded_json(d["expected"]),
                     "got": _graded_json(d["got"]),
                 }

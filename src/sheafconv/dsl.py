@@ -30,7 +30,7 @@ RAT, INT, EXPR = "rat", "int", "expr"
 
 # name -> (argument kinds, variadic tail allowed)
 _SIGNATURES = {
-    **dict.fromkeys(sheaf1.ATOM_CLOSURES, ((RAT, RAT), False)),
+    **dict.fromkeys(("kc", "kco", "koc", "ko"), ((RAT, RAT), False)),
     "dirac": ((RAT,), False),
     "conv": ((EXPR, EXPR), True),
     "sum": ((EXPR, EXPR), True),

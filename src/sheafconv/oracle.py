@@ -247,8 +247,9 @@ def validate_table(
     slabs.  Returns a report dict; an empty `discrepancies` list means
     the table survived.
     """
-    if trials < 1:
-        raise InputError("validate_table needs at least one trial")
+    if type(trials) is not int or trials < 1:
+        raise InputError("validate_table needs an integer count of at least one trial, "
+                         f"got {trials!r}")
     if trials > MAX_TRIALS:
         raise InputError(f"validate_table runs at most {MAX_TRIALS} trials")
     if conv_fn is None:

@@ -108,11 +108,6 @@ class Polytope:
     def adim(self) -> int:
         return len(self.lattice.chart)
 
-    @property
-    def chart(self) -> tuple[int, ...]:
-        # pivot coordinates: projection onto them is injective on the hull
-        return self.lattice.chart
-
     @cached_property
     def inequalities(self) -> tuple:
         """Outward facet halfspaces (nu, c): inside means <nu,x> <= c, nu a
@@ -387,7 +382,7 @@ def _clip(p: Polytope, cuts, M: int) -> Optional[Polytope]:
 def scaled_volume(p: Polytope, D: int) -> int:
     """d! D^d times the volume of p in its affine hull, in its chart (1 for
     a point), d = p.adim, for a multiple D of p.den: an integer."""
-    d, chart, X = p.adim, p.chart, p.ints
+    d, chart, X = p.adim, p.lattice.chart, p.ints
     if d < 2:
         v = X[-1][chart[0]] - X[0][chart[0]] if d else 1
     elif d == 2:

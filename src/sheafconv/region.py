@@ -302,31 +302,30 @@ def _segment_exit(A, B, X, Y, M: int):
     return tuple(Fraction(2 * S * x + (reach + b) * (y - x), 2 * S * M) for x, y in zip(X, Y))
 
 
-def is_convex_region(r: Region, hull: Polytope | None = None):
+def is_convex_region(r: Region):
     """Decide whether the support of an indicator region is convex.
 
-    Returns (True, None, nf) or (False, witness, nf), where nf is the
-    union's indicator_normal_form and the witness carries two support
-    points whose open segment leaves the support, plus the exit point
-    itself.  The decision is the exact volume comparison; the witness
-    search scans term vertices first and face barycenters after (vertex
-    pairs alone cannot certify shapes like a triangle boundary), both on
-    integers over one denominator, and skips a pair that one term holds.
-    hull is the terms' convex hull, when the caller has already built it.
+    Returns (True, None, nf, hull) or (False, witness, nf, hull), where
+    nf is the union's indicator_normal_form, hull the terms' convex hull
+    and the witness carries two support points whose open segment leaves
+    the support, plus the exit point itself.  The decision is the exact
+    volume comparison; the witness search scans term vertices first and
+    face barycenters after (vertex pairs alone cannot certify shapes like
+    a triangle boundary), both on integers over one denominator, and
+    skips a pair that one term holds.
     """
     nf = indicator_normal_form(r)
     polys = [t.poly for t in r.terms]
-    if hull is None:
-        hull = union_hull(polys)
+    hull = union_hull(polys)
     if hull.adim == 0:
-        return True, None, nf
+        return True, None, nf, hull
     # exact: a term of the hull's dimension spans the hull's affine hull,
     # echelon pivots depend only on that span, so its chart is the hull's
     # chart; a term of lower dimension has measure zero
     full = [t for t in nf.terms if t.poly.adim == hull.adim]
     D = lcm(hull.den, *(t.poly.den for t in full))
     if sum(t.weight * scaled_volume(t.poly, D) for t in full) == scaled_volume(hull, D):
-        return True, None, nf
+        return True, None, nf, hull
     # vertex pairs, then every pair with a barycenter of a face above a vertex
     faces = [(k > 0, len(idx) * p.den, [p.ints[i] for i in idx])
              for p in polys for k, idx in p.face_indices]
@@ -348,5 +347,5 @@ def is_convex_region(r: Region, hull: Polytope | None = None):
         X, Y = pool[i], pool[j]
         if not held(i) & held(j) and (z := _segment_exit(slacks(i), slacks(j), X, Y, M)):
             x, y = (tuple(Fraction(c, M) for c in v) for v in (X, Y))
-            return False, {"x": x, "y": y, "outside": z}, nf
+            return False, {"x": x, "y": y, "outside": z}, nf, hull
     raise InvariantViolation("volume defect found but no segment witness")

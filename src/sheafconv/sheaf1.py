@@ -63,15 +63,6 @@ CC, CO, OC, OO = Closure
 _REVERSED = (CC, OC, CO, OO)  # the mirror image under x -> -x
 _FLIPPED = (OO, OC, CO, CC)  # both ends' closures swapped
 
-# the expression language's interval atoms; the JSON wire format names
-# each closure by its lower-case enum name instead
-ATOM_CLOSURES = {
-    "kc": Closure.CC,
-    "kco": Closure.CO,
-    "koc": Closure.OC,
-    "ko": Closure.OO,
-}
-
 
 def _check_degree(shift, mult) -> None:
     if not isinstance(shift, int) or isinstance(shift, bool):

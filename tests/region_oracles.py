@@ -356,7 +356,7 @@ def parent_face_indices(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
 def parent_scaled_volume(p: Polytope, D: int) -> int:
     """d! D^d times the volume of p in its affine hull, in its chart (1 for
     a point), d = p.adim, for a multiple D of p.den: an integer."""
-    d, chart, X = p.adim, p.chart, p.ints
+    d, chart, X = p.adim, p.lattice.chart, p.ints
     if d < 2:
         v = X[-1][chart[0]] - X[0][chart[0]] if d else 1
     elif d == 2:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from sheafconv import cli
-from sheafconv.sheaf1 import (ATOM_CLOSURES, Closure, Generator, Interval, Sheaf1,
+from sheafconv.sheaf1 import (Closure, Generator, Interval, Sheaf1,
                               global_sections_c, normalize)
 from sheafconv.randgen import rand_generator, rand_rat
 
@@ -148,7 +148,7 @@ def graded_tensor(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 # the expression language
 
 # Closure -> expression-language atom
-_ATOMS = {c: name for name, c in ATOM_CLOSURES.items()}
+_ATOMS = {C.CC: "kc", C.CO: "kco", C.OC: "koc", C.OO: "ko"}
 
 
 def sheaf_to_expr(f: Sheaf1) -> str:

@@ -311,7 +311,7 @@ def test_A9_convexity_battery(capsys):
     corpus = region_corpus()
     bad = []
     for i, (name, r, expect_convex) in enumerate(corpus):
-        verdict, wit, _ = is_convex_region(r)
+        verdict, wit, _, _ = is_convex_region(r)
         if verdict != expect_convex:
             bad.append(f"{name}: verdict {verdict}")
             continue

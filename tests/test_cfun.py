@@ -66,8 +66,8 @@ def test_point_convolution_translates():
     f = indicator(box2(0, 1, 0, 1))
     d = indicator(Polytope(((2, 3),)))
     h = euler_convolve(f, d)
-    assert h.evaluate((F(5, 2), F(7, 2))) == 1
-    assert h.evaluate((F(1, 2), F(1, 2))) == 0
+    assert evaluate_region(h.region, (F(5, 2), F(7, 2))) == 1
+    assert evaluate_region(h.region, (F(1, 2), F(1, 2))) == 0
 
 
 def test_convolve_requires_matching_dimension():
@@ -84,7 +84,7 @@ def test_convolution_is_commutative_and_additive_on_samples():
         h1, h2 = euler_convolve(f, g), euler_convolve(g, f)
         for _ in range(15):
             t = rand_point(rng, n, span=6)
-            assert h1.evaluate(t) == h2.evaluate(t)
+            assert evaluate_region(h1.region, t) == evaluate_region(h2.region, t)
 
 
 def test_swapped_probe_hits_the_cache_entry_of_the_pair():
@@ -113,7 +113,7 @@ def test_minkowski_identity_for_convex_pairs():
         h = euler_convolve(indicator(p), indicator(q))
         for _ in range(25):
             t = rand_point(rng, n, span=8)
-            assert h.evaluate(t) == (1 if s.contains(t) else 0)
+            assert evaluate_region(h.region, t) == (1 if s.contains(t) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +123,29 @@ def test_minkowski_identity_for_convex_pairs():
 def test_inverse_identity_unit_square():
     sq = box2(0, 1, 0, 1)
     h = euler_convolve(indicator(sq), cf_inverse_convex(sq))
-    assert h.evaluate((F(0), F(0))) == 1
+    assert evaluate_region(h.region, (F(0), F(0))) == 1
     for t in ((F(1), F(1)), (F(-1, 2), F(0)), (F(1, 3), F(1, 7)), (F(5), F(5))):
-        assert h.evaluate(t) == 0
+        assert evaluate_region(h.region, t) == 0
 
 
 def test_inverse_identity_lower_dimensional():
     seg = Polytope(((0, 0, 0), (1, 2, 3)))
     h = euler_convolve(indicator(seg), cf_inverse_convex(seg))
-    assert h.evaluate((F(0), F(0), F(0))) == 1
-    assert h.evaluate((F(1, 2), F(1), F(3, 2))) == 0  # inside S + (-S)
-    assert h.evaluate((F(1), F(1), F(1))) == 0
+    assert evaluate_region(h.region, (F(0), F(0), F(0))) == 1
+    assert evaluate_region(h.region, (F(1, 2), F(1), F(3, 2))) == 0  # inside S + (-S)
+    assert evaluate_region(h.region, (F(1), F(1), F(1))) == 0
     pt = Polytope(((3, -2),))
     h2 = euler_convolve(indicator(pt), cf_inverse_convex(pt))
-    assert h2.evaluate((F(0), F(0))) == 1 and h2.evaluate((F(1), F(0))) == 0
+    assert evaluate_region(h2.region, (F(0), F(0))) == 1
+    assert evaluate_region(h2.region, (F(1), F(0))) == 0
 
 
 def test_inverse_sign_in_one_dimension():
     seg = Polytope(((0,), (1,)))
     inv = cf_inverse_convex(seg)
-    assert inv.evaluate((F(-1, 2),)) == -1
-    assert inv.evaluate((F(0),)) == 0 and inv.evaluate((F(-1),)) == 0
+    assert evaluate_region(inv.region, (F(-1, 2),)) == -1
+    assert evaluate_region(inv.region, (F(0),)) == 0
+    assert evaluate_region(inv.region, (F(-1),)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +569,8 @@ def test_invertibility_check_convex():
     res = invertibility_check_cf(make_region(2, [(box2(0, 1, 0, 1), CLOSED, 1)]))
     assert res["invertible"] and res["d"] == 2
     inv = res["inverse"]
-    assert inv.evaluate((F(-1, 2), F(-1, 2))) == 1
-    assert inv.evaluate((F(0), F(0))) == 0
+    assert evaluate_region(inv.region, (F(-1, 2), F(-1, 2))) == 1
+    assert evaluate_region(inv.region, (F(0), F(0))) == 0
     seg3 = make_region(3, [(Polytope(((0, 0, 0), (1, 2, 3))), CLOSED, 1)])
     assert invertibility_check_cf(seg3)["d"] == 1
 
@@ -603,6 +605,22 @@ def test_certificate_in_2d_takes_its_first_candidate():
     assert certified > 400
 
 
+def test_certificate_fallback_reads_a_gap_of_the_shadow(monkeypatch):
+    # the square annulus [0,3]^2 minus ]1,2[^2, with no perpendicular
+    # candidate, so the scan over the default directions runs; along
+    # (0, 1) every point value is 1 and the gap ]1, 2[ reads 2
+    r = make_region(2, [(box2(0, 1, 0, 3), CLOSED, 1), (box2(2, 3, 0, 3), CLOSED, 1),
+                        (box2(0, 3, 0, 1), CLOSED, 1), (box2(0, 3, 2, 3), CLOSED, 1)])
+    monkeypatch.setattr(cfun, "_perp_directions", lambda d, r: iter(()))
+    res = invertibility_check_cf(r)
+    assert not res["invertible"]
+    assert (res["direction"], res["slice_at"], res["slice_chi"]) == ((0, 1), F(3, 2), 2)
+    nf = indicator_normal_form(r)
+    shadow = pushforward_linear(ConstructibleFunction(nf), (0, 1))
+    assert shadow.point_values == (1, 1, 1, 1) and shadow.gap_values == (1, 2, 1)
+    assert euler_char_c(slice_region(nf, (0, 1), F(3, 2))) == 2
+
+
 def test_invertibility_check_one_dimensional_gap():
     r = make_region(1, [(Polytope(((0,), (1,))), CLOSED, 1), (Polytope(((2,), (3,))), CLOSED, 1)])
     res = invertibility_check_cf(r)
@@ -621,6 +639,8 @@ def test_default_directions_bound_the_grid():
     r = L_shape()
     grid = {primitive(c) for c in product(range(-8, 9), repeat=2) if any(c)}
     assert default_directions(r, 8) == sorted(grid)
-    for bad in (-1, 9, 40):
+    for bad in (-1, 9, 40, True, 2.5):
         with pytest.raises(InputError):
             default_directions(r, bad)
+        with pytest.raises(InputError, match="max_coeff"):
+            direction_sweep(r, bad)

@@ -20,6 +20,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sheafconv
 from sheafconv import cfun, cli, microlocal, region, sheaf1
@@ -912,3 +913,139 @@ def test_cli_check_disagreement_is_exit_3(monkeypatch, capsys):
     assert rc == 3
     body = out_json(capsys)
     assert body["invertible"] and not body["necessary_check"] and not body["consistent"]
+
+
+# ---------------------------------------------------------------------------
+# the JSON readers' contract, on generated documents
+
+_COORDS = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/2", "2/3", "0"]))
+_BAD_VALUES = st.sampled_from([True, False, 0.5, 2.0, "x", "1/0", None, [], {},
+                               "9" * (MAX_LITERAL_DIGITS + 1), 10 ** MAX_LITERAL_DIGITS])
+# the faults region_from_json checks, one term's and the document's
+_TERM_FAULTS = ("missing", "weight", "mode", "coordinate", "ragged", "no-vertices",
+                "vertex-not-list", "vertices-not-list", "not-an-object")
+_DOC_FAULTS = ("dimension", "no-dimension", "no-terms", "terms-not-list", "not-an-object")
+
+
+def _fault(draw, faults):
+    # one draw in six picks a fault; shrinking drops it
+    return draw(st.sampled_from(faults)) if draw(st.integers(0, 5)) == 5 else None
+
+
+@st.composite
+def region_docs(draw):
+    """A region document, and its dimension, whose closed weight-1 terms
+    are mixed with the faults of region_from_json: missing fields, bools,
+    floats, strings, ragged or empty vertex lists, weights 0 or past the
+    digit bound, and unknown modes."""
+    dim = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        verts = [[draw(_COORDS) for _ in range(dim)] for _ in range(draw(st.integers(1, 4)))]
+        term = {"vertices": verts, "mode": "closed", "weight": 1}
+        fault = _fault(draw, _TERM_FAULTS)
+        if fault == "missing":
+            del term[draw(st.sampled_from(sorted(term)))]
+        elif fault == "weight":
+            term["weight"] = draw(st.one_of(_BAD_VALUES, st.sampled_from([0, -1, 2])))
+        elif fault == "mode":
+            term["mode"] = draw(st.sampled_from(["relint", "open", "CLOSED", 1, None]))
+        elif fault == "coordinate":
+            draw(st.sampled_from(verts))[draw(st.integers(0, dim - 1))] = draw(_BAD_VALUES)
+        elif fault == "ragged":
+            draw(st.sampled_from(verts)).append(0)
+        elif fault == "no-vertices":
+            term["vertices"] = []
+        elif fault == "vertex-not-list":
+            verts[0] = draw(_BAD_VALUES)
+        elif fault == "vertices-not-list":
+            term["vertices"] = draw(_BAD_VALUES)
+        elif fault == "not-an-object":
+            term = draw(_BAD_VALUES)
+        terms.append(term)
+    doc = {"dimension": dim, "terms": terms}
+    fault = _fault(draw, _DOC_FAULTS)
+    if fault == "dimension":
+        doc["dimension"] = draw(st.one_of(_BAD_VALUES, st.sampled_from([0, 4, -1])))
+    elif fault == "no-dimension":
+        del doc["dimension"]
+    elif fault == "no-terms":
+        del doc["terms"]
+    elif fault == "terms-not-list":
+        doc["terms"] = draw(_BAD_VALUES)
+    elif fault == "not-an-object":
+        doc = terms
+    return doc, dim
+
+
+def _one_outcome(code, out, err):
+    # a verdict is one JSON line on stdout; a rejected input, none and an
+    # error on stderr
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and json.loads(err)["error"]
+    else:
+        assert err == "" and len(out.splitlines()) == 1 and isinstance(json.loads(out), dict)
+
+
+@given(region_docs(), st.integers(0, 2))
+@settings(derandomize=True, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_region_commands_keep_the_exit_contract_on_generated_files(tmp_path, capsys, case, k):
+    doc, n = case
+    path = write(tmp_path, "doc.json", doc)
+    at = ",".join(["1/2", "0", "-1"][:n])
+    for argv in (["region", "check", path], ["region", "sweep", path, "--max-coeff", str(k)],
+                 ["region", "conv", path, path, "--at", at]):
+        code = cli.main(argv)
+        _one_outcome(code, *capsys.readouterr())
+
+
+_SHEAF_FAULTS = ("lo", "hi", "closure", "shift", "mult", "missing", "extra", "not-an-object")
+
+
+@st.composite
+def sheaf_docs(draw):
+    """A sheaf document: generators with good and bad ends, closures,
+    shifts and multiplicities, missing or extra keys, and a malformed
+    document around them."""
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=2,
+                                      max_size=2)))
+        closure = draw(st.sampled_from(["cc", "co", "oc", "oo"] if lo < hi else ["cc"]))
+        item = {"lo": str(lo), "hi": str(hi), "closure": closure,
+                "shift": draw(st.integers(-2, 2)), "mult": draw(st.integers(1, 3))}
+        fault = _fault(draw, _SHEAF_FAULTS)
+        if fault in ("lo", "hi", "shift", "mult"):
+            item[fault] = draw(st.one_of(_BAD_VALUES, st.sampled_from([0, -1, "5", "-5"])))
+        elif fault == "closure":
+            item["closure"] = draw(st.one_of(_BAD_VALUES, st.sampled_from(["CC", "kc", "oo"])))
+        elif fault == "missing":
+            del item[draw(st.sampled_from(sorted(item)))]
+        elif fault == "extra":
+            item["weight"] = 1
+        elif fault == "not-an-object":
+            item = draw(_BAD_VALUES)
+        gens.append(item)
+    doc = {"generators": gens}
+    fault = _fault(draw, ("extra", "no-generators", "generators-not-list", "not-an-object"))
+    if fault == "extra":
+        doc["x"] = 1
+    elif fault == "no-generators":
+        doc = {}
+    elif fault == "generators-not-list":
+        doc["generators"] = draw(_BAD_VALUES)
+    elif fault == "not-an-object":
+        doc = gens
+    return doc
+
+
+@given(sheaf_docs())
+@settings(derandomize=True, database=None, max_examples=300)
+def test_sheaf_reader_raises_input_error_or_round_trips(doc):
+    try:
+        f = sheaf_from_json(doc)
+    except InputError:
+        return
+    assert sheaf_from_json(sheaf_to_json(f)) == f

@@ -854,7 +854,7 @@ def test_convex_verdicts():
 
 def test_nonconvex_witnesses_are_genuine():
     L = make_region(2, [(box2(0, 2, 0, 1), CLOSED, 1), (box2(0, 1, 0, 3), CLOSED, 1)])
-    ok, wit, _ = is_convex_region(L)
+    ok, wit, _, _ = is_convex_region(L)
     assert not ok
     assert evaluate_region(L, wit["x"]) == 1 and evaluate_region(L, wit["y"]) == 1
     assert evaluate_region(L, wit["outside"]) == 0
@@ -871,7 +871,7 @@ def test_nonconvex_needs_barycenter_tier():
         (convex_hull([(0, 0), (F(1, 2), 0), (2, 4), (F(3, 2), 4)]), CLOSED, 1),
         (convex_hull([(4, 0), (F(7, 2), 0), (2, 4), (F(5, 2), 4)]), CLOSED, 1),
     ])
-    ok, wit, _ = is_convex_region(bars)
+    ok, wit, _, _ = is_convex_region(bars)
     assert not ok and evaluate_region(bars, wit["outside"]) == 0
 
 
@@ -880,7 +880,7 @@ def test_convexity_random_unions_agree_with_sampling():
     for _ in range(30):
         n = rng.choice([1, 2, 2, 3])
         r = rand_union_region(rng, n, max_terms=2, span=3)
-        ok, wit, _ = is_convex_region(r)
+        ok, wit, _, _ = is_convex_region(r)
         if not ok:
             assert evaluate_region(r, wit["outside"]) == 0
             assert evaluate_region(r, wit["x"]) >= 1 and evaluate_region(r, wit["y"]) >= 1
@@ -940,14 +940,14 @@ def test_normal_form_volume_matches_inclusion_exclusion_oracle():
     cancelled = 0
     for i, r in enumerate(a9 + nested_union_regions(random.Random(44), 210)):
         polys = [t.poly for t in r.terms]
-        ok, _, nf = is_convex_region(r)
+        ok, _, nf, _ = is_convex_region(r)
         kept = {t.poly.verts for t in nf.terms}
         cancelled += any(p.verts not in kept for p in polys)
         hull = convex_hull([v for p in polys for v in p.verts])
         if hull.adim == 0:
             assert ok, i
             continue
-        chart, d = hull.chart, hull.adim
+        chart, d = hull.lattice.chart, hull.adim
         expect = ie_union_volume(polys, chart, d)
         assert sum(t.weight * chart_volume(t.poly, chart, d) for t in nf.terms) == expect, i
         assert ok == (expect == chart_volume(hull, chart, d)), i
@@ -1054,7 +1054,7 @@ def test_filtered_witness_matches_unfiltered_scan():
     scan over every pair finds first."""
     nonconvex = {2: 0, 3: 0}
     for i, r in enumerate(nonconvex_corpus(random.Random(47))):
-        ok, wit, _ = is_convex_region(r)
+        ok, wit, _, _ = is_convex_region(r)
         assert wit == unfiltered_witness(r), i
         nonconvex[r.dim] += not ok
     assert nonconvex[2] >= 30 and nonconvex[3] >= 25
@@ -1163,7 +1163,7 @@ def test_convexity_decision_tests_containment_only_for_the_held_masks(monkeypatc
 
     monkeypatch.setattr(Polytope, "contains_scaled", counting_contains)
     monkeypatch.setattr(region, "vdot", counting_vdot)
-    ok, wit, _ = is_convex_region(r)
+    ok, wit, _, _ = is_convex_region(r)
     assert not ok and wit is not None
     assert len(contains) == 0, len(contains)
     assert len(dots) <= bound, len(dots)
@@ -1207,7 +1207,7 @@ def test_region_check_makes_fractions_only_for_the_witness(monkeypatch):
         calls.clear()
         monkeypatch.setattr(Fraction, "__new__", counting)
         parsed = region_from_json(doc)
-        ok, wit, _ = is_convex_region(parsed)
+        ok, wit, _, _ = is_convex_region(parsed)
         monkeypatch.undo()
         assert parsed == r, i
         assert len(calls) == (0 if ok else 3 * r.dim), (i, calls)

@@ -150,7 +150,7 @@ def test_lattice_form_matches_fraction_oracles():
         eqs = oracle_equalities(pts)
         chart = rref([vsub(p, pts[0]) for p in pts[1:]])[1]
         for poly in (Polytope(pts), convex_hull(pts)):
-            assert poly.chart == tuple(chart), i
+            assert poly.lattice.chart == tuple(chart), i
             assert poly.adim == len(chart), i
             have = [(w, F(c, poly.den)) for w, c in poly.lattice.eqs]
             assert len(have) == len(eqs) == n - poly.adim, i

@@ -167,6 +167,13 @@ def test_validate_table_rejects_zero_trials():
         validate_table(trials=0)
 
 
+def test_validate_table_rejects_a_count_that_is_not_an_int():
+    # a bool is an int to Python, and a float would reach range()
+    for bad in (True, 2.5):
+        with pytest.raises(InputError, match="integer count"):
+            validate_table(trials=bad)
+
+
 def corrupted(g: Generator, h: Generator) -> Sheaf1:
     """The real convolution with just the closed*closed cell sabotaged:
     every right end one too far."""
