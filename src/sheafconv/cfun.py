@@ -55,10 +55,6 @@ MAX_SWEEP_DIRECTIONS = 10_000
 class ConstructibleFunction:
     region: Region
 
-    @property
-    def n(self) -> int:
-        return self.region.dim
-
 
 def indicator(poly: Polytope, mode: str = CLOSED, weight: int = 1) -> ConstructibleFunction:
     return ConstructibleFunction(make_region(poly.n, [(poly, mode, weight)]))
@@ -92,7 +88,7 @@ def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> Constr
 
 
 def euler_convolve_at(f: ConstructibleFunction, g: ConstructibleFunction, t) -> int:
-    P, S = _probe(t, f.n, 1)  # the point is read and checked before any term is built
+    P, S = _probe(t, f.region.dim, 1)  # the point is read and checked before any term is built
     return value_scaled(_product(f.region, g.region), P, S)
 
 

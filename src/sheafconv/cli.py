@@ -56,9 +56,6 @@ def sheaf_from_json(obj) -> sheaf1.Sheaf1:
             raise InputError("endpoints must be rational strings")
         if not isinstance(item["closure"], str) or item["closure"] not in _CLOSURES:
             raise InputError(f"unknown closure {item['closure']!r}")
-        for key in ("shift", "mult"):
-            if not isinstance(item[key], int) or isinstance(item[key], bool):
-                raise InputError(f"{key} must be an integer")
         parts.append(
             sheaf1.interval_sheaf(_CLOSURES[item["closure"]], item["lo"], item["hi"],
                                   item["shift"], item["mult"])

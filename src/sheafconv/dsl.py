@@ -55,7 +55,6 @@ def _tokens(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokens(text)
         self.i = 0
 

@@ -13,7 +13,8 @@ The oracles run on integers: a generator is read as a key (lo, hi,
 closure, shift, mult) with its ends over a common scale, as a Sheaf1
 keeps its own, and a probe or slab end as an integer over the same
 scale.  The one public oracle, conv_stalk_oracle, which the benchmark
-calls, takes Fractions and scales its arguments over the lcm of their
+calls, reads t as every entry point does (rational.ratio: a bool or a
+float is an InputError) and scales its arguments over the lcm of their
 denominators.  validate_table puts each trial on one scale, 132 times
 the lcm of the ends' denominators and the result's, on which every
 probe it draws is an integer, and builds a Fraction only for the probe
@@ -25,10 +26,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import InputError
 from .randgen import rand_generator
+from .rational import ratio
 from .sheaf1 import Closure, Generator, Sheaf1, convolve_generators, stalk
 
 # a generator on integers: (lo, hi, closure, shift, mult), ends over a scale
@@ -105,9 +107,9 @@ def conv_stalk_oracle(g: Generator, h: Generator, t) -> dict[int, int]:
     that interval is k in degree 0 (closed or point), k in degree 1
     (open), zero (half-open or empty).
     """
-    t = Fraction(t)
-    scale = lcm(*_dens(g), *_dens(h), t.denominator)
-    return _stalk(_key(g, scale), _key(h, scale), _at(t, scale))
+    p, q = ratio(t)
+    scale = lcm(*_dens(g), *_dens(h), q)
+    return _stalk(_key(g, scale), _key(h, scale), p * (scale // q))
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +236,26 @@ def _pair_name(g: Generator, h: Generator) -> str:
     return f"{g.interval.closure.name.lower()}*{h.interval.closure.name.lower()}"
 
 
-def validate_table(
-    trials: int = 200,
-    seed: int = 0,
-    conv_fn: Callable[[Generator, Generator], Sheaf1] = None,
-) -> dict:
+def validate_table(trials: int = 200, seed: int = 0) -> dict:
     """Cross-check the closure-pair table against both oracles.
 
-    Runs `trials` random generator pairs through `conv_fn` (the real
-    convolution by default) and compares stalks at critical points,
-    midpoints and exterior points, plus section spaces over random
-    slabs.  Returns a report dict; an empty `discrepancies` list means
-    the table survived.
+    Runs `trials` random generator pairs through convolve_generators
+    and compares stalks at critical points, midpoints and exterior
+    points, plus section spaces over random slabs.  Returns a report
+    dict; an empty `discrepancies` list means the table survived.
     """
     if type(trials) is not int or trials < 1:
         raise InputError("validate_table needs an integer count of at least one trial, "
                          f"got {trials!r}")
     if trials > MAX_TRIALS:
         raise InputError(f"validate_table runs at most {MAX_TRIALS} trials")
-    if conv_fn is None:
-        conv_fn = convolve_generators
     rng = random.Random(seed)
     discrepancies: list[dict] = []
     for trial in range(trials):
         g = rand_generator(rng)
         h = rand_generator(rng)
         misses = []  # (kind, at, expected, got)
-        result = conv_fn(g, h)
+        result = convolve_generators(g, h)
         # 132 = lcm(2, 12, 33): every midpoint, every exterior probe
         # pts[0] - 1 - a/b with b <= 4 and every slab end span * k/33 is
         # an integer over this scale

@@ -12,7 +12,9 @@ one integer lattice form of the same points: the affine chart (the
 pivots of the span of the difference rows), the affine-hull equalities
 <w, X> = C and the outward facets <nu, X> <= C, nu primitive integer;
 rings, edges, volumes and the bounding box (the least and greatest of X
-per coordinate) are read off the same integers.  A probe P/S, S = k*den,
+per coordinate) are read off the same integers.  A probe point and a
+covector are read by one reader, to integers with no Fraction (_probe,
+each coordinate by rational.ratio).  A probe P/S, S = k*den,
 is inside when lo*k <= P <= hi*k, <w, P> = C*k and <nu, P> <= C*k; the one
 halfspace form, each equality as two then the facets, is `halfspaces`.
 Every Polytope is a hull: the constructor hulls the points it is given,
@@ -39,7 +41,7 @@ from typing import Optional
 from .errors import InputError
 from .lattice import Lattice, index_rings, lattice_form, ring2, ring_on, segment_sum
 from .linalg import cross3, vadd, vdot, vneg, vsub
-from .rational import lattice_point, over_gcd, rat, ratio
+from .rational import over_gcd, ratio
 
 
 class Polytope:
@@ -194,12 +196,13 @@ class Polytope:
                                 tuple((vneg(nu), c) for nu, c in planes)))
 
 
-def _probe(x, n: int, D: int) -> tuple[tuple[int, ...], int]:
+def _probe(x, n: int, D: int, name: str = "point") -> tuple[tuple[int, ...], int]:
     """(S*x, S) for a point x of n coordinates, each read by ratio (no
-    Fraction is made), S the lcm of D and their denominators."""
+    Fraction is made), S the lcm of D and their denominators; name is
+    the vector's in the dimension error."""
     pq = [ratio(c) for c in x]
     if len(pq) != n:
-        raise InputError("point dimension mismatch")
+        raise InputError(f"{name} dimension mismatch")
     S = lcm(D, *(q for _, q in pq))
     return tuple(p * (S // q) for p, q in pq), S
 
@@ -293,12 +296,10 @@ def intersect_polytopes(p: Polytope, q: Polytope) -> Optional[Polytope]:
 
 def _covector(xi, n: int) -> tuple[tuple[int, ...], int]:
     """(L xi, L), L the lcm of xi's denominators, for a nonzero covector xi of n coordinates."""
-    xi = tuple(rat(c) for c in xi)
-    if len(xi) != n:
-        raise InputError("covector dimension mismatch")
-    if not any(xi):
+    a, L = _probe(xi, n, 1, "covector")
+    if not any(a):
         raise InputError("covector must be nonzero")
-    return lattice_point(xi)
+    return a, L
 
 
 def slice_polytope(p: Polytope, xi, t) -> Optional[Polytope]:

@@ -2,15 +2,16 @@
 
 Coordinates, endpoints and offsets at the API edge are fractions.Fraction
 values; Fraction already maintains the invariants we need (lowest terms,
-positive denominator, value equality).  Floats are rejected everywhere
-at construction time so no rounding can sneak in.  The wire format is
+positive denominator, value equality).  One reader takes every rational
+input (ratio): it gives the integer pair (p, q), makes no Fraction for an
+int or a literal, and rejects a bool, a float or any other value, so no
+rounding can sneak in; rat is its Fraction view.  The wire format is
 the compact string "p" or "p/q", read by one ASCII literal grammar and
 checked in one place (check_literal), so the CLI, region files and the
 DSL report each fault with one message.
 Fast paths scale a group of rationals once to integers over their
 common denominator (lattice_point), or read them as integer pairs
-(ratio; an int or a literal, as region files are read, makes no
-Fraction), compute on the ints, and write each output position from its
+(ratio), compute on the ints, and write each output position from its
 integer pair with one gcd (fmt_ratio).
 Integer combinations, of polytope indicators, generators, stalk
 degrees, conormal rays or covector positions, are put in canonical form
@@ -63,22 +64,14 @@ def int_too_long(value) -> bool:
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to Fraction; reject floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rat(value)
-    raise InputError(f"not an exact rational: {value!r} ({type(value).__name__})")
+    """value as a Fraction: a Fraction as it is, anything else read by ratio."""
+    return value if isinstance(value, Fraction) else Fraction(*ratio(value))
 
 
 def ratio(value) -> tuple[int, int]:
     """(p, q) in lowest terms with q > 0 for an int, a Fraction, a "p/q"
     string, or an integer pair (p, q) with q > 0, which the DSL's
-    literals are."""
+    literals are; InputError for a bool, a float or any other value."""
     if type(value) is Fraction:
         return value.numerator, value.denominator
     if type(value) is int:
@@ -87,7 +80,10 @@ def ratio(value) -> tuple[int, int]:
         p, _, q = check_literal(value).partition("/")
         value = int(p), int(q or 1)
     elif not isinstance(value, tuple):
-        value = rat(value)
+        if isinstance(value, bool):
+            raise InputError(f"not a rational: {value!r}")
+        if not isinstance(value, (int, Fraction)):
+            raise InputError(f"not an exact rational: {value!r} ({type(value).__name__})")
         return value.numerator, value.denominator
     if len(value) != 2 or not all(type(v) is int for v in value) or value[1] < 1:
         raise InputError(f"not an integer pair (p, q) with q > 0: {value!r}")
@@ -121,10 +117,6 @@ def signed_sum(pairs) -> dict:
         acc[k] = get(k, 0) + w
     # most sums cancel nothing: the scan for a zero is cheaper than a copy
     return {k: w for k, w in acc.items() if w} if 0 in acc.values() else acc
-
-
-def parse_rat(text: str) -> Fraction:
-    return Fraction(check_literal(text))
 
 
 def fmt_rat(value: Fraction) -> str:

@@ -7,7 +7,8 @@ itself by its vertices (Polytope.__lt__); no term is rescaled to sort.
 A region carries den, the lcm of its terms' denominators, and its
 identity, an integer key compared in C.  A point value reads the probe
 to integers over den and tests the region's box, then each term's, with
-no Fraction.  extents reads a covector once, for pushforward and slicing.
+no Fraction.  extents reads a covector once, for pushforward and slicing,
+to integers by the same reader, with no Fraction.
 
 The union of an indicator region's terms has one normal form, its honest
 indicator written by inclusion-exclusion over the terms' intersections,
@@ -78,7 +79,7 @@ class Region:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 3:
+        if type(self.dim) is not int or not 1 <= self.dim <= 3:
             raise InputError(f"ambient dimension {self.dim} out of range 1..3")
         if any(t.poly.n != self.dim for t in self.terms):
             raise InputError("term dimension mismatch")
@@ -112,6 +113,9 @@ def make_region(dim: int, items) -> Region:
 
     Equal (polytope, mode) entries merge; zero weights drop out.
     """
+    items = list(items)
+    if not all(isinstance(w, int) and not isinstance(w, bool) for _, _, w in items):
+        raise InputError("term weight must be an integer")
     acc = signed_sum(((poly, mode), weight) for poly, mode, weight in items)
     return Region(dim, tuple(Term(poly, mode, acc[poly, mode]) for poly, mode in sorted(acc)))
 
@@ -317,8 +321,6 @@ def is_convex_region(r: Region):
     nf = indicator_normal_form(r)
     polys = [t.poly for t in r.terms]
     hull = union_hull(polys)
-    if hull.adim == 0:
-        return True, None, nf, hull
     # exact: a term of the hull's dimension spans the hull's affine hull,
     # echelon pivots depend only on that span, so its chart is the hull's
     # chart; a term of lower dimension has measure zero

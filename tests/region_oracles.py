@@ -226,7 +226,7 @@ def parent_contains_scaled(self, P, L: int, strict: bool = False) -> bool:
 
 def parent_euler_convolve_at(f, g, t) -> int:
     t = tuple(rat(c) for c in t)
-    if len(t) != f.n:
+    if len(t) != f.region.dim:
         raise InputError("point dimension mismatch")
     P, L = lattice_point(t)
     return sum(u.weight for u in _product(f.region, g.region).terms

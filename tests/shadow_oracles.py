@@ -88,7 +88,7 @@ def sliced_pushforward(f, xi) -> Cf1:
     xi = tuple(rat(c) for c in xi)
     verts = [v for t in f.region.terms for v in t.poly.verts]
     breakpoints = sorted({vdot(xi, v) for v in verts})
-    if f.n == 1:
+    if f.region.dim == 1:
         value_at = lambda t: evaluate_region(f.region, (t / xi[0],))
     else:
         value_at = lambda t: euler_char_c(slice_region(f.region, xi, t))

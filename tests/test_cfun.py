@@ -347,8 +347,8 @@ def test_pushforward_over_mixed_denominators_matches_sliced_oracle():
 
 
 def test_pushforward_makes_one_fraction_per_breakpoint(monkeypatch):
-    # an integer covector's entries and each breakpoint of the result are
-    # the only Fractions: the terms' extremes stay integers
+    # each breakpoint of the result is the only Fraction: the covector
+    # and the terms' extremes stay integers
     rng = random.Random(3406)
     calls = []
     real = Fraction.__new__
@@ -367,7 +367,7 @@ def test_pushforward_makes_one_fraction_per_breakpoint(monkeypatch):
         monkeypatch.setattr(Fraction, "__new__", counting)
         cf = pushforward_linear(f, xi)
         monkeypatch.undo()
-        assert len(calls) == len(xi) + len(cf.breaks), (f, xi)
+        assert len(calls) == len(cf.breaks), (f, xi)
 
 
 def _rand_cf1(rng):
@@ -573,6 +573,13 @@ def test_invertibility_check_convex():
     assert evaluate_region(inv.region, (F(0), F(0))) == 0
     seg3 = make_region(3, [(Polytope(((0, 0, 0), (1, 2, 3))), CLOSED, 1)])
     assert invertibility_check_cf(seg3)["d"] == 1
+    # a point's hull has volume 1 in its chart, as its one term has
+    for pt in ((F(1, 2),), (F(1, 2), -2), (1, F(-2, 3), 3)):
+        res = invertibility_check_cf(make_region(len(pt), [(Polytope((pt,)), CLOSED, 1)]))
+        assert res["invertible"] and res["d"] == 0
+        (term,) = res["inverse"].region.terms
+        mirror = Polytope((tuple(-c for c in pt),))
+        assert (term.poly, term.mode, term.weight) == (mirror, RELINT, 1)
 
 
 def test_invertibility_check_L():

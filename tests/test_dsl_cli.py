@@ -28,7 +28,7 @@ from sheafconv.cli import sheaf_from_json, sheaf_to_json, sheaf_to_text
 from sheafconv.dsl import eval_text, parse
 from sheafconv.errors import InputError, ParseError
 from sheafconv.oracle import MAX_TRIALS
-from sheafconv.rational import MAX_LITERAL_DIGITS, parse_rat, ratio
+from sheafconv.rational import MAX_LITERAL_DIGITS, check_literal, rat, ratio
 from sheafconv.sheaf1 import dirac, direct_sum, kc, kco, ko, koc, shift, zero
 
 from disjoint_terms import disjoint_terms
@@ -330,7 +330,7 @@ def test_literal_digit_bound_is_inclusive(capsys):
     with pytest.raises(ParseError):
         eval_text(f"kc(0,{edge}9)")
     with pytest.raises(InputError):
-        parse_rat(f"{edge}9")
+        rat(f"{edge}9")
 
 
 @pytest.mark.parametrize("argv, at", [
@@ -717,10 +717,11 @@ def _literal_corpus(rng):
 
 def test_literal_ratio_matches_parse_rat():
     # a region file's string coordinate reads to the lowest-terms integer
-    # pair of the Fraction parse_rat makes, or fails with its message
+    # pair of the Fraction that Python reads from the checked literal, or
+    # fails with the checker's message
     for text in _literal_corpus(random.Random(47)):
         try:
-            want = parse_rat(text)
+            want = Fraction(check_literal(text))
         except InputError as exc:
             with pytest.raises(InputError) as got:
                 ratio(text)

@@ -689,10 +689,19 @@ def test_region_validation():
         Term(box2(0, 1, 0, 1), "half-open", 1)
     with pytest.raises(InputError):
         Term(box2(0, 1, 0, 1), CLOSED, 0)
+    for weight in (1.5, True, "1"):
+        with pytest.raises(InputError, match="^term weight must be an integer$"):
+            Term(box2(0, 1, 0, 1), CLOSED, weight)
+        # checked before equal terms are summed, where True would read as 1
+        with pytest.raises(InputError, match="^term weight must be an integer$"):
+            make_region(2, [(box2(0, 1, 0, 1), CLOSED, weight)])
     with pytest.raises(InputError, match="^term weight must be an integer$"):
-        Term(box2(0, 1, 0, 1), CLOSED, 1.5)
+        cfun.indicator(box2(0, 1, 0, 1), CLOSED, False)
     with pytest.raises(InputError, match=r"^ambient dimension 4 out of range 1\.\.3$"):
         Region(4, ())
+    for dim in ("x", True, 2.0):
+        with pytest.raises(InputError, match=r"^ambient dimension .* out of range 1\.\.3$"):
+            make_region(dim, [])
 
 
 def test_region_checks_the_canonical_term_order():

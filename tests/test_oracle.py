@@ -186,7 +186,7 @@ def corrupted(g: Generator, h: Generator) -> Sheaf1:
     return out
 
 
-# validate_table(trials=120, seed=3, conv_fn=corrupted), as the Fraction
+# validate_table(trials=120, seed=3) on the corrupted table, as the Fraction
 # driver reports it: (trial, kind, at, expected, got), in report order
 CORRUPTED_REPORT = [
     (10, "stalk", "-49/8", {}, {-2: 4}),
@@ -224,8 +224,9 @@ CORRUPTED_REPORT = [
 ]
 
 
-def test_validate_table_catches_a_corrupted_entry():
-    report = validate_table(trials=120, seed=3, conv_fn=corrupted)
+def test_validate_table_catches_a_corrupted_entry(monkeypatch):
+    monkeypatch.setattr(oracle, "convolve_generators", corrupted)
+    report = validate_table(trials=120, seed=3)
     assert report["count"] == len(CORRUPTED_REPORT) == 32
     assert all(d["pair"] == "cc*cc" for d in report["discrepancies"])
     at = lambda a: tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a)
@@ -248,12 +249,13 @@ def test_cli_table_reports_a_corrupted_entry(monkeypatch, capsys):
         "ad76c484f56c6e767318bf1526f0a5e61f291dd3a38ae54652770ca82b89b0ed")
 
 
-def test_validate_table_matches_fraction_driver_on_a_translated_table():
+def test_validate_table_matches_fraction_driver_on_a_translated_table(monkeypatch):
     # every cell wrong, by a shift with a denominator the draws never have
     def translated(g: Generator, h: Generator) -> Sheaf1:
         return translate(convolve_generators(g, h), Fraction(1, 5))
 
-    report = validate_table(trials=150, seed=12345, conv_fn=translated)
+    monkeypatch.setattr(oracle, "convolve_generators", translated)
+    report = validate_table(trials=150, seed=12345)
     assert report["count"] > 300
     assert {d["kind"] for d in report["discrepancies"]} == {"stalk", "sections"}
     assert report == table_oracles.fraction_validate_table(150, 12345, conv_fn=translated)

@@ -24,11 +24,14 @@ import pytest
 from hypothesis import given, settings
 
 from sheafconv.errors import InputError
-from sheafconv.cfun import ConstructibleFunction, _conv_terms, euler_convolve, euler_convolve_at
+from sheafconv.cfun import (ConstructibleFunction, _conv_terms, euler_convolve, euler_convolve_at,
+                            pushforward_linear)
 from sheafconv.linalg import vadd
+from sheafconv.oracle import conv_stalk_oracle
 from sheafconv.polytope import Polytope, intersect_polytopes
-from sheafconv.rational import fmt_rat, lattice_point
+from sheafconv.rational import fmt_rat, lattice_point, rat, ratio
 from sheafconv.region import CLOSED, RELINT, Region, Term, evaluate_region, make_region
+from sheafconv.sheaf1 import Closure, Generator, Interval
 
 from region_oracles import (parent_contains_scaled, parent_euler_convolve_at,
                             parent_evaluate_region, parent_intersect_polytopes, rand_polytope)
@@ -330,3 +333,24 @@ def test_a_bad_coordinate_is_an_input_error(bad, message):
         with pytest.raises(InputError) as err:
             probe((0, bad))
         assert message in str(err.value)
+    # so does every other reader of a rational: the stalk oracle's t, a
+    # pushforward's covector and rat itself
+    g = Generator(Interval(0, 1, Closure.CC))
+    for read in (lambda x: conv_stalk_oracle(g, g, x[1]), lambda x: pushforward_linear(f, x),
+                 lambda x: rat(x[1])):
+        assert read(((1, 4), (3, 12))) == read(("1/4", "1/4"))
+        with pytest.raises(InputError) as err:
+            read((0, bad))
+        assert message in str(err.value)
+
+
+def test_rat_is_the_fraction_of_ratio():
+    class Sub(Fraction):
+        pass
+
+    for value, want in ((7, Fraction(7)), (Sub(6, 4), Fraction(3, 2)),
+                        (Closure.CO, Fraction(int(Closure.CO))), ("-6/4", Fraction(-3, 2)),
+                        ((-6, 4), Fraction(-3, 2))):
+        assert rat(value) == Fraction(*ratio(value)) == want
+        assert ratio(value) == (want.numerator, want.denominator)
+        assert all(type(c) is int for c in ratio(value))
