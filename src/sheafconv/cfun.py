@@ -34,7 +34,6 @@ from .region import (
     CLOSED,
     RELINT,
     Region,
-    Term,
     closed_expansion,
     extents,
     indicator_normal_form,
@@ -43,7 +42,6 @@ from .region import (
     make_region,
     value_scaled,
 )
-from .rational import signed_sum
 
 # input bounds: closed-face pairs, each a Minkowski sum, in one convolution;
 # candidate directions (grid points, facet normals, vertex pairs) in one sweep
@@ -73,8 +71,8 @@ def _conv_terms(fr: Region, gr: Region) -> Region:
     if len(fe) * len(ge) > MAX_CONV_PAIRS:
         raise InputError(f"convolution of {len(fe)} by {len(ge)} closed faces: "
                          f"more than {MAX_CONV_PAIRS} face pairs")
-    acc = signed_sum((minkowski_sum(a, b), wa * wb) for (a, wa), (b, wb) in product(fe, ge))
-    return Region(fr.dim, tuple(Term(m, CLOSED, acc[m]) for m in sorted(acc)))
+    return make_region(fr.dim, [(minkowski_sum(a, b), CLOSED, wa * wb)
+                                for (a, wa), (b, wb) in product(fe, ge)])
 
 
 def euler_convolve(f: ConstructibleFunction, g: ConstructibleFunction) -> ConstructibleFunction:
@@ -243,13 +241,9 @@ def invertibility_check_cf(r: Region) -> dict:
     # fall back to scanning shadow plateaus along the default directions
     for xi in default_directions(r, 3):
         cf = pushforward_linear(f, xi)
-        for i, v in enumerate(cf.point_values):
+        mids = ((a + b) / 2 for a, b in zip(cf.breaks, cf.breaks[1:]))
+        for t, v in chain(zip(cf.breaks, cf.point_values), zip(mids, cf.gap_values)):
             if v >= 2:
-                out.update(direction=xi, slice_at=cf.breaks[i], slice_chi=v)
-                return out
-        for i, v in enumerate(cf.gap_values):
-            if v >= 2:
-                mid = (cf.breaks[i] + cf.breaks[i + 1]) / 2
-                out.update(direction=xi, slice_at=mid, slice_chi=v)
+                out.update(direction=xi, slice_at=t, slice_chi=v)
                 return out
     return out

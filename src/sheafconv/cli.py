@@ -263,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression to canonical form")
     _add_expr(p)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="text", action="store_false", default=False)
-    fmt.add_argument("--text", dest="text", action="store_true")
+    p.add_argument("--text", action="store_true")
     p.set_defaults(fn=_cmd_eval)
 
     for name, fn, help_text in _EXPR_COMMANDS:

@@ -11,14 +11,14 @@ no shared code path to sheaf1.convolve, which is the point.
 
 The oracles run on integers: a generator is read as a key (lo, hi,
 closure, shift, mult) with its ends over a common scale, as a Sheaf1
-keeps its own, and a probe or slab end as an integer over the same
-scale.  The one public oracle, conv_stalk_oracle, which the benchmark
-calls, reads t as every entry point does (rational.ratio: a bool or a
-float is an InputError) and scales its arguments over the lcm of their
-denominators.  validate_table puts each trial on one scale, 132 times
-the lcm of the ends' denominators and the result's, on which every
-probe it draws is an integer, and builds a Fraction only for the probe
-of a discrepancy.
+keeps its own, its closure read by the bits LEFT_OPEN and RIGHT_OPEN,
+and a probe or slab end as an integer over the same scale.  The one
+public oracle, conv_stalk_oracle, which the benchmark calls, reads t as
+every entry point does (rational.ratio: a bool or a float is an
+InputError) and scales its arguments over the lcm of their denominators.
+validate_table puts each trial on one scale, 132 times the lcm of the
+ends' denominators and the result's, on which every probe it draws is
+an integer, and builds a Fraction only for the probe of a discrepancy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 from .errors import InputError
 from .randgen import rand_generator
 from .rational import ratio
-from .sheaf1 import Closure, Generator, Sheaf1, convolve_generators, stalk
+from .sheaf1 import LEFT_OPEN, RIGHT_OPEN, Closure, Generator, Sheaf1, convolve_generators, stalk
 
 # a generator on integers: (lo, hi, closure, shift, mult), ends over a scale
 Key = tuple[int, int, Closure, int, int]
@@ -86,8 +86,8 @@ def _stalk(g: Key, h: Key, t: int) -> dict[int, int]:
     a, b, ci, s, m = g
     c, d, cj, s2, n = h
     # t - J reverses the closure flags
-    hit = _intersect_flagged(a, ci.left_closed, b, ci.right_closed,
-                             t - d, cj.right_closed, t - c, cj.left_closed)
+    hit = _intersect_flagged(a, not ci & LEFT_OPEN, b, not ci & RIGHT_OPEN,
+                             t - d, not cj & RIGHT_OPEN, t - c, not cj & LEFT_OPEN)
     if hit is None:
         return {}
     lo, lc, hi, rc = hit
@@ -124,9 +124,9 @@ def _factor_faces(lo: int, hi: int, closure: Closure) -> list[tuple[str, object,
     if lo == hi:
         return [("end", lo, False)]
     return [
-        ("end", lo, not closure.left_closed),
+        ("end", lo, bool(closure & LEFT_OPEN)),
         ("open", (lo, hi), False),
-        ("end", hi, not closure.right_closed),
+        ("end", hi, bool(closure & RIGHT_OPEN)),
     ]
 
 
@@ -136,8 +136,8 @@ def _sections(g: Key, h: Key, u: int, v: int) -> dict[int, int]:
     a, b, ci, gs, gm = g
     c, d, cj, hs, hm = h
     # image of the flagged box under (x, y) -> x + y
-    if _intersect_flagged(a + c, ci.left_closed and cj.left_closed, b + d,
-                          ci.right_closed and cj.right_closed, u, False, v, False) is None:
+    if _intersect_flagged(a + c, not (ci | cj) & LEFT_OPEN, b + d,
+                          not (ci | cj) & RIGHT_OPEN, u, False, v, False) is None:
         return {}
 
     corners: list[tuple[int, int]] = []
@@ -198,7 +198,8 @@ def _slab_sections(keys: list[Key], u: int, v: int) -> dict[int, int]:
     if not u < v:
         return out
     for lo1, hi1, c, shift, mult in keys:
-        hit = _intersect_flagged(lo1, c.left_closed, hi1, c.right_closed, u, False, v, False)
+        hit = _intersect_flagged(lo1, not c & LEFT_OPEN, hi1, not c & RIGHT_OPEN,
+                                 u, False, v, False)
         if hit is None:
             continue
         lo, lc, hi, rc = hit

@@ -6,8 +6,10 @@ form is unique once sorted, so equality of objects is equality of the
 canonical form.  A Sheaf1 is that form on integers: one denominator den
 and a strictly increasing tuple of keys (lo, hi, closure, shift, mult),
 the ends lo/den and hi/den, with den >= 1 coprime to the ends taken
-together.  Every operation acts on the keys; Fractions appear only at
-the API edge (the Generator views and the constructors' arguments).
+together.  Sheaf1(den, keys) checks that one form and takes no other;
+normalize reads Generators.  Every operation acts on the keys; Fractions
+appear only at the API edge (the Generator views and the constructors'
+arguments).
 Convolution
 
     F * G = Rs_!(F boxtimes G),   s(x, y) = x + y
@@ -43,25 +45,23 @@ RIGHT_OPEN = 1
 
 
 class Closure(enum.IntEnum):
-    """Endpoint closure of an interval; the int value is the sort order."""
+    """Endpoint closure of an interval; the int value is the sort order,
+    and its bits LEFT_OPEN and RIGHT_OPEN say which ends are open."""
 
     CC = 0
     CO = 1
     OC = 2
     OO = 3
 
-    @property
-    def left_closed(self) -> bool:
-        return not self & LEFT_OPEN
-
-    @property
-    def right_closed(self) -> bool:
-        return not self & RIGHT_OPEN
-
 
 CC, CO, OC, OO = Closure
 _REVERSED = (CC, OC, CO, OO)  # the mirror image under x -> -x
 _FLIPPED = (OO, OC, CO, CC)  # both ends' closures swapped
+
+
+def _check_closure(closure) -> None:
+    if type(closure) is not Closure:
+        raise InputError(f"closure must be a Closure, got {closure!r}")
 
 
 def _check_degree(shift, mult) -> None:
@@ -80,21 +80,13 @@ class Interval:
     closure: Closure
 
     def __post_init__(self):
+        _check_closure(self.closure)
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
         if self.lo > self.hi:
             raise InputError(f"empty interval: lo={self.lo} > hi={self.hi}")
         if self.lo == self.hi and self.closure is not Closure.CC:
             raise InputError("a degenerate interval must be closed")
-
-    def contains(self, t: Fraction) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.closure.left_closed:
-            return False
-        if t == self.hi and not self.closure.right_closed:
-            return False
-        return True
 
 
 @dataclass(frozen=True, order=True)
@@ -119,26 +111,15 @@ class Sheaf1:
 
     den >= 1 and keys, a strictly increasing tuple of (lo, hi, closure,
     shift, mult) over den, with gcd(den, every end) == 1, so that equal
-    objects have equal fields.  Sheaf1(gens) takes a canonical tuple of
-    Generators (see normalize); gens is that tuple, built on first use.
+    objects have equal fields.  Sheaf1(den, keys) checks that form, and
+    normalize builds it from Generators; gens is the Generator view, built
+    on first use.
     """
 
     den: int
     keys: tuple[tuple[int, int, Closure, int, int], ...]
 
-    def __init__(self, gens: Iterable[Generator] = ()):
-        gens = tuple(gens)
-        den, keys = _items(gens)
-        self._set(den, tuple(keys))
-        self.__dict__["gens"] = gens
-
-    @classmethod
-    def _of(cls, den: int, keys: tuple) -> "Sheaf1":
-        f = object.__new__(cls)
-        f._set(den, keys)
-        return f
-
-    def _set(self, den: int, keys: tuple) -> None:
+    def __init__(self, den: int = 1, keys: tuple = ()):
         # the canonical form, checked in one pass
         if den < 1 or (den > 1 and gcd(den, *(e for k in keys for e in k[:2])) != 1) or any(
                 a[:4] >= b[:4] for a, b in zip(keys, keys[1:])):
@@ -160,14 +141,6 @@ class Sheaf1:
         return iter(self.gens)
 
 
-def _items(gens) -> tuple[int, list[tuple]]:
-    """(den, [(lo, hi, closure, shift, mult)]) of a generator sequence, the
-    ends scaled once over their common denominator den."""
-    ends, den = lattice_point([e for g in gens for e in (g.interval.lo, g.interval.hi)])
-    return den, [(lo, hi, g.interval.closure, g.shift, g.mult)
-                 for g, lo, hi in zip(gens, ends[::2], ends[1::2])]
-
-
 def _normal(den: int, pairs: Iterable[tuple]) -> Sheaf1:
     """The canonical object of ((lo, hi, closure, shift), mult) pairs over
     den: the signed sum of the pairs, its keys sorted and den reduced by
@@ -177,7 +150,7 @@ def _normal(den: int, pairs: Iterable[tuple]) -> Sheaf1:
     if g > 1:
         den //= g
         keys = [(lo // g, hi // g, c, s, m) for lo, hi, c, s, m in keys]
-    return Sheaf1._of(den, tuple(keys))
+    return Sheaf1(den, tuple(keys))
 
 
 def _scaled(f: Sheaf1, den: int):
@@ -196,8 +169,10 @@ def normalize(gens: Iterable[Generator]) -> Sheaf1:
     (lo, hi, closure, shift) merged and sorted as ints; den > 0 keeps the
     order, so it is the order of the Fraction ends.
     """
-    den, items = _items(list(gens))
-    return _normal(den, [(k[:4], k[4]) for k in items])
+    gens = list(gens)
+    ends, den = lattice_point([e for g in gens for e in (g.interval.lo, g.interval.hi)])
+    return _normal(den, [((lo, hi, g.interval.closure, g.shift), g.mult)
+                         for g, lo, hi in zip(gens, ends[::2], ends[1::2])])
 
 
 # -- convenience constructors ------------------------------------------------
@@ -205,6 +180,7 @@ def normalize(gens: Iterable[Generator]) -> Sheaf1:
 def interval_sheaf(closure: Closure, a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
     """mult copies of k_I[shift], I the interval from a to b with the
     given endpoint closure; a and b are anything rational.ratio reads."""
+    _check_closure(closure)
     (p, q), (r, s) = ratio(a), ratio(b)
     den = lcm(q, s)
     lo, hi = p * (den // q), r * (den // s)
@@ -214,7 +190,7 @@ def interval_sheaf(closure: Closure, a, b, shift: int = 0, mult: int = 1) -> She
         raise InputError("a degenerate interval must be closed")
     _check_degree(shift, mult)
     # both ends in lowest terms over the lcm of their denominators: canonical
-    return Sheaf1._of(den, ((lo, hi, closure, shift, mult),))
+    return Sheaf1(den, ((lo, hi, closure, shift, mult),))
 
 
 def kc(a, b, shift: int = 0, mult: int = 1) -> Sheaf1:
@@ -327,7 +303,7 @@ def _convolve_ends(a: int, b: int, ci: Closure, c: int, d: int, cj: Closure) -> 
 
 def convolve_generators(g: Generator, h: Generator) -> Sheaf1:
     """Convolution of two single generators."""
-    return convolve(Sheaf1((g,)), Sheaf1((h,)))
+    return convolve(normalize((g,)), normalize((h,)))
 
 
 def convolve(f: Sheaf1, g: Sheaf1) -> Sheaf1:

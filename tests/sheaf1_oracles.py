@@ -123,17 +123,23 @@ def fraction_rescale(f: Sheaf1, lam: Fraction) -> tuple:
     return fraction_normalize(out)
 
 
+def holds(iv: Interval, t: Fraction) -> bool:
+    """Whether t lies in iv, read off its Fraction ends and its closure's name."""
+    return ((iv.lo < t or (iv.lo == t and iv.closure in (C.CC, C.CO)))
+            and (t < iv.hi or (t == iv.hi and iv.closure in (C.CC, C.OC))))
+
+
 def fraction_stalk(f: Sheaf1, t: Fraction) -> dict:
     dims: dict = {}
     for g in f.gens:
-        if g.interval.contains(t):
+        if holds(g.interval, t):
             dims[-g.shift] = dims.get(-g.shift, 0) + g.mult
     return {k: v for k, v in sorted(dims.items()) if v}
 
 
 def fraction_inverse(f: Sheaf1) -> tuple:
     """The dual of the antipodal object of an invertible f."""
-    return fraction_dual(Sheaf1(fraction_antipodal(f)))
+    return fraction_dual(normalize(fraction_antipodal(f)))
 
 
 def graded_tensor(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -186,4 +192,4 @@ def rand_invertible(rng: random.Random) -> Sheaf1:
         while b == a:
             b = rand_rat(rng)
         iv = Interval(min(a, b), max(a, b), closure)
-    return Sheaf1((Generator(iv, rng.randint(-3, 3), 1),))
+    return normalize((Generator(iv, rng.randint(-3, 3), 1),))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from sheafconv.randgen import rand_generator
-from sheafconv.sheaf1 import Generator, Sheaf1, convolve_generators, stalk
+from sheafconv.sheaf1 import LEFT_OPEN, RIGHT_OPEN, Generator, Sheaf1, convolve_generators, stalk
 
 Slab = tuple[Fraction, Fraction]
 
@@ -59,8 +59,8 @@ def conv_stalk_oracle(g: Generator, h: Generator, t) -> dict[int, int]:
     i, j = g.interval, h.interval
     # t - J reverses the closure flags
     hit = _intersect_flagged(
-        i.lo, i.closure.left_closed, i.hi, i.closure.right_closed,
-        t - j.hi, j.closure.right_closed, t - j.lo, j.closure.left_closed,
+        i.lo, not i.closure & LEFT_OPEN, i.hi, not i.closure & RIGHT_OPEN,
+        t - j.hi, not j.closure & RIGHT_OPEN, t - j.lo, not j.closure & LEFT_OPEN,
     )
     if hit is None:
         return {}
@@ -86,9 +86,9 @@ def _factor_faces(iv) -> list[tuple[str, object, bool]]:
     if iv.lo == iv.hi:
         return [("end", iv.lo, False)]
     return [
-        ("end", iv.lo, not iv.closure.left_closed),
+        ("end", iv.lo, bool(iv.closure & LEFT_OPEN)),
         ("open", (iv.lo, iv.hi), False),
-        ("end", iv.hi, not iv.closure.right_closed),
+        ("end", iv.hi, bool(iv.closure & RIGHT_OPEN)),
     ]
 
 
@@ -126,8 +126,8 @@ def conv_sections_oracle(g: Generator, h: Generator, slab: Slab) -> dict[int, in
     i, j = g.interval, h.interval
     # image of the flagged box under (x, y) -> x + y
     s = _intersect_flagged(
-        i.lo + j.lo, i.closure.left_closed and j.closure.left_closed,
-        i.hi + j.hi, i.closure.right_closed and j.closure.right_closed,
+        i.lo + j.lo, not i.closure & LEFT_OPEN and not j.closure & LEFT_OPEN,
+        i.hi + j.hi, not i.closure & RIGHT_OPEN and not j.closure & RIGHT_OPEN,
         u, False, v, False,
     )
     if s is None:
@@ -213,7 +213,7 @@ def sheaf_slab_sections(f: Sheaf1, u, v) -> dict[int, int]:
     for gen in f.gens:
         iv = gen.interval
         hit = _intersect_flagged(
-            iv.lo, iv.closure.left_closed, iv.hi, iv.closure.right_closed,
+            iv.lo, not iv.closure & LEFT_OPEN, iv.hi, not iv.closure & RIGHT_OPEN,
             u, False, v, False,
         )
         if hit is None:

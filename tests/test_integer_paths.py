@@ -88,7 +88,7 @@ def generator_lists(draw, max_size=8, pool=None):
 
 # canonical objects built by the oracle, so the inputs do not depend on
 # the normal form under test
-wide_sheaves = generator_lists().map(lambda gens: Sheaf1(fraction_normalize(gens)))
+wide_sheaves = generator_lists().map(lambda gens: normalize(fraction_normalize(gens)))
 
 _I = Interval(Fraction(-3, 7), Fraction(5, 999983), Closure.OO)
 # k_I and k_I[1]: the shadow and every ray cancel
@@ -109,13 +109,13 @@ def sheaf_pairs(draw):
     """Two canonical objects and a point on one pool, so that the ends of
     their convolution collide and cancel."""
     pool = draw(pools)
-    f, g = (Sheaf1(fraction_normalize(draw(generator_lists(pool=pool)))) for _ in range(2))
+    f, g = (normalize(fraction_normalize(draw(generator_lists(pool=pool)))) for _ in range(2))
     return f, g, draw(st.sampled_from(spots(pool)))
 
 
-_PAIR_EXAMPLES = [(Sheaf1(), Sheaf1(fraction_normalize(_CANCELLING)), Fraction(-3, 7)),
-                  (Sheaf1(fraction_normalize(_CANCELLING)),) * 2 + (Fraction(1, 2),),
-                  (Sheaf1(fraction_normalize(_CANCELLING)), Sheaf1(), Fraction(0))]
+_PAIR_EXAMPLES = [(Sheaf1(), normalize(fraction_normalize(_CANCELLING)), Fraction(-3, 7)),
+                  (normalize(fraction_normalize(_CANCELLING)),) * 2 + (Fraction(1, 2),),
+                  (normalize(fraction_normalize(_CANCELLING)), Sheaf1(), Fraction(0))]
 
 
 def pinned(test):
@@ -156,7 +156,7 @@ def test_translate_rescale_stalk_match_fraction_oracle(case):
 @settings(max_examples=100)
 def test_inverse_matches_fraction_oracle(a, b, closure, d):
     a, b = sorted((a, b))
-    f = Sheaf1((Generator(Interval(a, b, closure if a < b else Closure.CC), d),))
+    f = normalize((Generator(Interval(a, b, closure if a < b else Closure.CC), d),))
     assert inverse(f).gens == fraction_inverse(f)
 
 
@@ -185,7 +185,7 @@ def test_cf1_convolve_matches_brute_oracle(pair):
 
 @given(wide_sheaves)
 @example(Sheaf1())
-@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@example(normalize(fraction_normalize(_CANCELLING)))
 @settings(max_examples=120)
 def test_cf1_from_sheaf_matches_stalk_oracle(f):
     assert cf1_from_sheaf(f) == stalk_shadow(f)
@@ -217,7 +217,7 @@ def test_cf1_from_atoms_matches_fraction_sweep(case):
 
 @given(wide_sheaves)
 @example(Sheaf1())
-@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@example(normalize(fraction_normalize(_CANCELLING)))
 @settings(max_examples=120)
 def test_ray_families_match_tables(f):
     b, c = b_transform(f), cc(f)
@@ -231,7 +231,7 @@ def at_zero(family) -> int:
 
 @given(wide_sheaves)
 @example(Sheaf1())
-@example(Sheaf1(fraction_normalize(_CANCELLING)))
+@example(normalize(fraction_normalize(_CANCELLING)))
 @settings(max_examples=150)
 def test_symmetric_product_matches_full_product(f):
     # the oracle's symmetric product is B(f) times its reflection; the
@@ -247,24 +247,24 @@ def test_symmetric_product_matches_full_product(f):
     assert ok == detail["refined_ok"] == (full == b_one())
 
 
-_UNIT_LIKE = Sheaf1(fraction_normalize([Generator(Interval(_I.lo, _I.hi, Closure.CC))]))
+_UNIT_LIKE = normalize(fraction_normalize([Generator(Interval(_I.lo, _I.hi, Closure.CC))]))
 # kc(0,1) plus kco(2,3) or koc(2,3): chi = 1 and one family is a single
 # ray of multiplicity 1, but the other family has three rays
 _HALF_UNITS = [
-    Sheaf1(fraction_normalize([Generator(Interval(Fraction(0), Fraction(1), Closure.CC)),
+    normalize(fraction_normalize([Generator(Interval(Fraction(0), Fraction(1), Closure.CC)),
                                Generator(Interval(Fraction(2), Fraction(3), c))]))
     for c in (Closure.CO, Closure.OC)
 ]
 # passes the check without being invertible
-_ONE_SIDED = Sheaf1(fraction_normalize([
+_ONE_SIDED = normalize(fraction_normalize([
     Generator(Interval(Fraction(0), Fraction(1), Closure.CO)),
     Generator(Interval(Fraction(0), Fraction(1, 2), Closure.CC), 1)]))
 
 
 @given(st.one_of(wide_sheaves, sheaf_pairs().map(lambda fgt: convolve(fgt[0], fgt[1]))))
 @example(Sheaf1())
-@example(Sheaf1(fraction_normalize(_CANCELLING)))
-@example(Sheaf1(fraction_normalize(_CANCELLING + _CANCELLING[:1])))
+@example(normalize(fraction_normalize(_CANCELLING)))
+@example(normalize(fraction_normalize(_CANCELLING + _CANCELLING[:1])))
 @example(_UNIT_LIKE)
 @example(_ONE_SIDED)
 @example(_HALF_UNITS[0])
@@ -312,7 +312,7 @@ def _random_generator(rng, closure):
 
 def _twelve(rng) -> Sheaf1:
     """Three generators of each closure, as in a large op."""
-    return Sheaf1(fraction_normalize(_random_generator(rng, c) for c in list(Closure) * 3))
+    return normalize(fraction_normalize(_random_generator(rng, c) for c in list(Closure) * 3))
 
 
 def test_large_ops_hash_no_fraction(monkeypatch):

@@ -100,6 +100,16 @@ def test_interval_validation():
             make()
 
 
+def test_a_closure_must_be_a_closure():
+    # 1 == Closure.CO, yet the table dispatches by identity: kc(0, 1)
+    # convolved with an int closure 1 gave ]1,2], not Closure.CO's [0,1[
+    for bad in (1, "cc", 7, None, True):
+        for make in (lambda: interval_sheaf(bad, 0, 1),
+                     lambda: Interval(Fraction(0), Fraction(1), bad)):
+            with pytest.raises(InputError, match=rf"^closure must be a Closure, got {bad!r}$"):
+                make()
+
+
 def test_normalize_merges_and_sorts():
     f = normalize([
         Generator(Interval(Fraction(0), Fraction(1), Closure.CC), 0, 1),
@@ -114,12 +124,23 @@ def test_sheaf1_rejects_non_canonical_generator_tuples():
     iv = Interval(Fraction(0), Fraction(1), Closure.CC)
     a, b = Generator(iv), Generator(Interval(Fraction(0), Fraction(2), Closure.CC))
     co, up = Generator(Interval(iv.lo, iv.hi, Closure.CO)), Generator(iv, 1)
-    assert Sheaf1((a, up, co, b)).gens == (a, up, co, b)
+    f = normalize((a, up, co, b))
+    assert Sheaf1(f.den, f.keys) == f
+    assert f.gens == (a, up, co, b)
+
+    def keys(gens):  # over den 1: every end here is an integer
+        return tuple((int(g.interval.lo), int(g.interval.hi), g.interval.closure, g.shift, g.mult)
+                     for g in gens)
+
     # out of order by hi, by closure and by shift; the same (interval,
     # shift) twice, with equal or different multiplicities
     for gens in ((b, a), (co, up), (up, a), (a, a), (a, Generator(iv, 0, 2)), (a, b, a)):
         with pytest.raises(InvariantViolation):
-            Sheaf1(gens)
+            Sheaf1(1, keys(gens))
+    # den 0, and den 2 with both ends even: not in lowest terms
+    for den, ks in ((0, keys((a,))), (2, ((0, 2, Closure.CC, 0, 1),))):
+        with pytest.raises(InvariantViolation):
+            Sheaf1(den, ks)
 
 
 def test_direct_sum_of_nothing_is_zero():
